@@ -169,6 +169,29 @@ def test_epoch_resume_and_lineage(ray_session, micro_transcripts, tmp_path):
     _assert_bitwise_equal(w2, b2)
 
 
+def test_resume_keeps_committed_width(ray_session, micro_transcripts, tmp_path):
+    """n_buckets=None resumes a store at the width of its first committed
+    epoch, not at the width the session would pick for a new store (64 at
+    4 CPUs): the rerun recomputes nothing."""
+    import glob
+
+    from vertex_ray.pipelines.epoch_pipeline import (
+        committed_n_buckets,
+        run_pipeline_epochs,
+    )
+
+    out = str(tmp_path / "epochs")
+    assert committed_n_buckets(out) is None
+    run_pipeline_epochs(micro_transcripts, out, 3600, n_buckets=8, tiers=TIERS_SMALL)
+    manifests = sorted(glob.glob(os.path.join(out, "epoch-*", "*", "manifest.json")))
+    assert len(manifests) == 4 * 3
+    mtimes = [os.stat(p).st_mtime_ns for p in manifests]
+
+    m = run_pipeline_epochs(micro_transcripts, out, 3600, tiers=TIERS_SMALL)
+    assert {v["lineage"]["n_buckets"] for v in m.values()} == {8}
+    assert [os.stat(p).st_mtime_ns for p in manifests] == mtimes
+
+
 def test_nonmonotonic_ts_raises():
     """The epoch kernel refuses per-conv ts that decrease in turn order
     (would silently break one-shot parity)."""

@@ -2,6 +2,8 @@
 src/sources/netflow format family): template flowsets, data-record
 packing, template cache, unknown-template skip, Ray round-trip ops."""
 
+import struct
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -79,6 +81,38 @@ def test_malformed_packets_rejected():
     bad[23] = 0xFF
     with pytest.raises(ValueError, match="length"):
         parse_packet(bytes(bad))
+
+
+def _template_set(set_id: int, n_fields: int, field_bytes: bytes) -> bytes:
+    """Template flowset announcing ``n_fields`` whose length covers only
+    ``field_bytes`` — a template cut short inside its own flowset."""
+    body = struct.pack(">HH", DEFAULT_TEMPLATE_ID, n_fields) + field_bytes
+    return struct.pack(">HH", set_id, 4 + len(body)) + body
+
+
+def _v9(flowset: bytes) -> bytes:
+    return struct.pack(">HHIIII", 9, 1, 0, 0, 0, 1) + flowset
+
+
+def _ipfix(flowset: bytes) -> bytes:
+    return struct.pack(">HHIII", 10, 16 + len(flowset), 0, 0, 1) + flowset
+
+
+@pytest.mark.parametrize("packet", [
+    # v9: second field specifier cut after 2 of its 4 bytes
+    _v9(_template_set(0, 2, b"\x00\x08\x00\x04" + b"\x00\x0c")),
+    # IPFIX: same cut inside a field specifier
+    _ipfix(_template_set(2, 2, b"\x00\x08\x00\x04" + b"\x00\x0c")),
+    # IPFIX: enterprise bit set, 4-byte PEN cut after 2 bytes
+    _ipfix(_template_set(2, 1, b"\x80\x08\x00\x04" + b"\x00\x00")),
+], ids=["v9-field", "ipfix-field", "ipfix-pen"])
+def test_truncated_template_is_eof(packet):
+    """A template shorter than its field count fails with the module's
+    documented ValueError, not struct.error or a half-read template."""
+    cache = TemplateCache()
+    with pytest.raises(ValueError, match="unexpected eof"):
+        parse_packet(packet, cache)
+    assert len(cache) == 0
 
 
 def test_ray_ops_roundtrip(ray_session):

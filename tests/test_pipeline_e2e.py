@@ -23,7 +23,7 @@ def pipeline_out(ray_session, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("tiers"))
     from vertex_ray.pipelines.rollup_pipeline import run_pipeline
 
-    manifests = run_pipeline(trans, out, n_buckets=8, encode_concurrency=2)
+    manifests = run_pipeline(trans, out, n_buckets=8)
     return trans, out, manifests
 
 
@@ -208,3 +208,37 @@ def test_rerun_with_changed_bucketing_recomputes(ray_session, tmp_path_factory):
     # must also recompute (completed-stage lineage check)
     m8 = run_pipeline(trans, out, n_buckets=8)
     assert m8["blocks"]["lineage"]["n_buckets"] == 8
+
+
+def test_output_independent_of_bucket_width(ray_session, tmp_path_factory):
+    """The reduce width is a plan choice, not part of the output: a
+    series' blocks are the same whichever bucket it lands in, so stores
+    built at 2 and at 64 buckets hold the same Gorilla payload bytes and
+    decode to bitwise-equal points on every tier."""
+    from vertex_ray.pipelines.rollup_pipeline import run_pipeline
+    from vertex_ray.schema import BLOCK_SCHEMA
+    from vertex_ray.stages.encode import decode_blocks_batch
+
+    trans = ensure_transcripts(0.001, base="/tmp/vertex_ray_testdata")
+    payload = [f.name for f in BLOCK_SCHEMA if f.name != "bucket"]
+    order = [(k, "ascending") for k in ("tier", "series_key", "block_start")]
+    stores = []
+    for n_buckets in (2, 64):
+        out = str(tmp_path_factory.mktemp(f"width{n_buckets}"))
+        m = run_pipeline(trans, out, n_buckets=n_buckets)
+        assert m["blocks"]["lineage"]["n_buckets"] == n_buckets
+        stores.append(
+            pads.dataset(stage_files(os.path.join(out, "blocks")))
+            .to_table(columns=payload).sort_by(order)
+        )
+    narrow, wide = stores
+    assert narrow.num_rows > 0 and narrow.equals(wide)
+    for tier in TIER_SECONDS:
+        a, b = (decode_blocks_batch(t.filter(pc.field("tier") == tier))
+                .to_pandas() for t in stores)
+        assert len(a) > 0 and list(a.columns) == list(b.columns)
+        for c in a.columns:
+            va, vb = a[c].to_numpy(), b[c].to_numpy()
+            if va.dtype == np.float64:  # stale-marker NaN payloads too
+                va, vb = va.view(np.uint64), vb.view(np.uint64)
+            np.testing.assert_array_equal(va, vb, err_msg=f"{tier}.{c}")

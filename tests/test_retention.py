@@ -22,7 +22,7 @@ def retained(ray_session, tmp_path_factory):
 
     trans = ensure_transcripts(0.001, base="/tmp/vertex_ray_testdata")
     out = str(tmp_path_factory.mktemp("tiers_src"))
-    manifests = run_pipeline(trans, out, n_buckets=8, encode_concurrency=2)
+    manifests = run_pipeline(trans, out, n_buckets=8)
     gend = manifests["blocks"]["lineage"]["global_end_s"]
     dst = str(tmp_path_factory.mktemp("tiers_gc"))
     horizons = {"1m": 86_400, "5m": 86_400}  # 1h/1d unbounded

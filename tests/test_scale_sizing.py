@@ -1,13 +1,22 @@
-"""Scale-aware sizing of the flagship read and reduce width.
+"""Sizing of the flagship scan and reduce width from input bytes and CPUs.
 
-Round-4 verdict item #1: a fixed 32-block map-side cap is correct on this
-box (the map×reduce object matrix, not data volume, is the 32-CPU floor
-for ≤2.5 GB inputs) but inverts on the 100 TB multi-node target — 3 TB
-per scan task and a 32-way ceiling for every downstream stage. The fix
-makes both the scan block count and the reduce bucket width functions of
-input bytes and cluster width, with the measured sandbox values as
-floors, so behavior on this box is bit-identical while a big cluster fans
-out.
+Scan blocks are ``min(4·cpus, max(32, ceil(nbytes / 128 MiB)))`` and
+reduce buckets ``max(min(64, 16·cpus), 2·cpus, ceil(nbytes / 512 MiB))``.
+The floors of 32 blocks and 64 buckets were measured at 32 CPUs; at 8 or
+more CPUs a sandbox input keeps exactly that plan, while a 100 TB input
+on a wide cluster fans out to 4 blocks and ≥2 buckets per CPU. Below 8
+CPUs the session width clamps the floors: 1 / 2 / 4 CPUs give 4 / 8 / 16
+blocks and 16 / 32 / 64 buckets.
+
+One ingest of a 200k-turn input with 1 Ray CPU (process tree pinned to
+2 CPUs), in CPU seconds per run:
+
+    32 blocks × 64 buckets (the unclamped floors)  8.0–8.5
+     4 blocks × 64 buckets                         3.7–4.7
+     4 blocks × 16 buckets (the clamped rule)      3.2–3.6
+
+The stores hold the same Gorilla payload at every width
+(tests/test_pipeline_e2e.py).
 """
 
 import pytest
@@ -68,6 +77,18 @@ def test_auto_n_buckets_floor_and_growth():
     # task's packed per-series arrays heap-bounded at 100× data)
     assert auto_n_buckets("x", nbytes=1 * TiB, cpus=32) == 2048
     assert auto_n_buckets("x", nbytes=100 * TiB, cpus=256 * 32) == 204800
+
+
+@pytest.mark.parametrize("cpus, blocks, buckets", [
+    (1, 4, 16), (2, 8, 32), (4, 16, 64),
+])
+def test_small_session_clamps_floors(cpus, blocks, buckets):
+    # below 8 CPUs the session width caps the measured 32-CPU floors, for
+    # sandbox inputs and for inputs far past them alike
+    for nbytes in (253 * 2**20, int(2.5 * GiB)):
+        assert read_num_blocks("x", nbytes=nbytes, cpus=cpus) == blocks
+        assert auto_n_buckets("x", nbytes=nbytes, cpus=cpus) == buckets
+    assert read_num_blocks("x", nbytes=100 * TiB, cpus=cpus) == blocks
 
 
 def test_input_bytes_file_and_dir(tmp_path):

@@ -585,7 +585,9 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("out_dir")
     sp.add_argument("--epoch", type=int, default=0,
                     help="epoch seconds for incremental mode (0 = one-shot)")
-    sp.add_argument("--buckets", type=int, default=64)
+    sp.add_argument("--buckets", type=int, default=None,
+                    help="reduce width (default: sized to input bytes and "
+                         "CPUs; an epoch store keeps its committed width)")
     sp.set_defaults(fn=cmd_rollup)
 
     sp = sub.add_parser("retention",

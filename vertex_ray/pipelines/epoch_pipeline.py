@@ -53,8 +53,8 @@ from vertex_ray.state.checkpoint import (
     write_stage,
 )
 from vertex_ray.pipelines.rollup_pipeline import (
-    DEFAULT_N_BUCKETS,
     _target_blocks,
+    auto_n_buckets,
 )
 
 
@@ -240,21 +240,39 @@ def epoch_dirs(out_dir: str) -> list[str]:
             for d in sorted(epochs, key=lambda d: int(d.split("-", 1)[1]))]
 
 
+def committed_n_buckets(out_dir: str) -> int | None:
+    """Bucket width in the lineage of the store's first committed epoch;
+    None when no epoch has committed yet."""
+    for edir in epoch_dirs(out_dir):
+        agg = posixpath.join(edir, "agg")
+        if stage_done(agg):
+            return read_manifest(agg)["lineage"].get("n_buckets")
+    return None
+
+
 def run_pipeline_epochs(
     transcripts_path: str,
     out_dir: str,
     epoch_seconds: int = 86_400,
-    n_buckets: int = DEFAULT_N_BUCKETS,
+    n_buckets: int | None = None,
     salt: int = 1,
     tiers=TIERS,
 ) -> dict[str, dict]:
-    """Run (or resume) the flagship as a sequence of epoch increments."""
+    """Run (or resume) the flagship as a sequence of epoch increments.
+
+    ``n_buckets=None`` resumes at the width of the store's first committed
+    epoch, so a store never changes width partway through its history and
+    a session of another size recomputes nothing; a new store gets
+    ``auto_n_buckets``."""
     for tier, seconds in tiers:
         if epoch_seconds % seconds:
             raise ValueError(
                 f"epoch_seconds={epoch_seconds} must be a multiple of the "
                 f"{tier} tier width {seconds}s (windows may not straddle epochs)"
             )
+    if n_buckets is None:
+        n_buckets = (committed_n_buckets(out_dir)
+                     or auto_n_buckets(transcripts_path))
     start_s, end_s = transcripts_span_s(transcripts_path)
     first = start_s // epoch_seconds * epoch_seconds
     starts = list(range(first, end_s + 1, epoch_seconds))

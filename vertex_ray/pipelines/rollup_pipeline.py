@@ -74,14 +74,18 @@ TARGET_READ_TASK_BYTES = 128 * 2**20
 TARGET_BUCKET_INPUT_BYTES = 512 * 2**20
 
 
+def session_cpus() -> int:
+    """CPUs of the live Ray session (8 when none is up yet)."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
 def _target_blocks() -> int:
     """Blocks sized to the session: parallelism downstream of a read (and
     of the sort shuffle) is bounded by the input block count, so a
     3-file input must still fan out to ~4 blocks per CPU."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return 4 * cpus
+    return 4 * session_cpus()
 
 
 def input_bytes(path: str) -> int:
@@ -97,46 +101,65 @@ def input_bytes(path: str) -> int:
 
 def read_num_blocks(path: str, *, nbytes: int | None = None,
                     cpus: int | None = None) -> int:
-    """Map-side block count for the flagship scan — scale-aware.
+    """Map-side block count for the flagship scan:
+    ``min(4·cpus, max(32, ceil(nbytes / 128 MiB)))``.
 
     The run-packed projection makes the exchange row-light, so on small
     inputs the map×reduce object matrix (blocks × n_buckets), not data
-    volume, is the floor: 32 blocks measured best at 32 CPUs / 256
-    buckets (64 blocks 2.87 s, 48 → 2.04 s, 32 → 1.82 s through-kernel).
-    But a FIXED 32 inverts on a multi-node cluster streaming ~100 TB
-    (~3 TB per scan task and a 32-way ceiling for every downstream
-    stage), so the count grows one task per ~128 MiB of input up to the
-    session's 4-blocks-per-CPU width:
+    volume, sets the cost. 32 blocks measured best at 32 CPUs / 256
+    buckets (64 blocks 2.87 s, 48 → 2.04 s, 32 → 1.82 s through-kernel),
+    so 32 is the small-input floor. Above it the count grows one task per
+    ~128 MiB of input, so a ~100 TB input on a multi-node cluster gets no
+    3 TB scan task and no 32-way ceiling on every downstream stage.
 
-      sandbox (≤2.5 GB input, ≤32 CPUs)  → 32 (the measured optimum)
-      100 TB on a 256-node × 32-CPU cluster → 32768 tasks (4/CPU),
+    The session's 4-blocks-per-CPU width caps both the floor and the
+    growth. Below 8 CPUs that cap is under 32, so a small session does
+    not pay for object-store traffic it has no CPUs to overlap:
+
+      1 / 2 / 4 CPUs, any input              → 4 / 8 / 16
+      8 or 32 CPUs, ≤ 4 GiB input (sandbox)  → 32 (the measured optimum)
+      100 TB on a 256-node × 32-CPU cluster  → 32768 tasks (4/CPU),
         each task streaming its fragments as 128 MB-split output blocks.
+
+    One ingest of a 200k-turn input with 1 Ray CPU (process tree pinned
+    to 2 CPUs) measured 8.0–8.5 CPU s at 32 blocks × 64 buckets and
+    3.2–3.6 CPU s at 4 × 16 (this rule); both stores hold the same
+    Gorilla payload bytes.
     """
     if nbytes is None:
         nbytes = input_bytes(path)
-    width = (4 * cpus) if cpus is not None else _target_blocks()
+    width = 4 * (session_cpus() if cpus is None else cpus)
     by_bytes = -(-nbytes // TARGET_READ_TASK_BYTES)  # ceil
-    return max(32, min(width, by_bytes))
+    return min(width, max(32, by_bytes))
 
 
 def auto_n_buckets(path: str, *, nbytes: int | None = None,
                    cpus: int | None = None) -> int:
-    """Reduce width for THE exchange — scale-aware (floors = the values
-    measured on this box: 64 buckets at ≤32 CPUs; ≥2 buckets/CPU so the
-    reduce side never starves a wider cluster; one bucket per ~512 MiB
-    of input so a bucket's packed per-series arrays stay heap-bounded at
-    100× data)."""
-    if cpus is None:
-        import ray
+    """Reduce width for THE exchange:
+    ``max(min(DEFAULT_N_BUCKETS, 16·cpus), 2·cpus, ceil(nbytes / 512 MiB))``.
 
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 8))
-            if ray.is_initialized() else 8
-        )
+    DEFAULT_N_BUCKETS (64) is the width measured best at 32 CPUs. Below
+    4 CPUs it is clamped to 16 buckets per CPU, because each bucket is one
+    reduce task and one object per scan block, which a small session runs
+    one after another. At least 2 buckets per CPU keep the reduce side of
+    a wide cluster busy, and one bucket per ~512 MiB of input keeps a
+    bucket's packed per-series arrays heap-bounded at 100× data:
+
+      1 / 2 CPUs, ≤ 8 / 16 GiB input  → 16 / 32
+      4 to 32 CPUs, sandbox input      → 64
+      256 CPUs                         → ≥ 512
+
+    With 1 Ray CPU, 4 scan blocks and a 200k-turn input, one ingest
+    measured 3.7–4.7 CPU s at 64 buckets and 3.2–3.6 CPU s at 16. The
+    stored blocks do not depend on the width: a series' blocks are the
+    same whichever bucket it lands in.
+    """
+    if cpus is None:
+        cpus = session_cpus()
     if nbytes is None:
         nbytes = input_bytes(path)
     by_bytes = -(-nbytes // TARGET_BUCKET_INPUT_BYTES)
-    return max(DEFAULT_N_BUCKETS, 2 * cpus, by_bytes)
+    return max(min(DEFAULT_N_BUCKETS, 16 * cpus), 2 * cpus, by_bytes)
 
 
 def read_transcripts(path: str) -> "rd.Dataset":
@@ -192,32 +215,6 @@ def bucket_rollup_all_tiers(
             )
         )
     return pa.concat_tables(parts)
-
-
-def bucket_kernel_group(group: pa.Table, tiers, global_end_s: int, salt: int) -> pa.Table:
-    """map_groups body (pyarrow in/out) → stages/kernel.bucket_kernel."""
-    import numpy as np
-
-    from vertex_ray.stages.kernel import bucket_kernel
-
-    if group.num_rows == 0:
-        return bucket_kernel(
-            np.zeros(0, dtype=object), np.zeros(0, np.int64), np.zeros(0, np.int32),
-            np.zeros(0, np.uint8), np.zeros(0, np.uint8), np.zeros(0, np.int64),
-            tiers, global_end_s, 0, salt,
-        )
-    return bucket_kernel(
-        group["conv_id"].to_numpy(zero_copy_only=False),
-        group["conv_hash"].to_numpy(zero_copy_only=False),
-        group["turn_idx"].to_numpy(zero_copy_only=False),
-        group["role_code"].to_numpy(zero_copy_only=False),
-        group["tool_code"].to_numpy(zero_copy_only=False),
-        group["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-        tiers,
-        global_end_s,
-        int(group["bucket"][0].as_py()),
-        salt,
-    )
 
 
 def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,
@@ -292,10 +289,7 @@ def default_encode_concurrency() -> int:
     """Actor-pool size that leaves headroom for the read and write stages —
     a pool reserving every CPU starves its producers and serializes the
     pipeline (observed: at 8 CPUs an 8-actor pool deadlocked the scan)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(1, cpus - 2)
+    return max(1, session_cpus() - 2)
 
 
 def encode_blocks(packed: "rd.Dataset", concurrency: int | None = None) -> "rd.Dataset":
@@ -428,7 +422,6 @@ def run_pipeline(
     out_dir: str,
     n_buckets: int | None = None,  # None → auto_n_buckets (scale-aware)
     salt: int = 1,
-    encode_concurrency: int | None = None,  # kept for the standalone encode op
     tiers=TIERS,
 ) -> dict:
     """Run (or resume) the full tier cascade in ONE Ray execution.

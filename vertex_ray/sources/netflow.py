@@ -150,6 +150,12 @@ def encode_ipfix(rows: list[dict], *, odid: int = 1,
 
 def _parse_template_body(buf: bytes, version: int, odid: int,
                          cache: TemplateCache) -> None:
+    def need4(pos: int) -> None:
+        # a template cut short by its flowset length is a truncated
+        # packet: fail with the module's eof error, never struct.error
+        if pos + 4 > len(buf):
+            raise ValueError("netflow: unexpected eof")
+
     pos = 0
     while pos + 4 < len(buf):
         tid, n_fields = struct.unpack_from(">HH", buf, pos)
@@ -158,10 +164,12 @@ def _parse_template_body(buf: bytes, version: int, odid: int,
             raise ValueError("netflow: no field in template")
         fields = []
         for _ in range(n_fields):
+            need4(pos)
             fid, ln = struct.unpack_from(">HH", buf, pos)
             pos += 4
             if version == 10 and fid & 0x8000:
                 fid ^= 0x8000
+                need4(pos)
                 pos += 4  # enterprise number (PEN), unused here
             fields.append((fid, ln))
         cache.add(version, odid, tid, fields)
