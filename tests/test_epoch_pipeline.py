@@ -113,6 +113,46 @@ def test_micro_epoch_equals_oneshot(ray_session, micro_transcripts, tmp_path):
     _assert_bitwise_equal(a, b)
 
 
+def test_micro_epoch_sink_stores_real_plus_carried(ray_session,
+                                                  micro_transcripts, tmp_path):
+    """Epoch stores use the one-shot layout: the agg sink holds exactly
+    one row per real point plus one per carried fill / stale marker
+    (fills of a row from an earlier epoch, stored as flagged points),
+    and every epoch block row carries a runs section over exactly those
+    stored points."""
+    import pyarrow.compute as pc
+
+    from vertex_ray.pipelines.epoch_pipeline import (
+        epoch_dirs,
+        read_epochs_stage,
+        run_pipeline_epochs,
+    )
+    from vertex_ray.state.checkpoint import stage_files
+
+    epo = str(tmp_path / "epochs")
+    run_pipeline_epochs(micro_transcripts, epo, epoch_seconds=3600,
+                        n_buckets=4, tiers=TIERS_SMALL)
+
+    def raw(stage):
+        return pa.concat_tables([
+            pq.read_table(f) for e in epoch_dirs(epo)
+            for f in stage_files(os.path.join(e, stage))])
+
+    sink = raw("agg")
+    carried = pc.or_(sink["filled"], sink["stale"])
+    n_carried = pc.sum(carried.cast(pa.int64())).as_py()
+    assert n_carried > 0
+    assert pc.all(pc.equal(pc.filter(sink["fill_runs"], carried), 0)).as_py()
+    dense = read_epochs_stage(epo, "agg").to_pandas()
+    n_real = int((~dense.filled & ~dense.stale).sum())
+    assert len(dense) > sink.num_rows
+    assert sink.num_rows == n_real + n_carried
+
+    run_len = pc.binary_length(raw("blocks")["runs"]).to_numpy()
+    assert (run_len >= 4).all()
+    assert int(((run_len - 4) // 2).sum()) == sink.num_rows
+
+
 def test_sf0001_epoch_equals_oneshot(ray_session, tmp_path):
     from vertex_ray.synth import ensure_transcripts
 

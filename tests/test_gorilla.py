@@ -122,9 +122,7 @@ def test_compression_ratio_regular_series():
 def _multi_roundtrip(ts_parts, val_parts):
     from vertex_ray.gorilla import (
         decode_timestamps_multi,
-        decode_timestamps_v2,
         decode_values_multi,
-        decode_values_v2,
         encode_timestamps_multi,
         encode_values_multi,
     )
@@ -145,14 +143,6 @@ def _multi_roundtrip(ts_parts, val_parts):
         np.testing.assert_array_equal(dec_ts[j], ts_parts[j])
         np.testing.assert_array_equal(
             dec_vals[j].view(np.uint64), np.asarray(val_parts[j]).view(np.uint64)
-        )
-        # single-block wrappers decode the same block bytes identically
-        np.testing.assert_array_equal(
-            decode_timestamps_v2(ts_blocks[j], len(ts_parts[j])), ts_parts[j]
-        )
-        np.testing.assert_array_equal(
-            decode_values_v2(val_blocks[j], len(val_parts[j])).view(np.uint64),
-            np.asarray(val_parts[j]).view(np.uint64),
         )
     return ts_blocks, val_blocks
 

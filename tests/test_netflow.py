@@ -115,6 +115,18 @@ def test_truncated_template_is_eof(packet):
     assert len(cache) == 0
 
 
+def test_enterprise_field_is_not_decoded_as_iana():
+    """An IPFIX enterprise-scoped element (PEN bit set) whose element id
+    collides with an IANA id is skipped, not decoded under the IANA
+    name: only the IANA sourceIPv4Address (id 8) of the record is read."""
+    fields = (struct.pack(">HH", 8, 4)
+              + struct.pack(">HHI", 0x8000 | 8, 4, 12345))
+    record = bytes([10, 0, 0, 1]) + bytes([1, 2, 3, 4])
+    data = struct.pack(">HH", DEFAULT_TEMPLATE_ID, 4 + len(record)) + record
+    out = parse_packet(_ipfix(_template_set(2, 2, fields) + data))
+    assert out["records"] == [{"sourceIPv4Address": "10.0.0.1"}]
+
+
 def test_ray_ops_roundtrip(ray_session):
     import ray.data as rd
 

@@ -1,27 +1,37 @@
 """Virtual fill runs (kernel.fill_runs / pack_arrays_virtual) must be a
 lossless re-representation of the materialized fill path: expansion back
 to the dense layout — at the packed table, the agg sink, and the decoded
-block level — is bit-for-bit identical, and the block metadata
+block level — is bit-for-bit identical to the pandas spec
+(fill.fill_bucket_df + fill.pack_series), and the block metadata
 (block_start / block_end / n_points) keeps its dense semantics."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertex_ray.schema import TIERS
+from vertex_ray.schema import BUCKET_COLS, TIERS
 from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
-from vertex_ray.stages.fill import expand_packed, unpack_series
+from vertex_ray.stages.fill import (
+    expand_agg_table,
+    expand_packed,
+    fill_bucket_df,
+    pack_series,
+    unpack_series,
+)
 from vertex_ray.stages.kernel import (
+    HIST_METRIC,
     bucket_kernel,
     concat_agg,
-    fill_arrays,
     fill_runs,
-    pack_arrays,
     pack_arrays_virtual,
+    render_series_keys,
     sort_agg,
     window_agg,
 )
+from vertex_ray.stages.rollup import AGG_COLS
 from vertex_ray.synth import generate_transcripts
 
 
@@ -78,16 +88,42 @@ def _assert_tables_bit_identical(a: pa.Table, b: pa.Table):
             assert ca.equals(cb), name
 
 
-def _dense_and_virtual(agg, window_seconds=60, end_window=None):
+def _with_tier(t: pa.Table) -> pa.Table:
+    return t.append_column("tier", pa.array(["1m"] * t.num_rows,
+                                            type=pa.string()))
+
+
+def _sorted(t: pa.Table) -> pa.Table:
+    return t.sort_by([("series_key", "ascending"),
+                      ("window_start", "ascending")]).combine_chunks()
+
+
+def _spec_and_virtual(agg, window_seconds=60, end_window=None):
+    """(pandas-spec packed table, virtual packed table) of the same agg
+    rows, both with a ``tier`` column. The spec is fill_bucket_df +
+    pack_series over the rows rendered as a pandas agg frame."""
     agg = sort_agg(agg)
     if end_window is None:
         end_window = int(agg["window"].max()) if len(agg["window"]) else 0
     conv_strs = np.array([f"c{i}" for i in range(1 << 8)], dtype=object)
-    dense = pack_arrays(
-        fill_arrays(agg, window_seconds, end_window), conv_strs, 7)
+    keys, names, kinds = render_series_keys(agg["uid"], conv_strs)
+    df = pd.DataFrame({
+        "bucket": np.full(len(keys), 7, dtype=np.int32),
+        "series_key": keys, "name": names, "kind": kinds,
+        "window_start": agg["window"], "sum": agg["sum"],
+        "count": agg["count"], "min": agg["min"], "max": agg["max"],
+        "last": agg["last"], "last_ts": agg["last_ts"],
+    })
+    hist = (agg["uid"] >> np.int64(40)) == HIST_METRIC
+    for j, b in enumerate(BUCKET_COLS):
+        col = np.zeros(len(keys), dtype=np.int64)
+        col[hist] = agg["buckets"][:, j]
+        df[b] = col
+    spec = pack_series(fill_bucket_df(df[AGG_COLS], window_seconds,
+                                      end_window))
     codes = fill_runs(agg, window_seconds, end_window)
     virt = pack_arrays_virtual(agg, codes, conv_strs, 7, window_seconds)
-    return dense, virt
+    return _with_tier(spec), _with_tier(virt)
 
 
 def test_expand_packed_matches_dense_pack():
@@ -102,9 +138,11 @@ def test_expand_packed_matches_dense_pack():
     obs.append(_agg_from_obs([h_uid] * 4, [5, 65, 1000, 1100],
                              [0.1, 3.0, 0.5, 9.9], True))
     agg = concat_agg(obs)
-    dense, virt = _dense_and_virtual(agg, 60, 2400)
-    got = expand_packed(virt)
-    _assert_tables_bit_identical(got, dense)
+    spec, virt = _spec_and_virtual(agg, 60, 2400)
+    got = unpack_series(expand_packed(virt))
+    _assert_tables_bit_identical(_sorted(got), _sorted(unpack_series(spec)))
+    assert pa.compute.any(got["filled"]).as_py()
+    assert pa.compute.any(got["stale"]).as_py()
 
 
 def test_unpack_series_expands_virtual():
@@ -124,7 +162,6 @@ def test_sparse_agg_sink_roundtrip():
     contract. Also holds across an arbitrary row split (expansion is
     row-local) and under dict_encode after an undict pass."""
     from vertex_ray.pipelines.rollup_pipeline import undict_table
-    from vertex_ray.stages.fill import expand_agg_table
 
     packed = _kernel_packed(4000)
     dense = unpack_series(packed)
@@ -211,15 +248,14 @@ def test_virtual_fill_property(series_spec, end_s):
                                    metric == 2))
     agg = concat_agg(parts)
     end_window = end_s // 60 * 60
-    dense, virt = _dense_and_virtual(agg, 60, end_window)
-    _assert_tables_bit_identical(expand_packed(virt), dense)
-    # and through encode/decode with a tier column
+    spec, virt = _spec_and_virtual(agg, 60, end_window)
+    _assert_tables_bit_identical(_sorted(unpack_series(expand_packed(virt))),
+                                 _sorted(unpack_series(spec)))
+    # and through encode/decode
     enc = GorillaEncode()
-    tcol = lambda t: t.append_column(
-        "tier", pa.array(["1m"] * t.num_rows, type=pa.string()))
     _assert_tables_bit_identical(
-        decode_blocks_batch(enc(tcol(virt))),
-        decode_blocks_batch(enc(tcol(dense))),
+        _sorted(decode_blocks_batch(enc(virt))),
+        _sorted(decode_blocks_batch(enc(spec))),
     )
 
 
@@ -235,32 +271,63 @@ def test_decode_pre_runs_column_store():
     _assert_tables_bit_identical(got, want)
 
 
-def test_oversize_horizon_falls_back_to_dense():
+def test_oversize_horizon_raises():
     """A horizon spanning more fill windows than the 15-bit run code can
-    hold (fine windows + long staleness) must NOT abort: bucket_kernel
-    routes the whole call to the materialized fill_arrays/pack_arrays
-    layout, which decode_blocks reads as a v2 (dense) store."""
-    import numpy as np
-
-    from vertex_ray.stages.kernel import bucket_kernel, runs_encodable
-
-    assert runs_encodable(60) and not runs_encodable(1, 50_000)
+    hold (fine windows + long staleness) is refused with fill_runs'
+    ValueError; the pipelines' 300 s horizon never reaches it."""
     conv = np.array(["c1", "c1", "c2"], dtype=object)
     h = np.array([1, 1, 2], dtype=np.uint64)
     args = (conv, h, np.array([0, 1, 0]), np.array([1, 2, 1]),
             np.array([0, 0, 3]),
             np.array([0, 2_000_000, 65_000_000], dtype=np.int64))
-    dense = bucket_kernel(*args, (("1s", 1),), 70, 0,
-                          horizon_seconds=50_000)
-    assert "runs" not in dense.schema.names
-    assert "flags" in dense.schema.names
-    virt = bucket_kernel(*args, (("1s", 1),), 70, 0)
-    assert "runs" in virt.schema.names
-    # empty groups pick the SAME layout as non-empty ones (one Dataset
-    # schema per run)
-    empty = bucket_kernel(np.array([], dtype=object),
-                          np.array([], np.uint64), np.array([], np.int64),
-                          np.array([], np.int64), np.array([], np.int64),
-                          np.array([], np.int64), (("1s", 1),), 70, 0,
-                          horizon_seconds=50_000)
-    assert empty.schema.names == dense.schema.names
+    with pytest.raises(ValueError, match="run-code range"):
+        bucket_kernel(*args, (("1s", 1),), 70, 0, horizon_seconds=50_000)
+    assert "runs" in bucket_kernel(*args, (("1s", 1),), 70, 0).schema.names
+
+
+E0 = 1_700_000_000 // 3600 * 3600
+
+
+def _epoch_packed_with_carry():
+    """Epoch 1 of a conversation whose epoch-0 turn leaves LOCF fills
+    across the boundary, plus a real turn inside epoch 1: the block rows
+    hold carried fills as flagged stored points AND run codes."""
+    from vertex_ray.stages.kernel_epoch import epoch_kernel
+
+    tiers = (("1m", 60), ("5m", 300))
+
+    def run(turns, state, es):
+        conv = np.array(["a"] * len(turns), dtype=object)
+        return epoch_kernel(
+            conv, np.array([t[0] for t in turns], dtype=np.int64),
+            np.zeros(len(turns), np.uint8), np.zeros(len(turns), np.uint8),
+            np.array([t[1] * 1_000_000 for t in turns], dtype=np.int64),
+            state, tiers, es, es + 3600, es + 3599, bucket_id=0)
+
+    _, state = run([(0, E0 + 3590)], None, E0)
+    packed, _ = run([(1, E0 + 3700)], state, E0 + 3600)
+    return packed
+
+
+def test_flags_and_runs_row_decodes_like_dense():
+    packed = _epoch_packed_with_carry()
+    enc = GorillaEncode()
+    blocks = enc(packed)
+    flags = blocks["flags"].to_pylist()
+    runs = blocks["runs"].to_pylist()
+    both = [i for i in range(blocks.num_rows)
+            if flags[i] and any(runs[i][4:])]
+    assert both, "no block row holds both a flags and a runs section"
+    _assert_tables_bit_identical(
+        decode_blocks_batch(blocks),
+        decode_blocks_batch(enc(expand_packed(packed))))
+
+
+def test_expand_agg_table_keeps_stored_flags():
+    packed = _epoch_packed_with_carry()
+    sparse = unpack_series(packed, sparse_fills=True)
+    stored_fill = pa.compute.and_(sparse["filled"],
+                                  pa.compute.equal(sparse["fill_runs"], 0))
+    assert pa.compute.any(stored_fill).as_py()
+    _assert_tables_bit_identical(expand_agg_table(sparse),
+                                 unpack_series(packed))

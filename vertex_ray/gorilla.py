@@ -719,18 +719,6 @@ def decode_timestamps_multi(blocks: list[bytes], n_points: np.ndarray) -> list[n
     return [flat[offs[j] : offs[j + 1]] for j in range(len(n_points))]
 
 
-def decode_values_v2(buf: bytes, n: int) -> np.ndarray:
-    """Single-block wrapper over the vectorized multi decoder (the block
-    format is the columnar v2 layout, NOT the paper-interleaved stream that
-    decode_values reads)."""
-    return decode_values_multi_flat([buf], np.array([n], dtype=np.int64))
-
-
-def decode_timestamps_v2(buf: bytes, n: int) -> np.ndarray:
-    """Single-block wrapper over the vectorized multi decoder."""
-    return decode_timestamps_multi_flat([buf], np.array([n], dtype=np.int64))
-
-
 def decode_flags_multi(blocks: list[bytes], n_points: np.ndarray) -> list[np.ndarray]:
     """All series' 2-bit flag streams unpacked in ONE numpy pass (each
     block is byte-padded, so expanded positions are 4 × byte offsets)."""

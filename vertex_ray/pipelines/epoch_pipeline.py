@@ -55,6 +55,7 @@ from vertex_ray.state.checkpoint import (
 from vertex_ray.pipelines.rollup_pipeline import (
     _target_blocks,
     auto_n_buckets,
+    read_stage_files,
 )
 
 
@@ -147,7 +148,9 @@ def epoch_bucket_group(
     sfinal = posixpath.join(state_parts_dir, f"part-{bucket_id:05d}.parquet")
     if not fsio.exists(sfinal):
         fsio.write_parquet_atomic(state_out, sfinal, str(os.getpid()))
-    return unpack_series(packed, dict_encode=True)
+    # sparse agg sink, as the one-shot pipeline's: one row per stored
+    # point + fill_runs/window_seconds; read_epochs_stage expands it
+    return unpack_series(packed, dict_encode=True, sparse_fills=True)
 
 
 def _prepare_parts_dir(parts_dir: str, lineage: dict) -> None:
@@ -288,13 +291,11 @@ def run_pipeline_epochs(
             "salt": salt,
             "tiers": [t for t, _ in tiers],
             "metrics": list(METRIC_NAMES),
-            # epoch blocks stay DENSE (no virtual-fill runs — the epoch
-            # mask truncates runs mid-stream), but the BLOCK_SCHEMA grew
-            # the 'runs' column, so the stamp must still bump: resuming a
-            # pre-runs-column store would mix two file schemas in one
-            # stage (pyarrow dataset unification silently drops the new
-            # column when an old file is listed first)
-            "block_format": "gorilla-columnar-v3-schema-dense-fills",
+            # on-disk block + agg layout version: epoch stores write run
+            # codes (carried fills as flagged points) and a sparse agg
+            # sink; a store of an older layout is recomputed on resume,
+            # never mixed into one stage
+            "block_format": "gorilla-columnar-v3-virtual-fills",
             "epoch_seconds": epoch_seconds,
             "epoch_start_s": es,
             "fill_end_s": fill_end,
@@ -312,8 +313,9 @@ def run_pipeline_epochs(
 
 def read_epochs_stage(out_dir: str, stage: str, tier: str | None = None,
                       metric: str | None = None) -> "rd.Dataset":
-    """Read one stage across all committed epochs as a single Dataset;
-    tier / metric-name filters push down to the parquet scan."""
+    """Read one stage across all committed epochs as a single Dataset
+    (rollup_pipeline.read_stage_files: tier / metric-name pushdown, flat
+    strings, sparse agg rows expanded)."""
     files: list[str] = []
     for edir in epoch_dirs(out_dir):
         files.extend(stage_files(posixpath.join(edir, stage)))
@@ -322,18 +324,4 @@ def read_epochs_stage(out_dir: str, stage: str, tier: str | None = None,
         from vertex_ray.schema import BLOCK_SCHEMA
 
         return rd.from_arrow(BLOCK_SCHEMA.empty_table())
-    kwargs = {"override_num_blocks": _target_blocks()}
-    expr = None
-    if tier is not None:
-        expr = pc.field("tier") == tier
-    if metric is not None:
-        e = pc.field("name") == metric
-        expr = e if expr is None else expr & e
-    if expr is not None:
-        kwargs["filter"] = expr
-    ds = rd.read_parquet(files, **kwargs)
-    if any(pa.types.is_dictionary(f.type) for f in ds.schema().base_schema):
-        from vertex_ray.pipelines.rollup_pipeline import undict_table
-
-        ds = ds.map_batches(undict_table, batch_format="pyarrow")
-    return ds
+    return read_stage_files(files, tier, metric, _target_blocks())

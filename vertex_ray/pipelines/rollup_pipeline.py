@@ -12,8 +12,8 @@ ONE all-to-all exchange and ONE Ray execution for the whole run:
       → write agg stage (commit protocol)
     blocks stage = the per-bucket side-written files, sealed with a manifest
 
-(`packed_dataset` / `encode_blocks` / `agg_rows` remain available as
-standalone composable stages — encode_blocks is the actor-pool form.)
+(`packed_dataset` / `encode_blocks` remain available as standalone
+composable stages — encode_blocks is the actor-pool form.)
 
 Everything after the bucket groupby is embarrassingly parallel because the
 conversation-hash bucket co-locates every series of a conversation: the
@@ -302,10 +302,6 @@ def encode_blocks(packed: "rd.Dataset", concurrency: int | None = None) -> "rd.D
     )
 
 
-def agg_rows(packed: "rd.Dataset") -> "rd.Dataset":
-    return packed.map_batches(unpack_series, batch_format="pyarrow")
-
-
 def decode_tier_blocks(blocks: "rd.Dataset") -> "rd.Dataset":
     # The vectorized columnar-v2 decoder is flat in batch size, so size
     # batches by OUTPUT volume: each block row explodes to ~n_points rows
@@ -327,16 +323,29 @@ def pipeline_paths(out_dir: str) -> dict[str, str]:
 
 def read_stage(out_dir: str, stage: str, tier: str | None = None,
                metric: str | None = None) -> "rd.Dataset":
-    """Read a committed stage; optional tier / metric-name filters are
-    pushed down to the parquet scan (row-group pruning + late
-    materialization — non-matching rows never load their heavy
-    ``val_blocks`` payload column)."""
+    """Read a committed stage (see read_stage_files)."""
     path = pipeline_paths(out_dir)[stage]
     # 4 blocks/CPU keeps the decode stage busy on small stores; a store
     # whose bytes outgrow that width adds one task per ~128 MiB so no
     # committed-stage scan task balloons at 100× data
     by_bytes = -(-input_bytes(path) // TARGET_READ_TASK_BYTES)
-    kwargs = {"override_num_blocks": max(_target_blocks(), by_bytes)}
+    return read_stage_files(stage_files(path), tier, metric,
+                            max(_target_blocks(), by_bytes))
+
+
+def read_stage_files(files: list[str], tier: str | None = None,
+                     metric: str | None = None,
+                     num_blocks: int | None = None) -> "rd.Dataset":
+    """Committed stage parts → Dataset, the one stage reader of the
+    one-shot, epoch and point-read paths. Optional tier / metric-name
+    filters are pushed down to the parquet scan (row-group pruning + late
+    materialization — non-matching rows never load their heavy
+    ``val_blocks`` payload column). Agg stages are written
+    dictionary-encoded and sparse (unpack_series dict_encode /
+    sparse_fills); their batches are decoded back to flat strings and
+    their LOCF/stale rows rebuilt, so consumers keep seeing the FIXTURES
+    §F3 flat contract."""
+    kwargs = {} if num_blocks is None else {"override_num_blocks": num_blocks}
     expr = None
     if tier is not None:
         expr = pc.field("tier") == tier
@@ -345,20 +354,18 @@ def read_stage(out_dir: str, stage: str, tier: str | None = None,
         expr = e if expr is None else expr & e
     if expr is not None:
         kwargs["filter"] = expr
-    ds = rd.read_parquet(stage_files(path), **kwargs)
-    # agg stages are written dictionary-encoded (unpack_series
-    # dict_encode — zero string copies on the write path); decode back
-    # to the flat-string contract every consumer expects
+    ds = rd.read_parquet(files, **kwargs)
     schema = ds.schema().base_schema
-    if any(pa.types.is_dictionary(f.type) for f in schema):
-        ds = ds.map_batches(undict_table, batch_format="pyarrow")
-    if "fill_runs" in schema.names:
-        # sparse agg store (virtual fills): rebuild the dense LOCF/stale
-        # rows — consumers keep seeing the FIXTURES §F3 flat contract
-        from vertex_ray.stages.fill import expand_agg_table
-
-        ds = ds.map_batches(expand_agg_table, batch_format="pyarrow")
+    if ("fill_runs" in schema.names
+            or any(pa.types.is_dictionary(f.type) for f in schema)):
+        ds = ds.map_batches(_flat_agg_batch, batch_format="pyarrow")
     return ds
+
+
+def _flat_agg_batch(t: pa.Table) -> pa.Table:
+    from vertex_ray.stages.fill import expand_agg_table
+
+    return expand_agg_table(undict_table(t))
 
 
 def agg_expanded_rows(out_dir: str) -> int:

@@ -66,8 +66,7 @@ def _read_blocks_point(out_dir: str, tier: str | None, layout: str,
     import hashlib
     import posixpath
 
-    import ray.data as rd
-
+    from vertex_ray.pipelines.rollup_pipeline import read_stage_files
     from vertex_ray.state.checkpoint import read_manifest
 
     if layout == "oneshot":
@@ -99,16 +98,7 @@ def _read_blocks_point(out_dir: str, tier: str | None, layout: str,
         # more buckets than conversations) — fall back to the full scan;
         # the caller's conv filter drops everything downstream
         return _read_blocks(out_dir, tier, layout, metric=metric)
-    kwargs = {}
-    expr = None
-    if tier is not None:
-        expr = pc.field("tier") == tier
-    if metric is not None:
-        e = pc.field("name") == metric
-        expr = e if expr is None else expr & e
-    if expr is not None:
-        kwargs["filter"] = expr
-    return rd.read_parquet(files, **kwargs)
+    return read_stage_files(files, tier, metric)
 
 
 def query_range(out_dir: str, tier: str, metric: str | None = None,

@@ -159,9 +159,3 @@ BLOCK_SCHEMA = pa.schema(
 # Value-stream order inside ``val_blocks`` (scalar streams first, then one
 # stream per histogram bucket for kind == KIND_HISTOGRAM).
 SCALAR_STREAMS = ("sum", "count", "min", "max", "last")
-
-
-def window_floor_us(ts_us: np.ndarray, window_seconds: int) -> np.ndarray:
-    """Floor epoch-microsecond timestamps to window starts in epoch seconds."""
-    w = np.int64(window_seconds)
-    return (ts_us // US_PER_SECOND) // w * w

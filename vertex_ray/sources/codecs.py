@@ -146,14 +146,6 @@ def decode_csv(batch: pa.Table, column: str = "text",
                           read_options=read_opts, parse_options=parse_opts)
 
 
-def read_jsonl(paths, **kwargs):
-    """JSON-lines source: framing + codec in one pruned scan (Ray's
-    read_json is the pyarrow C++ reader underneath)."""
-    import ray.data as rd
-
-    return rd.read_json(paths, **kwargs)
-
-
 def read_lines(paths, **kwargs):
     """Newline-framed text source; pair with a decode_* codec above."""
     import ray.data as rd

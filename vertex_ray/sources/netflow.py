@@ -168,9 +168,11 @@ def _parse_template_body(buf: bytes, version: int, odid: int,
             fid, ln = struct.unpack_from(">HH", buf, pos)
             pos += 4
             if version == 10 and fid & 0x8000:
-                fid ^= 0x8000
+                # enterprise-scoped element: its id is the vendor's, not
+                # IANA's, so it is cached as unknown (its bytes skipped)
+                fid = None
                 need4(pos)
-                pos += 4  # enterprise number (PEN), unused here
+                pos += 4  # enterprise number (PEN)
             fields.append((fid, ln))
         cache.add(version, odid, tid, fields)
 

@@ -11,10 +11,11 @@ public InMon sFlow v5 spec.
 Scope: the sample/record subset above — the formats the reference's own
 unit fixtures exercise. Unknown flow-record types inside a sample are
 SKIPPED by their declared XDR length (the record header makes every
-record self-delimiting), mirroring the reference's
-UnknownFlowSampleType tolerance; unknown SAMPLE formats abort the
-datagram as in datagram.rs (no length-skip exists there before the
-format dispatch reads fields).
+record self-delimiting). This is a deliberate deviation: the reference
+rejects the whole datagram with ``UnsupportedFlowRecordType``
+(datagram.rs:1850), while here the known records of the datagram are
+kept. Unknown SAMPLE formats abort the datagram as in datagram.rs (no
+length-skip exists there before the format dispatch reads fields).
 
 Tabular deviation (documented, same as the netflow module): one ROW per
 flow record / per counter metric instead of nested Value objects —

@@ -7,20 +7,25 @@ actor in ``__init__``, reused per batch): pass the CLASS to
 Input rows are per-series arrays (stages/fill.pack_series), so batches
 never split a series and the stage needs no shuffle of its own.
 
-Two packed layouts are accepted:
+One block layout: a row's streams hold its STORED points, plus two
+optional sections.
 
-- dense (fill.pack_series / the retention repack): every point — real,
-  LOCF fill, stale marker — is materialized in the streams; the block
-  carries a 2-bit-per-point ``flags`` section and an empty ``runs``.
-- virtual fills (kernel.pack_arrays_virtual, marked by a ``runs``
-  column): streams carry REAL points only; the block's ``runs`` payload
-  is ``[window_seconds: u32 LE][one u16 LE code per real point]`` with
-  code = ``n_fill | stale << 15``. ``n_points`` remains the EXPANDED
-  total (so retention / tsdb_status point-count semantics are
-  unchanged), and decode rebuilds the dense rows bit-for-bit
-  (stages/fill.expand_runs_*). Fills are ~58% of all points at the
-  default staleness horizon — keeping them out of the encode/decode
-  streams halves the stage's memory traffic.
+- ``runs``: ``[window_seconds: u32 LE][one u16 LE code per stored
+  point]``, code = ``n_fill | stale << 15`` — the LOCF fill windows and
+  stale marker that follow the point (stages/kernel.fill_runs), rebuilt
+  bit-for-bit at decode (stages/fill.expand_runs_*). Written for packed
+  input with a ``runs`` column (kernel.pack_arrays_virtual). Fills are
+  ~58% of all points at the default staleness horizon; keeping them out
+  of the streams halves the stage's memory traffic.
+- ``flags``: 2 bits per stored point (1 = filled, 2 = stale), for stored
+  points that are themselves fills or stale markers. Written for every
+  row of packed input without runs (fill.pack_series / the retention
+  repack: every point materialized) and, with runs, only for rows that
+  hold a flagged point (an epoch's carried fills). Otherwise ``b""``.
+
+A row without a runs section decodes as zero codes; one without a flags
+section as all-real points. ``n_points`` is always the EXPANDED total,
+so retention / tsdb_status point counts do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -113,12 +118,20 @@ class GorillaEncode:
                 if counts[i] > 0 else b""
                 for i in range(n)
             ]
-            flag_blocks = [b""] * n
         else:
-            fl_off, fl_val = flat("flags")
-            flag_blocks = encode_flags_multi(fl_val, fl_off)
             runs_col = [b""] * n
             n_points = counts.astype(np.int32)
+        flag_blocks = [b""] * n
+        if "flags" in batch.schema.names:
+            fl_off, fl_val = flat("flags")
+            flag_blocks = encode_flags_multi(fl_val, fl_off)
+            if virtual:
+                # rows of real points alone keep b"" (one-shot bytes)
+                nz = np.zeros(len(fl_val) + 1, dtype=np.int64)
+                np.cumsum(fl_val != 0, out=nz[1:])
+                flagged = nz[fl_off[1:]] > nz[fl_off[:-1]]
+                flag_blocks = [b if f else b""
+                               for b, f in zip(flag_blocks, flagged)]
 
         ts_blocks = encode_timestamps_multi(ws_val, ws_off)
         scalar_blocks = encode_values_multi_shared(
@@ -132,7 +145,7 @@ class GorillaEncode:
             np.cumsum(counts[hist], out=sub_off[1:])
             b0_off, b0_val = flat(f"vals_{BUCKET_COLS[0]}")
             if len(b0_val) == int(sub_off[-1]) and len(b0_val) != len(ws_val):
-                # SPARSE bucket streams (kernel.pack_arrays*): values are
+                # SPARSE bucket streams (kernel.pack_arrays_virtual): values are
                 # already the histogram series' points only — encode as-is
                 # (bit-identical: same values, same per-series geometry)
                 per_bucket = encode_values_multi_shared(
@@ -202,10 +215,10 @@ def decode_block_row(row: dict) -> dict[str, np.ndarray]:
 
 
 def _parse_runs(batch: pa.Table, n_points: np.ndarray):
-    """Split stored block rows into real-point counts + run codes.
+    """Split block rows into stored-point counts + run codes.
 
-    Returns ``(n_real, codes, ws_row, v3_mask)`` — ``codes`` is the flat
-    uint16 run-code stream over all rows' REAL points (zeros for dense
+    Returns ``(n_stored, codes, ws_row, v3_mask)`` — ``codes`` is the flat
+    uint16 run-code stream over all rows' STORED points (zeros for dense
     rows), ``ws_row`` the per-row window seconds (0 for dense rows) — or
     ``(n_points, None, None, None)`` when every row is dense."""
     if "runs" not in batch.schema.names:
@@ -221,9 +234,9 @@ def _parse_runs(batch: pa.Table, n_points: np.ndarray):
     if not v3.any():
         return n_points, None, None, None
     n_rows = len(col)
-    n_real = np.where(v3, (lens - 4) // 2, n_points)
+    n_stored = np.where(v3, (lens - 4) // 2, n_points)
     off = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(n_real, out=off[1:])
+    np.cumsum(n_stored, out=off[1:])
     codes = np.zeros(int(off[-1]), dtype=np.uint16)
     ws_row = np.zeros(n_rows, dtype=np.int64)
     # vectorized payload slicing straight off the Arrow binary buffers
@@ -239,14 +252,14 @@ def _parse_runs(batch: pa.Table, n_points: np.ndarray):
                    | values[st + 1].astype(np.int64) << 8
                    | values[st + 2].astype(np.int64) << 16
                    | values[st + 3].astype(np.int64) << 24)
-    c = n_real[v3i]
+    c = n_stored[v3i]
     within = np.arange(int(c.sum()), dtype=np.int64) \
         - np.repeat(np.cumsum(c) - c, c)
     dst = np.repeat(off[v3i], c) + within
     src = np.repeat(st + 4, c) + 2 * within
     codes[dst] = (values[src].astype(np.uint16)
                   | values[src + 1].astype(np.uint16) << np.uint16(8))
-    return n_real, codes, ws_row, v3
+    return n_stored, codes, ws_row, v3
 
 
 def decode_blocks_flat(batch: pa.Table):
@@ -269,41 +282,47 @@ def decode_blocks_flat(batch: pa.Table):
 
     n_rows = batch.num_rows
     batch = batch.combine_chunks()
-    n_stored = batch["n_points"].to_numpy().astype(np.int64)
-    n_real, codes, ws_row, v3 = _parse_runs(batch, n_stored)
+    n_points = batch["n_points"].to_numpy().astype(np.int64)
+    n_stored, codes, ws_row, v3 = _parse_runs(batch, n_points)
     kinds = batch["kind"].to_numpy(zero_copy_only=False)
     ts_blocks = batch["ts_block"].to_pylist()
     val_blocks = batch["val_blocks"].to_pylist()
     flag_blocks = batch["flags"].to_pylist() \
         if "flags" in batch.schema.names else [b""] * n_rows
 
-    zn = np.maximum(n_real - 1, 0)
-    geom = _ZGeom(n_real, zn)
+    zn = np.maximum(n_stored - 1, 0)
+    geom = _ZGeom(n_stored, zn)
     scalars = {
         s: decode_values_multi_flat([vb[i] for vb in val_blocks],
-                                    n_real, geom=geom)
+                                    n_stored, geom=geom)
         for i, s in enumerate(_SCALARS)
     }
-    ws = decode_timestamps_multi_flat(ts_blocks, n_real)
+    ws = decode_timestamps_multi_flat(ts_blocks, n_stored)
     hist_rows = np.flatnonzero(kinds == KIND_HISTOGRAM)
-    hgeom = (_ZGeom(n_real[hist_rows],
-                    np.maximum(n_real[hist_rows] - 1, 0))
+    hgeom = (_ZGeom(n_stored[hist_rows],
+                    np.maximum(n_stored[hist_rows] - 1, 0))
              if len(hist_rows) else None)
     bucket_real = {
         b_col: decode_values_multi_flat(
             [val_blocks[i][len(_SCALARS) + b_i] for i in hist_rows],
-            n_real[hist_rows], geom=hgeom,
+            n_stored[hist_rows], geom=hgeom,
         ) if len(hist_rows) else np.zeros(0, dtype=np.float64)
         for b_i, b_col in enumerate(BUCKET_COLS)
     }
 
+    # stored flags: a dense row flags every stored point, a v3 row only
+    # when it holds fills stored as points (epoch carries); b"" = real
+    flags = np.zeros(int(n_stored.sum()), dtype=np.uint8)
+    has_flags = np.fromiter((bool(b) for b in flag_blocks), dtype=bool,
+                            count=n_rows)
+    if has_flags.any():
+        flags[np.repeat(has_flags, n_stored)] = np.concatenate(
+            decode_flags_multi([flag_blocks[i] for i in np.flatnonzero(has_flags)],
+                               n_stored[has_flags]))
+
     if v3 is None:
-        counts = n_real
+        counts = n_stored
         total = int(counts.sum())
-        flags = (
-            np.concatenate(decode_flags_multi(flag_blocks, counts))
-            if n_rows else np.zeros(0, dtype=np.uint8)
-        ).astype(np.uint8, copy=False)
         el_hist = np.repeat(kinds == KIND_HISTOGRAM, counts)
         buckets = {}
         for b_col in BUCKET_COLS:
@@ -321,33 +340,22 @@ def decode_blocks_flat(batch: pa.Table):
         expanded_counts,
     )
 
-    kind_pt = np.repeat(kinds, n_real)
-    ws_pt = np.repeat(ws_row, n_real)
+    kind_pt = np.repeat(kinds, n_stored)
+    ws_pt = np.repeat(ws_row, n_stored)
     exp = expand_runs_scalars(
         ws, scalars["sum"], scalars["count"], scalars["min"],
-        scalars["max"], scalars["last"], kind_pt, codes, ws_pt,
+        scalars["max"], scalars["last"], kind_pt, codes, ws_pt, flags,
     )
     off_real = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(n_real, out=off_real[1:])
-    counts = expanded_counts(n_real, codes, off_real)
-    if not np.array_equal(counts, n_stored):
+    np.cumsum(n_stored, out=off_real[1:])
+    counts = expanded_counts(n_stored, codes, off_real)
+    if not np.array_equal(counts, n_points):
         raise ValueError(
             "decode_blocks_flat: expanded point counts disagree with the "
             "stored n_points metadata — corrupt runs payload"
         )
     total = int(counts.sum())
-    flags = exp["flags"]
-    dense_rows = ~v3
-    if dense_rows.any():
-        # dense rows expand as identity (zero codes); their real flag
-        # streams come from the stored flag sections
-        el_dense = np.repeat(dense_rows, counts)
-        dec = decode_flags_multi(
-            [flag_blocks[i] for i in np.flatnonzero(dense_rows)],
-            n_real[dense_rows])
-        if dec:
-            flags[el_dense] = np.concatenate(dec)
-    hist_pt = np.repeat(kinds == KIND_HISTOGRAM, n_real)
+    hist_pt = np.repeat(kinds == KIND_HISTOGRAM, n_stored)
     codes_h = codes[hist_pt]
     el_hist = np.repeat(kinds == KIND_HISTOGRAM, counts)
     buckets = {}
@@ -363,7 +371,7 @@ def decode_blocks_flat(batch: pa.Table):
         "min": exp["min"],
         "max": exp["max"],
         "last": exp["last"],
-        "flags": flags,
+        "flags": exp["flags"],
         "buckets": buckets,
     }
     return counts, streams

@@ -151,9 +151,9 @@ def fill_bucket_df(
 # ---------------------------------------------------------------------------
 # Virtual fill runs (stages/kernel.fill_runs) — expansion back to the dense
 # layout. A run code (uint16, ``n_fill | stale << 15``) describes the LOCF
-# fill rows and optional stale marker that follow one REAL row; every
+# fill rows and optional stale marker that follow one stored row; every
 # synthesized row is a pure function of (kind, source row, position), so
-# expansion is bit-for-bit identical to the materialized fill_arrays path.
+# expansion is bit-for-bit identical to the materialized fill_bucket_df rows.
 # ---------------------------------------------------------------------------
 
 
@@ -165,9 +165,9 @@ RUN_STALE_SHIFT = np.uint16(15)
 
 
 def _run_parts(codes: np.ndarray):
-    """Decompose run codes into scatter geometry (mirrors fill_arrays's
-    born-sorted position math): n_fill, stale mask, per-row extra count,
-    each real row's output position, and the expanded total."""
+    """Decompose run codes into born-sorted scatter geometry: n_fill,
+    stale mask, per-row extra count, each stored row's output position,
+    and the expanded total."""
     codes = np.asarray(codes)
     n_fill = (codes & RUN_FILL_MASK).astype(np.int64)
     stale = (codes >> RUN_STALE_SHIFT).astype(np.int64)
@@ -189,14 +189,19 @@ def expand_runs_scalars(
     kind_pt: np.ndarray,
     codes: np.ndarray,
     ws_pt: np.ndarray,
+    stored_flags: np.ndarray | None = None,
 ) -> dict:
-    """Expand real per-point streams (float64 scalars, int64 windows) into
-    the dense fill layout: real row, then its fills, then its stale marker.
-    ``kind_pt`` / ``ws_pt`` are per REAL point (kind code, window seconds).
+    """Expand stored per-point streams (float64 scalars, int64 windows)
+    into the dense fill layout: stored row, then its fills, then its stale
+    marker. ``kind_pt`` / ``ws_pt`` / ``stored_flags`` are per STORED point
+    (kind code, window seconds, flags — None means every stored point is
+    real). A stored point with a nonzero flag is a fill or stale marker
+    kept as a point (an epoch's carried fills); its code is 0.
     Returns the expanded streams plus the per-point ``flags`` (uint8:
-    1 = filled, 2 = stale) — bit-for-bit what fill_arrays + pack stamping
-    produce (canonical NaN for counter fill min/max, STALE_NAN payload on
-    stale scalar streams, count never stamped)."""
+    1 = filled, 2 = stale) — bit-for-bit the materialized fill rows of
+    fill_bucket_df + pack_series stamping (canonical NaN for counter fill
+    min/max, STALE_NAN payload on stale scalar streams, count never
+    stamped)."""
     n = len(codes)
     n_fill, stale_m, extra, dst0, n_out = _run_parts(codes)
     out_w = np.empty(n_out, dtype=np.int64)
@@ -206,6 +211,8 @@ def expand_runs_scalars(
     o_max = np.empty(n_out, dtype=np.float64)
     o_last = np.empty(n_out, dtype=np.float64)
     flags = np.zeros(n_out, dtype=np.uint8)
+    if stored_flags is not None:
+        flags[dst0] = stored_flags
 
     out_w[dst0] = w
     o_sum[dst0] = sums
@@ -235,7 +242,7 @@ def expand_runs_scalars(
         dsts = dst0[src] + n_fill[src] + 1
         out_w[dsts] = w[src] + (n_fill[src] + 1) * ws_pt[src]
         # stale scalar streams carry the Prometheus stale NaN payload
-        # bit-exactly (the uint64-view stamp of pack_series/pack_arrays)
+        # bit-exactly (the uint64-view stamp of pack_series)
         for o in (o_sum, o_min, o_max, o_last):
             o.view(np.uint64)[dsts] = STALE_NAN_BITS
         o_cnt[dsts] = 0.0
@@ -253,11 +260,12 @@ def expand_runs_scalars(
 
 def expand_runs_carry(vals: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Expand one carry-through stream (histogram bucket counts, float64
-    or int64 — dtype preserved): fills copy the source value, stale rows
-    are zero."""
+    or int64 — dtype preserved; a 2-D array expands its rows): fills copy
+    the source value, stale rows are zero."""
     n = len(codes)
     n_fill, stale_m, extra, dst0, n_out = _run_parts(codes)
-    out = np.empty(n_out, dtype=np.asarray(vals).dtype)
+    vals = np.asarray(vals)
+    out = np.empty((n_out,) + vals.shape[1:], dtype=vals.dtype)
     out[dst0] = vals
     total = int(n_fill.sum())
     if total:
@@ -285,17 +293,18 @@ def expanded_counts(counts: np.ndarray, codes: np.ndarray,
 
 def expand_packed(batch: pa.Table) -> pa.Table:
     """Virtual-fill packed rows (``runs`` + ``window_seconds`` columns,
-    stages/kernel.pack_arrays_virtual) → the dense packed layout of
-    pack_arrays, bit-for-bit. One row per series either way — only the
-    list columns change; per-series columns (and any appended extras such
-    as ``tier``) pass through untouched."""
+    stages/kernel.pack_arrays_virtual) → the dense packed layout with a
+    ``flags`` column, bit-for-bit. A stored ``flags`` column (an epoch's
+    carried fills) stays on its stored points. One row per series either
+    way — only the list columns change; per-series columns (and any
+    appended extras such as ``tier``) pass through untouched."""
     batch = batch.combine_chunks()
     if batch.num_rows == 0:
         # same column order as the non-empty branch: known packed columns,
         # then flags, then pass-through extras (e.g. tier) — one schema
         # regardless of which branch a bucket's expansion took
         known = [n for n in batch.schema.names
-                 if n not in ("runs", "window_seconds")
+                 if n not in ("runs", "window_seconds", "flags")
                  and (n.startswith("vals_") or n in (
                      "bucket", "series_key", "name", "kind", "window_starts"))]
         dense = {name: batch[name] for name in known}
@@ -332,6 +341,7 @@ def expand_packed(batch: pa.Table) -> pa.Table:
         kind_pt,
         codes,
         ws_pt,
+        flat("flags") if "flags" in batch.schema.names else None,
     )
     new_counts = expanded_counts(counts, codes, offsets)
     new_offsets = np.zeros(len(new_counts) + 1, dtype=np.int32)
@@ -372,14 +382,6 @@ def expand_packed(batch: pa.Table) -> pa.Table:
         if name not in known:
             dense[name] = batch[name]
     return pa.table(dense)
-
-
-# stream order for packing/encoding (schema.SCALAR_STREAMS + histogram buckets)
-def stream_names(kind: int) -> list[str]:
-    base = ["sum", "count", "min", "max", "last"]
-    if kind == KIND_HISTOGRAM:
-        base += list(BUCKET_COLS)
-    return base
 
 
 def pack_series(df: pd.DataFrame) -> pa.Table:
@@ -454,18 +456,18 @@ def unpack_series(batch: pa.Table, dict_encode: bool = False,
     plain strings, so readers are unaffected.
 
     ``sparse_fills=True`` (virtual-fill packed input only) keeps the agg
-    rows SPARSE: real rows only, with two extra columns — ``fill_runs``
-    (the uint16 run code) and ``window_seconds`` — instead of the
-    materialized LOCF/stale rows. ~58% fewer agg rows through the sink;
-    ``expand_agg_table`` rebuilds the dense rows bit-for-bit at read
-    (rollup_pipeline.read_stage does it transparently)."""
-    if "runs" in batch.schema.names:
-        if sparse_fills:
-            return _unpack_sparse(batch, dict_encode)
-        # virtual-fill layout (kernel.pack_arrays_virtual): materialize
-        # the fills/stale markers once, here at the sink boundary — the
-        # only place the dense rows are actually needed
+    rows SPARSE: one row per stored point (its stored flags as
+    filled/stale), with two extra columns — ``fill_runs`` (the uint16 run
+    code) and ``window_seconds`` — instead of the materialized LOCF/stale
+    rows. ~58% fewer agg rows through the sink; ``expand_agg_table``
+    rebuilds the dense rows bit-for-bit at read
+    (rollup_pipeline.read_stage_files does it transparently)."""
+    sparse = "runs" in batch.schema.names
+    if sparse and not sparse_fills:
+        # materialize the fills/stale markers once, here at the sink
+        # boundary — the only place the dense rows are actually needed
         batch = expand_packed(batch)
+        sparse = False
     if batch.num_rows == 0:
         # typed empty (epoch pipeline: sentinel-only bucket groups) so the
         # Dataset keeps ONE schema and parquet writes of empty blocks work;
@@ -483,16 +485,19 @@ def unpack_series(batch: pa.Table, dict_encode: bool = False,
         ] + [(b, pa.int64()) for b in BUCKET_COLS] + [
             ("filled", pa.bool_()), ("stale", pa.bool_()),
         ]
+        if sparse:
+            fields += [("fill_runs", pa.uint16()),
+                       ("window_seconds", pa.int32())]
         return pa.schema(fields).empty_table()
     batch = batch.combine_chunks()
     ws = batch["window_starts"].combine_chunks()
     counts = np.diff(ws.offsets.to_numpy())
     reps = np.repeat(np.arange(batch.num_rows), counts)
+    total = int(counts.sum())
 
     def flat(col):
         return col.combine_chunks().values
 
-    flags = np.asarray(flat(batch["flags"]))
     if dict_encode:
         idx = pa.array(reps.astype(np.int32))
         sk = pa.DictionaryArray.from_arrays(
@@ -518,15 +523,14 @@ def unpack_series(batch: pa.Table, dict_encode: bool = False,
         "max": flat(batch["vals_max"]),
         "last": flat(batch["vals_last"]),
     }
-    total = int(counts.sum())
     kinds = batch["kind"].to_numpy(zero_copy_only=False)
     hist_mask = None  # per-point mask, built lazily for sparse layouts
     for b in BUCKET_COLS:
         v = flat(batch[f"vals_{b}"])
         if len(v) != total:
-            # SPARSE bucket streams (kernel.pack_arrays): only histogram
-            # series carry points — scatter into zero columns (np.zeros
-            # is calloc'd, untouched pages stay virtual)
+            # SPARSE bucket streams (kernel.pack_arrays_virtual): only
+            # histogram series carry points — scatter into zero columns
+            # (np.zeros is calloc'd, untouched pages stay virtual)
             if hist_mask is None:
                 hist_mask = np.repeat(kinds == KIND_HISTOGRAM, counts)
             col = np.zeros(total, dtype=np.int64)
@@ -536,87 +540,25 @@ def unpack_series(batch: pa.Table, dict_encode: bool = False,
             out[b] = pa.array(col, type=pa.int64())
         else:
             out[b] = v.cast(pa.int64())
+    flags = (np.asarray(flat(batch["flags"]))
+             if "flags" in batch.schema.names
+             else np.zeros(total, dtype=np.uint8))
     out["filled"] = pa.array((flags & 1).astype(bool))
     out["stale"] = pa.array(((flags >> 1) & 1).astype(bool))
-    return pa.table(out)
-
-
-def _unpack_sparse(batch: pa.Table, dict_encode: bool) -> pa.Table:
-    """unpack_series(sparse_fills=True) body: virtual-fill packed rows →
-    flat REAL agg rows + ``fill_runs``/``window_seconds`` columns. Row
-    content mirrors the dense unpack for real rows exactly (filled/stale
-    are always False on real rows)."""
-    if batch.num_rows == 0:
-        empty = unpack_series(
-            pa.table({n: batch[n] for n in batch.schema.names
-                      if n not in ("runs", "window_seconds")}),
-            dict_encode)
-        return empty.append_column(
-            "fill_runs", pa.array([], type=pa.uint16())
-        ).append_column("window_seconds", pa.array([], type=pa.int32()))
-    batch = batch.combine_chunks()
-    ws = batch["window_starts"].combine_chunks()
-    counts = np.diff(ws.offsets.to_numpy())
-    reps = np.repeat(np.arange(batch.num_rows), counts)
-
-    def flat(col):
-        return col.combine_chunks().values
-
-    if dict_encode:
-        idx = pa.array(reps.astype(np.int32))
-        sk = pa.DictionaryArray.from_arrays(
-            idx, batch["series_key"].combine_chunks())
-        nm = pa.DictionaryArray.from_arrays(
-            idx, batch["name"].combine_chunks())
-        tr = pa.DictionaryArray.from_arrays(
-            idx, batch["tier"].combine_chunks())
-    else:
-        sk = batch["series_key"].take(reps)
-        nm = batch["name"].take(reps)
-        tr = batch["tier"].take(reps)
-    out = {
-        "bucket": batch["bucket"].take(reps),
-        "series_key": sk,
-        "name": nm,
-        "kind": batch["kind"].take(reps),
-        "tier": tr,
-        "window_start": ws.values,
-        "sum": flat(batch["vals_sum"]),
-        "count": flat(batch["vals_count"]).cast(pa.int64()),
-        "min": flat(batch["vals_min"]),
-        "max": flat(batch["vals_max"]),
-        "last": flat(batch["vals_last"]),
-    }
-    total = int(counts.sum())
-    kinds = batch["kind"].to_numpy(zero_copy_only=False)
-    hist_mask = None
-    for b in BUCKET_COLS:
-        v = flat(batch[f"vals_{b}"])
-        if len(v) != total:
-            # sparse bucket streams: histogram real points only
-            if hist_mask is None:
-                hist_mask = np.repeat(kinds == KIND_HISTOGRAM, counts)
-            col = np.zeros(total, dtype=np.int64)
-            if len(v):
-                col[hist_mask] = v.to_numpy(
-                    zero_copy_only=False).astype(np.int64)
-            out[b] = pa.array(col, type=pa.int64())
-        else:
-            out[b] = v.cast(pa.int64())
-    out["filled"] = pa.array(np.zeros(total, dtype=bool))
-    out["stale"] = pa.array(np.zeros(total, dtype=bool))
-    out["fill_runs"] = flat(batch["runs"]).cast(pa.uint16())
-    out["window_seconds"] = pa.array(
-        np.repeat(batch["window_seconds"].to_numpy().astype(np.int32),
-                  counts))
+    if sparse:
+        out["fill_runs"] = flat(batch["runs"]).cast(pa.uint16())
+        out["window_seconds"] = pa.array(
+            np.repeat(batch["window_seconds"].to_numpy().astype(np.int32),
+                      counts))
     return pa.table(out)
 
 
 def expand_agg_table(t: pa.Table) -> pa.Table:
     """Read-side inverse of ``unpack_series(sparse_fills=True)``: sparse
     agg rows (``fill_runs`` + ``window_seconds`` columns) → dense flat
-    tier rows, bit-for-bit the materialized sink. Purely row-local, so
-    any batch/row-group split of the stored table expands correctly."""
+    tier rows, bit-for-bit the materialized sink. Stored filled/stale
+    rows (an epoch's carried fills) keep their flags. Purely row-local,
+    so any batch/row-group split of the stored table expands correctly."""
     if "fill_runs" not in t.schema.names:
         return t
     t = t.combine_chunks()
@@ -641,6 +583,8 @@ def expand_agg_table(t: pa.Table) -> pa.Table:
         kind,
         codes,
         ws,
+        col_np("filled").astype(np.uint8)
+        | (col_np("stale").astype(np.uint8) << 1),
     )
     _, _, extra, _, _ = _run_parts(codes)
     row_ix = pa.array(np.repeat(np.arange(t.num_rows, dtype=np.int64),

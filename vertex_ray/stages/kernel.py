@@ -16,8 +16,9 @@ entirely on int64/float64 numpy arrays:
   series at pack time, never per point;
 - grouping is stable lexsort + ``ufunc.reduceat`` segments; histogram
   buckets come from one searchsorted + bincount per tier;
-- the continuous-aggregate cascade and gap-fill walk reuse the same
-  segment machinery with no further sorting beyond one int lexsort each.
+- the continuous-aggregate cascade reuses the same segment machinery
+  with no further sorting beyond one int lexsort each; gap-fill is one
+  run code per real row (``fill_runs``), never materialized.
 
 All sums stay exact (counter increments of 1.0, integer-second latencies),
 so reduction order cannot change a single bit — the property that makes
@@ -36,7 +37,6 @@ from vertex_ray.schema import (
     KIND_SUM,
     N_BUCKETS,
     ROLES,
-    STALE_NAN_BITS,
     STALENESS_SECONDS,
     TOOLS,
     US_PER_SECOND,
@@ -205,161 +205,27 @@ def merge_agg_arrays(agg: AggArrays, window_seconds: int, presorted=True) -> Agg
     return out
 
 
-def fill_arrays(
-    agg: AggArrays,
-    window_seconds: int,
-    global_end_window: int,
-    horizon_seconds: int = STALENESS_SECONDS,
-) -> dict:
-    """Gap-fill + LOCF + stale markers (semantics of stages/fill, §F5),
-    array-form. Returns agg-like dict + 'filled'/'stale' bool arrays,
-    sorted by (uid, window); ``buckets`` stays in the sparse hist-slice
-    representation (rows = the histogram metric's output rows)."""
-    uid, w = agg["uid"], agg["window"]
-    n = len(uid)
-    metric = uid >> _UID_METRIC_SHIFT
-    kind_hist = metric == HIST_METRIC
-    kind_gauge = metric == 3
-    same_next = np.zeros(n, dtype=bool)
-    same_next[:-1] = uid[:-1] == uid[1:]
-    next_w = np.empty(n, dtype=np.int64)
-    if n:
-        next_w[:-1] = w[1:]
-    limit = np.where(same_next, next_w, np.int64(global_end_window + window_seconds))
-
-    hw = horizon_seconds // window_seconds
-    gap_windows = (limit - w) // window_seconds - 1
-    n_fill = np.clip(gap_windows, 0, hw)
-    stale_w = w + (hw + 1) * window_seconds
-    stale_mask = stale_w < limit
-
-    total = int(n_fill.sum())
-    s = int(stale_mask.sum())
-    # The input is (uid, window)-sorted and every synthesized row (the
-    # fills, then the optional stale marker) belongs immediately AFTER its
-    # source row — so each row's OUTPUT position is computable directly
-    # and the result is born sorted: three scatters instead of
-    # concatenate + global lexsort + per-column gathers.
-    n_out = n + total + s
-    extra = n_fill + stale_mask
-    off = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        off[1:] = np.cumsum(extra[:-1])
-    dst0 = np.arange(n) + off  # output position of each original row
-
-    out_uid = np.empty(n_out, dtype=np.int64)
-    out_w = np.empty(n_out, dtype=np.int64)
-    sums = np.empty(n_out, dtype=np.float64)
-    cnts = np.empty(n_out, dtype=np.int64)
-    mins = np.empty(n_out, dtype=np.float64)
-    maxs = np.empty(n_out, dtype=np.float64)
-    lasts = np.empty(n_out, dtype=np.float64)
-    last_ts = np.empty(n_out, dtype=np.int64)
-    filled = np.zeros(n_out, dtype=bool)
-    stale = np.zeros(n_out, dtype=bool)
-
-    # sparse bucket matrix covers only the histogram metric's OUTPUT rows
-    # (real + fills + stales of hist series — contiguous in the sorted
-    # output); stale rows stay zero, matching the dense semantics
-    lo, hi = _hist_range(uid)
-    if hi > lo:
-        out_lo = int(dst0[lo])
-        out_hi = int(dst0[hi]) if hi < n else n_out
-        bk = np.zeros((out_hi - out_lo, N_BUCKETS), dtype=np.int64)
-        bk[dst0[lo:hi] - out_lo] = agg["buckets"]
-    else:
-        out_lo = 0
-        bk = np.zeros((0, N_BUCKETS), dtype=np.int64)
-
-    out_uid[dst0] = uid
-    out_w[dst0] = w
-    sums[dst0] = agg["sum"]
-    cnts[dst0] = agg["count"]
-    mins[dst0] = agg["min"]
-    maxs[dst0] = agg["max"]
-    lasts[dst0] = agg["last"]
-    last_ts[dst0] = agg["last_ts"]
-
-    if total:
-        idx = np.repeat(np.arange(n), n_fill)
-        pos = np.arange(total) - np.repeat(np.cumsum(n_fill) - n_fill, n_fill) + 1
-        dstf = dst0[idx] + pos
-        is_hist = kind_hist[idx]
-        is_gauge = kind_gauge[idx]
-        is_ctr = ~(is_hist | is_gauge)  # counters fill as zero-increment
-        last = agg["last"][idx]
-        out_uid[dstf] = uid[idx]
-        out_w[dstf] = w[idx] + pos * window_seconds
-        # gauges LOCF the last-observed value into sum/min/max/last
-        # (stages/fill gauge contract); histograms carry the cumulative row
-        sums[dstf] = np.where(is_ctr, 0.0, np.where(is_gauge, last, agg["sum"][idx]))
-        cnts[dstf] = np.where(is_hist, agg["count"][idx], 0)
-        mins[dstf] = np.where(is_ctr, np.nan, np.where(is_gauge, last, agg["min"][idx]))
-        maxs[dstf] = np.where(is_ctr, np.nan, np.where(is_gauge, last, agg["max"][idx]))
-        lasts[dstf] = np.where(is_ctr, 0.0, last)
-        last_ts[dstf] = agg["last_ts"][idx]
-        # bucket vectors only exist on histogram rows; non-hist stay zero
-        hsel = np.flatnonzero(is_hist)
-        if len(hsel):
-            bk[dstf[hsel] - out_lo] = agg["buckets"][idx[hsel] - lo]
-        filled[dstf] = True
-    if s:
-        src = np.flatnonzero(stale_mask)
-        dsts = dst0[src] + n_fill[src] + 1
-        out_uid[dsts] = uid[src]
-        out_w[dsts] = stale_w[src]
-        sums[dsts] = np.nan
-        cnts[dsts] = 0
-        mins[dsts] = np.nan
-        maxs[dsts] = np.nan
-        lasts[dsts] = np.nan
-        last_ts[dsts] = agg["last_ts"][src]
-        stale[dsts] = True
-
-    return {
-        "uid": out_uid,
-        "window": out_w,
-        "sum": sums,
-        "count": cnts,
-        "min": mins,
-        "max": maxs,
-        "last": lasts,
-        "last_ts": last_ts,
-        "buckets": bk,
-        "filled": filled,
-        "stale": stale,
-    }
-
-
-def runs_encodable(window_seconds: int,
-                   horizon_seconds: int = STALENESS_SECONDS) -> bool:
-    """Whether a tier's staleness horizon fits the 15-bit run-code range
-    (RUN_FILL_MASK fill windows). When False, bucket_kernel falls back
-    to the materialized fill_arrays/pack_arrays layout for the whole
-    call instead of aborting — the dense path has no such limit."""
-    from vertex_ray.stages.fill import RUN_FILL_MASK
-
-    return horizon_seconds // window_seconds <= int(RUN_FILL_MASK)
-
-
 def fill_runs(
     agg: AggArrays,
     window_seconds: int,
     global_end_window: int,
     horizon_seconds: int = STALENESS_SECONDS,
 ) -> np.ndarray:
-    """VIRTUAL gap-fill: the run-length form of :func:`fill_arrays`.
+    """VIRTUAL gap-fill + LOCF + stale markers (semantics of
+    stages/fill.fill_bucket_df, §F5) in run-length form.
 
     Returns one uint16 code per (real) agg row — ``n_fill | stale << 15``
     — describing the LOCF fill windows and optional stale marker that
-    follow it, WITHOUT materializing them. Every synthesized row of the
-    dense path is a pure function of (kind, source row, position), so the
-    code is a complete description: stages/fill.expand_runs_* rebuilds the
-    dense layout bit-for-bit. Fills were 58.5% of all agg points at sf0.1
-    — this keeps them out of the fill/pack/encode memory streams entirely
+    follow it, WITHOUT materializing them. Every synthesized row is a
+    pure function of (kind, source row, position), so the code is a
+    complete description: stages/fill.expand_runs_* rebuilds the dense
+    layout bit-for-bit. Fills were 58.5% of all agg points at sf0.1 —
+    this keeps them out of the fill/pack/encode memory streams entirely
     (the single-box DRAM-bandwidth limiter of the 8→32 scaling pair).
 
-    Precondition: ``agg`` sorted by (uid, window), same as fill_arrays.
+    Precondition: ``agg`` sorted by (uid, window). Raises ValueError when
+    the horizon spans more fill windows than a code holds (32,767); the
+    pipelines' 300 s horizon is at most 300 windows.
     """
     from vertex_ray.stages.fill import RUN_FILL_MASK, RUN_STALE_SHIFT
 
@@ -367,8 +233,6 @@ def fill_runs(
     n = len(uid)
     hw = horizon_seconds // window_seconds
     if hw > int(RUN_FILL_MASK):
-        # bucket_kernel routes such configs to the dense path
-        # (runs_encodable); reaching here directly is a caller bug
         raise ValueError(
             f"fill_runs: horizon {horizon_seconds}s / window "
             f"{window_seconds}s = {hw} fill windows exceeds the uint16 "
@@ -392,13 +256,20 @@ def pack_arrays_virtual(
     conv_strs: np.ndarray,
     bucket_id: int,
     window_seconds: int,
+    flags: np.ndarray | None = None,
 ) -> pa.Table:
-    """pack_arrays over REAL rows only, with the virtual-fill run codes as
-    a ``runs`` list column and the tier's window size as a per-series
-    ``window_seconds`` column (the expansion's self-contained geometry).
-    No stale stamping (stale markers are virtual here) and no flags column
-    (real rows always carry flag 0) — the presence of ``runs`` marks the
-    layout for unpack_series / GorillaEncode."""
+    """Stored rows (sorted by uid, window) → per-series list-column rows
+    (the Arrow schema of stages/fill.pack_series), with the virtual-fill
+    run codes as a ``runs`` list column and the tier's window size as a
+    per-series ``window_seconds`` column (the expansion's self-contained
+    geometry). The ``vals_b*`` bucket streams are SPARSE: non-histogram
+    series get empty lists. The presence of ``runs`` marks the layout
+    for unpack_series / GorillaEncode.
+
+    ``flags`` (uint8 per stored row, 1 = filled, 2 = stale) adds a
+    ``flags`` list column: the epoch kernel stores carried fills as
+    points (their values already stale-stamped) with code 0. Without it
+    every stored row is real."""
     uid = agg["uid"]
     starts = _segments(uid)
     offsets = np.concatenate([starts, [len(uid)]]).astype(np.int32)
@@ -433,6 +304,8 @@ def pack_arrays_virtual(
     for j in range(N_BUCKETS):
         out[f"vals_b{j:02d}"] = pa.ListArray.from_arrays(
             offs_b, pa.array(b[:, j].astype(np.float64), type=pa.float64()))
+    if flags is not None:
+        out["flags"] = lst(np.asarray(flags, dtype=np.uint8), pa.uint8())
     out["runs"] = lst(np.asarray(run_codes, dtype=np.uint16), pa.uint16())
     out["window_seconds"] = pa.array(
         np.full(len(starts), window_seconds, dtype=np.int32))
@@ -466,56 +339,6 @@ def render_series_keys(uids: np.ndarray, conv_strs: np.ndarray):
     return keys, names, kinds
 
 
-def pack_arrays(filled: dict, conv_strs: np.ndarray, bucket_id: int) -> pa.Table:
-    """Filled arrays (sorted by uid, window) → per-series list-column rows
-    (same Arrow schema as stages/fill.pack_series, but the ``vals_b*``
-    bucket streams are SPARSE: non-histogram series get empty lists —
-    the encoder only reads bucket streams for histogram series anyway,
-    and unpack_series rebuilds dense zero columns on the way out)."""
-    uid = filled["uid"]
-    starts = _segments(uid)
-    offsets = np.concatenate([starts, [len(uid)]]).astype(np.int32)
-    keys, names, kinds = render_series_keys(uid[starts], conv_strs)
-
-    stale = filled["stale"]
-    flags = filled["filled"].astype(np.uint8) | (stale.astype(np.uint8) << 1)
-
-    def stamp(vals):
-        out = np.ascontiguousarray(vals, dtype=np.float64).copy()
-        out.view(np.uint64)[stale] = STALE_NAN_BITS
-        return out
-
-    def lst(values, typ):
-        return pa.ListArray.from_arrays(offsets, pa.array(values, type=typ))
-
-    out = {
-        "bucket": pa.array(np.full(len(starts), bucket_id, dtype=np.int32)),
-        "series_key": pa.array(keys, type=pa.string()),
-        "name": pa.array(names, type=pa.string()),
-        "kind": pa.array(kinds, type=pa.uint8()),
-        "window_starts": lst(filled["window"], pa.int64()),
-        "vals_sum": lst(stamp(filled["sum"]), pa.float64()),
-        "vals_count": lst(filled["count"].astype(np.float64), pa.float64()),
-        "vals_min": lst(stamp(filled["min"]), pa.float64()),
-        "vals_max": lst(stamp(filled["max"]), pa.float64()),
-        "vals_last": lst(stamp(filled["last"]), pa.float64()),
-    }
-    # sparse bucket streams: histogram series carry their full window
-    # sequence, every other series an empty list (zero offsets)
-    b = filled["buckets"]
-    counts_series = np.diff(offsets).astype(np.int64)
-    hist_series = (uid[starts] >> _UID_METRIC_SHIFT) == HIST_METRIC \
-        if len(starts) else np.zeros(0, dtype=bool)
-    counts_b = np.where(hist_series, counts_series, 0).astype(np.int32)
-    offs_b = np.zeros(len(counts_b) + 1, dtype=np.int32)
-    np.cumsum(counts_b, out=offs_b[1:])
-    for j in range(N_BUCKETS):
-        out[f"vals_b{j:02d}"] = pa.ListArray.from_arrays(
-            offs_b, pa.array(b[:, j].astype(np.float64), type=pa.float64()))
-    out["flags"] = lst(flags, pa.uint8())
-    return pa.table(out)
-
-
 # ---------------------------------------------------------------------------
 # the full per-bucket kernel
 # ---------------------------------------------------------------------------
@@ -536,23 +359,13 @@ def bucket_kernel(
 ) -> pa.Table:
     n = len(conv_id)
     if n == 0:
-        # layout must match the non-empty groups of the same Dataset:
-        # pick virtual vs dense by the same predicate as the tier loop
-        if all(runs_encodable(seconds, horizon_seconds)
-               for _, seconds in tiers):
-            empty = pack_arrays_virtual(
-                _empty_agg(),
-                np.zeros(0, dtype=np.uint16),
-                np.zeros(0, dtype=object),
-                bucket_id,
-                tiers[0][1],
-            )
-        else:
-            empty = pack_arrays(
-                fill_arrays(_empty_agg(), tiers[0][1], 0, horizon_seconds),
-                np.zeros(0, dtype=object),
-                bucket_id,
-            )
+        empty = pack_arrays_virtual(
+            _empty_agg(),
+            np.zeros(0, dtype=np.uint16),
+            np.zeros(0, dtype=object),
+            bucket_id,
+            tiers[0][1],
+        )
         return empty.append_column("tier", pa.array([], type=pa.string()))
     order = np.lexsort((turn_idx, conv_hash))
     conv_id = conv_id[order]
@@ -617,25 +430,12 @@ def bucket_kernel(
     parts = []
     prev = agg
     base_seconds = tiers[0][1]
-    # a tier whose staleness horizon spans more fill windows than the
-    # 15-bit run code can hold (fine windows + a long horizon) cannot be
-    # virtual-fill encoded; ALL tiers of the call then take the dense
-    # fill_arrays/pack_arrays path (one layout per output table — the
-    # store reads mixed v2/v3 files fine, but a single concat can't mix)
-    virtual = all(runs_encodable(seconds, horizon_seconds)
-                  for _, seconds in tiers)
     for tier, seconds in tiers:
         if seconds != base_seconds:
             prev = merge_agg_arrays(prev, seconds)
         end_w = global_end_s // seconds * seconds
-        if virtual:
-            codes = fill_runs(prev, seconds, end_w, horizon_seconds)
-            packed = pack_arrays_virtual(prev, codes, conv_strs, bucket_id,
-                                         seconds)
-        else:
-            packed = pack_arrays(
-                fill_arrays(prev, seconds, end_w, horizon_seconds),
-                conv_strs, bucket_id)
+        codes = fill_runs(prev, seconds, end_w, horizon_seconds)
+        packed = pack_arrays_virtual(prev, codes, conv_strs, bucket_id, seconds)
         parts.append(
             packed.append_column(
                 "tier", pa.array([tier] * packed.num_rows, type=pa.string())
