@@ -1,0 +1,47 @@
+"""stage_done: a corrupt or missing manifest or part means "not done";
+any other error propagates instead of silently forcing a recompute."""
+
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from vertex_ray.state import checkpoint
+from vertex_ray.state.checkpoint import MANIFEST, finalize_stage, stage_done
+
+
+@pytest.fixture
+def stage(tmp_path):
+    parts = tmp_path / "s.__parts__"
+    parts.mkdir()
+    for i in range(2):
+        pq.write_table(pa.table({"x": [i, i + 1]}),
+                       str(parts / f"part-{i:05d}.parquet"))
+    final = str(tmp_path / "s")
+    finalize_stage(str(parts), final, {"k": 1})
+    assert stage_done(final)
+    return final
+
+
+def test_truncated_manifest_is_not_done(stage):
+    mpath = os.path.join(stage, MANIFEST)
+    with open(mpath, "rb") as f:
+        data = f.read()
+    with open(mpath, "wb") as f:
+        f.write(data[: len(data) // 2])
+    assert not stage_done(stage)
+
+
+def test_missing_part_is_not_done(stage):
+    os.remove(os.path.join(stage, "part-00001.parquet"))
+    assert not stage_done(stage)
+
+
+def test_io_error_propagates(stage, monkeypatch):
+    def denied(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(checkpoint.fsio, "read_json", denied)
+    with pytest.raises(PermissionError):
+        stage_done(stage)

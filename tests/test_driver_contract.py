@@ -16,6 +16,23 @@ def test_oracle_keys_subset_of_queries():
                for s in o.values())
 
 
+def test_readme_query_counts_match_registry():
+    """README's oracled and internal query counts are the registries'."""
+    import os
+    import re
+
+    from vertex_ray.pipelines.op_queries import OP_QUERIES_INTERNAL
+
+    readme = os.path.join(os.path.dirname(entrymod.__file__), "README.md")
+    with open(readme) as f:
+        text = " ".join(f.read().split())
+    m = re.search(r"queries\(\)` entries \((\d+)\).*?a further (\d+) internal",
+                  text)
+    assert m, "README no longer states the query counts"
+    assert (int(m.group(1)), int(m.group(2))) == (
+        len(entrymod.queries()), len(OP_QUERIES_INTERNAL))
+
+
 def test_entry_smoke(ray_session):
     ds = entrymod.entry()
     n = ds.count() if hasattr(ds, "count") else len(ds)

@@ -519,3 +519,39 @@ def test_promql_parser_over_epoch_store(ray_session, micro_transcripts,
             .reset_index().rename(columns={"count": "value"})
             .sort_values(["role", "window_start"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_compacted_epoch_store_equals_oneshot_blocks(ray_session,
+                                                     micro_transcripts,
+                                                     tmp_path):
+    """Compaction folds the fills an epoch carried as stored points back
+    into run codes: every (tier, series) block of the compacted epoch
+    store is byte-identical to the one-shot store's at the same width."""
+    from vertex_ray.pipelines.epoch_pipeline import (
+        read_epochs_stage,
+        run_pipeline_epochs,
+    )
+    from vertex_ray.pipelines.rollup_pipeline import read_stage, run_pipeline
+    from vertex_ray.stages.compact import compact_blocks
+
+    one = str(tmp_path / "oneshot")
+    epo = str(tmp_path / "epochs")
+    run_pipeline(micro_transcripts, one, n_buckets=4, tiers=TIERS_SMALL)
+    run_pipeline_epochs(micro_transcripts, epo, epoch_seconds=3600,
+                        n_buckets=4, tiers=TIERS_SMALL)
+    cols = ["ts_block", "val_blocks", "runs", "flags", "n_points"]
+
+    def by_key(ds):
+        df = ds.to_pandas()
+        assert not df.duplicated(["tier", "series_key"]).any()
+        return {(r["tier"], r["series_key"]): [r[c] if c != "val_blocks"
+                                               else list(r[c]) for c in cols]
+                for _, r in df.iterrows()}
+
+    want = by_key(read_stage(one, "blocks"))
+    got = by_key(compact_blocks(read_epochs_stage(epo, "blocks")))
+    assert got.keys() == want.keys()
+    # the epoch store did hold carried fills as flagged stored points
+    assert set(read_epochs_stage(epo, "blocks").to_pandas()["flags"]) != {b""}
+    for k in want:
+        assert got[k] == want[k], k

@@ -11,7 +11,7 @@ from vertex_ray.schema import (
     KIND_SUM,
     STALE_NAN,
 )
-from vertex_ray.stages.encode import GorillaEncode, decode_block_row
+from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
 from vertex_ray.stages.fill import fill_bucket_df, pack_series
 from vertex_ray.stages.rollup import AGG_COLS
 
@@ -147,8 +147,9 @@ def test_pack_and_gorilla_block_roundtrip():
     enc = GorillaEncode()
     blocks = enc(packed)
     assert blocks["tier"][0].as_py() == "1m"
-    for row in blocks.to_pylist():
-        dec = decode_block_row(row)
+    for i, row in enumerate(blocks.to_pylist()):
+        t = decode_blocks_batch(blocks.slice(i, 1))
+        dec = {c: t[c].to_numpy() for c in t.column_names}
         ref = filled[filled["series_key"] == row["series_key"]]
         stale = ref["stale"].to_numpy()
         np.testing.assert_array_equal(dec["window_start"], ref["window_start"].to_numpy())

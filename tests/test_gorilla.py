@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertex_ray.gorilla import (
-    decode_flags,
+    decode_flags_multi,
     decode_timestamps,
     decode_values,
     encode_flags,
@@ -107,7 +107,8 @@ def test_val_roundtrip_clz_boundary_regression():
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=50))
 def test_flags_roundtrip(flags):
     f = np.asarray(flags, dtype=np.uint8)
-    np.testing.assert_array_equal(decode_flags(encode_flags(f), len(f)), f)
+    got = decode_flags_multi([encode_flags(f)], np.array([len(f)]))[0]
+    np.testing.assert_array_equal(got, f)
 
 
 def test_compression_ratio_regular_series():

@@ -5,12 +5,37 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from vertex_ray.pipelines.rollup_pipeline import bucket_rollup_all_tiers
 from vertex_ray.schema import TIERS
 from vertex_ray.stages.derive import conv_hash64, project_for_rollup_fast
-from vertex_ray.stages.fill import unpack_series
+from vertex_ray.stages.fill import fill_bucket_df, pack_series, unpack_series
 from vertex_ray.stages.kernel import bucket_kernel
+from vertex_ray.stages.rollup import merge_agg, rollup_bucket
 from vertex_ray.synth import generate_transcripts
+
+
+def bucket_rollup_all_tiers(
+    group: pd.DataFrame,
+    tiers,
+    global_end_s: int,
+    salt: int = 1,
+) -> pa.Table:
+    """Per-bucket group body: raw pruned turns → packed per-series arrays
+    for every retention tier (rollup → cascade → fill → pack)."""
+    base_tier, base_seconds = tiers[0]
+    agg = rollup_bucket(group, base_seconds, salt)
+    parts = []
+    prev = agg
+    for tier, seconds in tiers:
+        if seconds != base_seconds:
+            prev = merge_agg(prev, seconds)
+        filled = fill_bucket_df(prev, seconds, global_end_s // seconds * seconds)
+        packed = pack_series(filled)
+        parts.append(
+            packed.append_column(
+                "tier", pa.array([tier] * packed.num_rows, type=pa.string())
+            )
+        )
+    return pa.concat_tables(parts)
 
 
 def _unpack_df(packed: pa.Table) -> pd.DataFrame:

@@ -199,3 +199,46 @@ def test_per_metric_horizons():
     dec2 = decode_blocks_batch(out2).to_pandas()
     got2 = {k: sorted(g.window_start) for k, g in dec2.groupby("series_key")}
     assert got2 == {"a": [0, 60], "c": [60, 600], "d": [600]}
+
+
+def test_straddler_of_run_coded_store_keeps_runs():
+    """A retention rewrite keeps the run-coded layout: the truncated row
+    still carries a runs section (the surviving real point keeps its
+    code), fills whose real source was cut off stay stored as flagged
+    points, and the decoded points are the source's minus the cut."""
+    import pyarrow as pa
+
+    from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
+    from vertex_ray.stages.kernel import (
+        fill_runs,
+        pack_arrays_virtual,
+        window_agg,
+    )
+    from vertex_ray.stages.retention import retention_pass
+
+    # gauge series (metric 3): real windows 0 and 600, end at 1200 →
+    # fills 60..300 + stale 360 after w0; fills 660..900 + stale 960
+    uid = np.full(2, 3 << 40, dtype=np.int64)
+    agg = window_agg(uid, np.array([0, 600_000_000]), np.array([4.0, 7.0]),
+                     60, False)
+    packed = pack_arrays_virtual(agg, fill_runs(agg, 60, 1200),
+                                 np.array(["c"], dtype=object), 0, 60)
+    src = GorillaEncode()(packed.append_column("tier", pa.array(["1m"])))
+    assert src["flags"].to_pylist() == [b""]
+
+    out = retention_pass(src, {"1m": 120})
+    runs, flags = out["runs"][0].as_py(), out["flags"][0].as_py()
+    assert int.from_bytes(runs[:4], "little") == 60
+    # stored: fills 120..300, stale 360 (orphans, code 0), real 600
+    assert np.frombuffer(runs[4:], "<u2").tolist() == [0] * 5 + [5 | 1 << 15]
+    assert flags
+    want = decode_blocks_batch(src).filter(
+        pc.greater_equal(decode_blocks_batch(src)["window_start"], 120))
+    got = decode_blocks_batch(out)
+    assert got.num_rows == want.num_rows == 12
+    for name in want.column_names:
+        a = want[name].to_numpy(zero_copy_only=False)
+        b = got[name].to_numpy(zero_copy_only=False)
+        if a.dtype.kind == "f":
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        np.testing.assert_array_equal(a, b, err_msg=name)

@@ -6,7 +6,7 @@ import pytest
 
 from vertex_ray.aggregate import rollup_oracle
 from vertex_ray.schema import BUCKET_COLS, KIND_HISTOGRAM
-from vertex_ray.stages.derive import derive_points_arrays, derive_points_batch
+from vertex_ray.stages.derive import derive_points_arrays
 from vertex_ray.stages.rollup import merge_agg, rollup_bucket, window_agg_points
 from vertex_ray.synth import generate_transcripts
 
@@ -83,18 +83,3 @@ def test_tier_merge_equals_direct(turns):
         )
         pd.testing.assert_frame_equal(cascaded, direct, check_exact=True)
         assert_matches_oracle(direct, pts, coarse)
-
-
-def test_derive_points_batch_arrow(turns):
-    import pyarrow as pa
-
-    tbl = pa.Table.from_pandas(
-        turns.drop(columns=["bucket"]), preserve_index=False
-    ).cast(__import__("vertex_ray.schema", fromlist=["x"]).TRANSCRIPT_SCHEMA)
-    pts = derive_points_batch(tbl)
-    assert pts.schema.names[0] == "series_key"
-    n = tbl.num_rows
-    n_tool = int((np.asarray(tbl["tool"]) != "").sum())
-    n_lat = n - turns["conv_id"].nunique()
-    n_gauge = n  # conv_turn_idx gauge: one observation per turn
-    assert pts.num_rows == n + n_tool + n_lat + n_gauge

@@ -187,3 +187,37 @@ def test_incremental_append_after_finalize_rejected(ray_session, tmp_path):
     with pytest.raises(ValueError, match="finalized"):
         scrape_append(_lines(['g{h="x"} 2.0 60000']), store,
                       kinds={"g": "gauge"}, n_buckets=2)
+
+
+def test_incremental_gauge_matches_oneshot_all_columns(ray_session, tmp_path):
+    # the carried reference sample replays into its window, and the open
+    # partial merges with the re-derived row: gauge merge is replace, so
+    # neither may add to the window's sum/count
+    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
+    from vertex_ray.pipelines.scrape_incremental import (
+        read_scrape_epochs,
+        scrape_append,
+        scrape_finalize,
+    )
+    from vertex_ray.pipelines.scrape_pipeline import scrape_to_store
+
+    rows = ['temp{h="x"} 1.5 0', 'temp{h="x"} 2.5 30000',
+            'temp{h="x"} -4.0 61000']
+    cols = ["sum", "count", "min", "max", "last"]
+
+    def scalars(df):
+        return {int(r.window_start): tuple(float(getattr(r, c)) for c in cols)
+                for r in df.itertuples()}
+
+    want = scalars(decode_tier_blocks(scrape_to_store(
+        _lines(rows), metric="temp", kind="gauge", n_buckets=2)).to_pandas())
+    assert want == {0: (2.5, 1, 2.5, 2.5, 2.5), 60: (-4.0, 1, -4, -4, -4)}
+    store = str(tmp_path / "inc")
+    scrape_append(_lines(rows[:1]), store, kinds={"temp": "gauge"},
+                  n_buckets=2)
+    scrape_append(_lines(rows[1:]), store, kinds={"temp": "gauge"},
+                  n_buckets=2)
+    scrape_finalize(store, kinds={"temp": "gauge"}, n_buckets=2)
+    got = scalars(decode_tier_blocks(
+        read_scrape_epochs(store, "temp")).to_pandas())
+    assert got == want

@@ -333,3 +333,39 @@ def test_scrape_incremental_summary_first_wins(ray_session, tmp_path):
         ("s{job=a,quantile=0.5}", 60): 4.0,
         ("s{job=a,quantile=0.5}", 120): 8.0,
     }
+
+
+def test_scrape_store_without_fills_has_no_sections(ray_session):
+    # no fill_until_s: the tier is not gap-filled, so no row carries a
+    # runs section, and no row holds a flagged point, so no flags section
+    rows = ['g{h="a"} 1.5 0', 'g{h="a"} 2.5 70000', 'g{h="b"} 4.0 10000',
+            'c_total{j="a"} 1 0', 'c_total{j="a"} 4 30000']
+    from vertex_ray.pipelines.scrape_pipeline import scrape_payload_to_store
+
+    t = scrape_payload_to_store(
+        _lines(rows), kinds={"g": "gauge", "c_total": "counter"},
+        n_buckets=2).to_pandas()
+    assert len(t) == 3
+    assert set(t["flags"]) == {b""}
+    assert set(t["runs"]) == {b""}
+
+
+def test_scrape_fill_writes_run_codes_and_checks_horizon(ray_session):
+    import pytest
+
+    from vertex_ray.pipelines.scrape_pipeline import scrape_to_store
+
+    rows = ['temp{host="x"} 2.5 0']
+    t = scrape_to_store(_lines(rows), metric="temp", kind="gauge",
+                        n_buckets=2, fill_until_s=300,
+                        staleness_s=120).to_pandas()
+    # one stored point whose run code holds the 2 fills + stale marker
+    assert list(t["n_points"]) == [4]
+    assert list(t["flags"]) == [b""]
+    runs = t["runs"].iloc[0]
+    assert int.from_bytes(runs[:4], "little") == 60
+    assert np.frombuffer(runs[4:], "<u2").tolist() == [2 | 1 << 15]
+    # a horizon no run code can hold is refused before any task runs
+    with pytest.raises(ValueError, match="run-code range"):
+        scrape_to_store(_lines(rows), metric="temp", kind="gauge",
+                        window_s=1, fill_until_s=300, staleness_s=40_000)

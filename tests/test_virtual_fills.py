@@ -13,11 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertex_ray.schema import BUCKET_COLS, TIERS
-from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
+from vertex_ray.stages.encode import (
+    GorillaEncode,
+    decode_blocks_batch,
+    pack_agg_rows,
+)
 from vertex_ray.stages.fill import (
     expand_agg_table,
     expand_packed,
     fill_bucket_df,
+    fold_fills,
     pack_series,
     unpack_series,
 )
@@ -223,20 +228,21 @@ def test_decode_mixed_v2_v3_batch():
             np.testing.assert_array_equal(a, b, err_msg=col)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 2),                    # metric: counter/hist/gauge
-            st.integers(0, 3),                    # sub code
-            st.lists(st.integers(0, 5000), min_size=1, max_size=12,
-                     unique=True),                # observation seconds
-        ),
-        min_size=1, max_size=6,
+# hypothesis inputs: series (metric counter/hist/gauge, sub code,
+# observation seconds) and the global end second
+_SERIES_SPEC = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 5000), min_size=1, max_size=12, unique=True),
     ),
-    st.integers(4000, 8000),                      # global end second
+    min_size=1, max_size=6,
 )
-def test_virtual_fill_property(series_spec, end_s):
+_END_S = st.integers(4000, 8000)
+
+
+def _property_tables(series_spec, end_s):
+    """(spec packed, virtual packed) of the hypothesis-drawn series."""
     base = np.int64(1) << np.int64(40)
     metric_of = {0: 0, 1: 2, 2: 3}  # counter, histogram, gauge metrics
     parts = []
@@ -246,9 +252,13 @@ def test_virtual_fill_property(series_spec, end_s):
         vals = [float((s % 7) + 0.5) for s in secs]
         parts.append(_agg_from_obs([uid] * len(secs), sorted(secs), vals,
                                    metric == 2))
-    agg = concat_agg(parts)
-    end_window = end_s // 60 * 60
-    spec, virt = _spec_and_virtual(agg, 60, end_window)
+    return _spec_and_virtual(concat_agg(parts), 60, end_s // 60 * 60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SERIES_SPEC, _END_S)
+def test_virtual_fill_property(series_spec, end_s):
+    spec, virt = _property_tables(series_spec, end_s)
     _assert_tables_bit_identical(_sorted(unpack_series(expand_packed(virt))),
                                  _sorted(unpack_series(spec)))
     # and through encode/decode
@@ -257,6 +267,66 @@ def test_virtual_fill_property(series_spec, end_s):
         _sorted(decode_blocks_batch(enc(virt))),
         _sorted(decode_blocks_batch(enc(spec))),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SERIES_SPEC, _END_S)
+def test_fold_inverts_expand_property(series_spec, end_s):
+    """The writer's fold is the inverse of expansion: folding the dense
+    rows of a virtual-packed table (each point tagged with its tier's
+    window seconds, as decode_blocks_points does) gives back the same
+    stored points, run codes and (absent) flags, bit-for-bit."""
+    _, virt = _property_tables(series_spec, end_s)
+    dense = unpack_series(expand_packed(virt))
+    dense = dense.append_column(
+        "window_seconds", pa.array(np.full(dense.num_rows, 60, np.int64)))
+    folded = pack_agg_rows(dense)
+    assert sorted(folded.schema.names) == sorted(virt.schema.names)
+    _assert_tables_bit_identical(folded.select(virt.schema.names), virt)
+
+
+def test_fold_fills_keeps_orphans_stored():
+    """Only fills whose chain is headed by a real point in the same row
+    fold; a chain headed by a stored fill, a fill after a stale marker,
+    a window gap or a row boundary stays stored with code 0."""
+    #        real fill fill stale | fill fill real fill stale fill | fill
+    w = np.array([0, 60, 120, 180, 0, 60, 120, 180, 240, 300, 360])
+    fl = np.array([0, 1, 1, 2, 1, 1, 0, 1, 2, 1, 1], dtype=np.uint8)
+    new_row = np.zeros(len(w), dtype=bool)
+    new_row[[0, 4, 10]] = True
+    w[10] = 360  # contiguous with the point before, but a new row
+    stored, codes = fold_fills(w, fl, np.full(len(w), 60), new_row)
+    assert stored.tolist() == [True, False, False, False, True, True, True,
+                               False, False, True, True]
+    assert codes.tolist() == [2 | 1 << 15, 0, 0, 1 | 1 << 15, 0, 0]
+    # unknown window seconds (a source row without runs): nothing folds
+    stored, codes = fold_fills(w, fl, np.zeros(len(w), np.int64), new_row)
+    assert stored.all() and not codes.any()
+
+
+def test_fold_uses_each_points_source_window_seconds():
+    """Two source rows of one series merge into one output row: the fill
+    from the row without runs (window seconds 0) stays stored, the fill
+    from the run-coded row folds, and the output row gets a runs
+    section."""
+    n = 4
+    rows = pa.table({
+        "bucket": pa.array([0] * n, type=pa.int32()),
+        "series_key": ["g"] * n, "name": ["g"] * n,
+        "kind": pa.array([0] * n, type=pa.uint8()),
+        "tier": ["1m"] * n,
+        "window_start": [0, 60, 600, 660],
+        **{s: [1.0, 1.0, 2.0, 2.0] for s in ("sum", "min", "max", "last")},
+        "count": [1.0, 0.0, 1.0, 0.0],
+        "filled": [False, True, False, True],
+        "stale": [False] * n,
+        "window_seconds": [0, 0, 60, 60],
+    })
+    packed = pack_agg_rows(rows)
+    assert packed["window_starts"].to_pylist() == [[0, 60, 600]]
+    assert packed["runs"].to_pylist() == [[0, 0, 1]]
+    assert packed["flags"].to_pylist() == [[0, 1, 0]]
+    assert packed["window_seconds"].to_pylist() == [60]
 
 
 def test_decode_pre_runs_column_store():

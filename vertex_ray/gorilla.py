@@ -765,13 +765,3 @@ def encode_flags(flags: np.ndarray) -> bytes:
     f = f.reshape(-1, 4)
     byte = (f[:, 0] << 6) | (f[:, 1] << 4) | (f[:, 2] << 2) | f[:, 3]
     return byte.astype(np.uint8).tobytes()
-
-
-def decode_flags(buf: bytes, n: int) -> np.ndarray:
-    b = np.frombuffer(buf, dtype=np.uint8)
-    out = np.empty(len(b) * 4, dtype=np.uint8)
-    out[0::4] = (b >> 6) & 3
-    out[1::4] = (b >> 4) & 3
-    out[2::4] = (b >> 2) & 3
-    out[3::4] = b & 3
-    return out[:n]

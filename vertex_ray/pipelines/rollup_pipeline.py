@@ -37,7 +37,6 @@ import os
 import posixpath
 import shutil
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -47,8 +46,7 @@ import ray.data as rd
 from vertex_ray.schema import TIERS
 from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup
 from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
-from vertex_ray.stages.fill import fill_bucket_df, pack_series, unpack_series
-from vertex_ray.stages.rollup import merge_agg, rollup_bucket
+from vertex_ray.stages.fill import unpack_series
 from vertex_ray.state.checkpoint import (
     MANIFEST,
     finalize_stage,
@@ -190,31 +188,6 @@ def transcripts_end_ts(path: str) -> int:
     if end is None:
         raise ValueError(f"no ts statistics in {path}")
     return end
-
-
-def bucket_rollup_all_tiers(
-    group: pd.DataFrame,
-    tiers,
-    global_end_s: int,
-    salt: int = 1,
-) -> pa.Table:
-    """Per-bucket group body: raw pruned turns → packed per-series arrays
-    for every retention tier (rollup → cascade → fill → pack)."""
-    base_tier, base_seconds = tiers[0]
-    agg = rollup_bucket(group, base_seconds, salt)
-    parts = []
-    prev = agg
-    for tier, seconds in tiers:
-        if seconds != base_seconds:
-            prev = merge_agg(prev, seconds)
-        filled = fill_bucket_df(prev, seconds, global_end_s // seconds * seconds)
-        packed = pack_series(filled)
-        parts.append(
-            packed.append_column(
-                "tier", pa.array([tier] * packed.num_rows, type=pa.string())
-            )
-        )
-    return pa.concat_tables(parts)
 
 
 def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,

@@ -75,8 +75,8 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
     """One bucket × one run: prepend carried reference rows, run the
     batch normalize kernels, fold carried open partials, split open vs
     emitted, side-write blocks + next state, return emitted agg rows."""
-    from vertex_ray.stages.encode import GorillaEncode
-    from vertex_ray.stages.fill import pack_series
+    from vertex_ray.schema import KIND_GAUGE
+    from vertex_ray.stages.encode import encode_agg_rows
     from vertex_ray.stages.rollup import merge_agg
 
     from vertex_ray.pipelines.scrape_pipeline import (
@@ -124,6 +124,13 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
                 else _empty_agg_frame())
     all_rows = pd.concat([open_rows, new_rows], ignore_index=True)
     if len(all_rows):
+        # gauge merge = replace: of a window's carried open partial and
+        # its re-derived row (the reference sample replays into it), the
+        # latest ``last_ts`` wins alone — adding them double-counts
+        gauge = all_rows["kind"].to_numpy() == KIND_GAUGE
+        dup = (all_rows[gauge].sort_values("last_ts", kind="stable")
+               .duplicated(["series_key", "window_start"], keep="last"))
+        all_rows = all_rows.drop(index=dup.index[dup.to_numpy()])
         all_rows = merge_agg(all_rows, window_s)
         all_rows["filled"] = False
         all_rows["stale"] = False
@@ -146,17 +153,10 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
         new_refs = combined
 
     if len(emit):
-        codes, _ = pd.factorize(emit["series_key"].to_numpy(dtype=object))
-        emit = emit.iloc[np.lexsort((emit["window_start"].to_numpy(),
-                                     codes))]
-        packed = pack_series(emit)
-        packed = packed.append_column(
-            "tier", pa.array(np.full(packed.num_rows, tier, dtype=object),
-                             type=pa.string()))
         final = posixpath.join(blocks_parts_dir,
                                f"part-{bucket_id:05d}.parquet")
         if not fsio.exists(final):
-            fsio.write_parquet_atomic(GorillaEncode()(packed), final,
+            fsio.write_parquet_atomic(encode_agg_rows(emit, tier=tier), final,
                                       str(os.getpid()))
     for name, frame in (("refs", new_refs), ("open", opens)):
         f = posixpath.join(state_parts_dir,
@@ -229,9 +229,9 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
     lineage = {"kinds": dict(sorted(kinds.items())), "tier": tier,
                "window_s": window_s, "n_buckets": n_buckets, "seq": seq,
                "finalize": _emit_all,
-               # blocks here are dense, but BLOCK_SCHEMA grew the 'runs'
-               # column — never resume a pre-runs-column epoch store into
-               # a mixed-schema stage (same rationale as epoch_pipeline)
+               # BLOCK_SCHEMA grew the 'runs' column — never resume a
+               # pre-runs-column epoch store into a mixed-schema stage
+               # (same rationale as epoch_pipeline)
                "block_format": "gorilla-columnar-v3-schema-dense-fills"}
     blocks_parts = paths["blocks"] + ".__parts__"
     state_parts = paths["state"] + ".__parts__"

@@ -120,9 +120,10 @@ def _agg_columns() -> list[str]:
 
 
 def _empty_agg_frame() -> pd.DataFrame:
-    from vertex_ray.stages.fill import empty_fill_df
+    from vertex_ray.stages.rollup import empty_agg_df
 
-    return empty_fill_df()
+    return empty_agg_df().assign(filled=pd.Series(dtype=bool),
+                                 stale=pd.Series(dtype=bool))[_agg_columns()]
 
 
 def _agg_frame_from(keys: np.ndarray, ws: np.ndarray, n_buckets: int,
@@ -508,10 +509,15 @@ def _scrape_routed(lines_ds, *, kinds: dict, window_s: int, tier: str,
     rollup kernels vectorized across the bucket's series AND packs +
     encodes the result (normalize output is already bucket-partitioned,
     so no second exchange)."""
-    from vertex_ray.sources.prometheus_text import decode_prometheus_samples
-    from vertex_ray.stages.encode import GorillaEncode
-    from vertex_ray.stages.fill import pack_series
+    from vertex_ray.stages.encode import encode_agg_rows
 
+    fill = None
+    if fill_until_s is not None:
+        # a bad --staleness fails here, before any task runs
+        from vertex_ray.stages.kernel import fill_windows
+
+        fill_windows(staleness_s, window_s)
+        fill = (window_s, fill_until_s, staleness_s)
     parsed = _scrape_parse_ds(lines_ds, kinds=kinds, n_buckets=n_buckets,
                               default_ts_ms=default_ts_ms,
                               untyped_fallback=untyped_fallback,
@@ -523,31 +529,10 @@ def _scrape_routed(lines_ds, *, kinds: dict, window_s: int, tier: str,
         frames = [f for f in frames if len(f)]
         rows = (pd.concat(frames, ignore_index=True) if frames
                 else _empty_agg_frame())
-        if fill_until_s is not None:
-            # exporter-TTL staleness (LOCF fills + one stale marker per
-            # expired series), fused in the same bucket task; output is
-            # already per-series sorted
-            from vertex_ray.stages.fill import fill_bucket_df
-
-            rows = fill_bucket_df(
-                rows, window_s,
-                global_end_window=fill_until_s // window_s * window_s,
-                horizon_seconds=staleness_s)
-        else:
-            # contiguous-per-series order for pack_series via integer
-            # codes (cross-series order is irrelevant — one block row
-            # per series)
-            codes, _ = pd.factorize(
-                rows["series_key"].to_numpy(dtype=object))
-            rows = rows.iloc[np.lexsort((rows["window_start"].to_numpy(),
-                                         codes))]
-        packed = pack_series(rows)
-        packed = packed.append_column(
-            "tier", pa.array(np.full(packed.num_rows, tier, dtype=object),
-                             type=pa.string()))
-        # encode fused into the group task (the flagship
-        # fused_bucket_group pattern) — no separate actor-pool stage
-        return GorillaEncode()(packed)
+        # exporter-TTL staleness (fill: LOCF run codes + one stale
+        # marker per expired series) and the Gorilla encode run in the
+        # same bucket task — no separate actor-pool stage
+        return encode_agg_rows(rows, tier=tier, fill=fill)
 
     return (parsed.groupby("bucket")
             .map_groups(normalize_pack_encode, batch_format="pandas"))

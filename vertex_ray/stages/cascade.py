@@ -14,8 +14,10 @@ Shape: the store is already hash-partitioned by ``bucket`` (a series'
 whole history lives in one bucket), so the WHOLE cascade is one
 ``groupby(bucket)`` exchange: decode the bucket's source-tier blocks,
 merge 1m→5m→1h→1d successively (each coarser tier consumes the
-previous tier's aggregate rows, never the raw points again), pack +
-Gorilla-encode each tier inside the same task.
+previous tier's aggregate rows, never the raw points again), and encode
+each tier through the one block writer (stages/encode.encode_agg_rows)
+inside the same task. Coarser tiers are not gap-filled, so their rows
+carry neither a runs nor a flags section.
 
 ``last_ts`` note: block rows do not persist per-point observation
 timestamps, so the gauge last-write tie-break uses the window start —
@@ -26,10 +28,9 @@ the store can represent.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from vertex_ray.schema import TIER_SECONDS, US_PER_SECOND
+from vertex_ray.schema import BLOCK_SCHEMA, TIER_SECONDS, US_PER_SECOND
 
 __all__ = ["cascade_blocks", "cascade_store"]
 
@@ -39,7 +40,7 @@ def cascade_blocks(blocks_ds, *, tiers=("5m", "1h", "1d"),
                    tier_seconds: dict | None = None):
     """Source-tier block rows → block rows for every tier in ``tiers``
     (ascending window sizes), one groupby(bucket) exchange total."""
-    from vertex_ray.stages.encode import decode_blocks_batch
+    from vertex_ray.stages.encode import decode_blocks_batch, encode_agg_rows
     from vertex_ray.stages.rollup import merge_agg
 
     secs = dict(tier_seconds or TIER_SECONDS)
@@ -62,7 +63,7 @@ def cascade_blocks(blocks_ds, *, tiers=("5m", "1h", "1d"),
             # markers never feed coarser tiers (FIXTURES §F5)
             flat = flat[~(flat["filled"] | flat["stale"])]
         if len(flat) == 0:
-            return _encode_tier(None, order[0][0])
+            return BLOCK_SCHEMA.empty_table()
         flat = flat.copy()
         flat["bucket"] = np.int32(g["bucket"][0].as_py())
         flat["last_ts"] = flat["window_start"].to_numpy() * US_PER_SECOND
@@ -70,31 +71,11 @@ def cascade_blocks(blocks_ds, *, tiers=("5m", "1h", "1d"),
         cur = flat
         for tier_name, tier_s in order:
             cur = merge_agg(cur, tier_s)
-            out.append(_encode_tier(cur, tier_name))
+            out.append(encode_agg_rows(cur, tier=tier_name))
         return pa.concat_tables(out)
 
     return blocks_ds.groupby("bucket").map_groups(body,
                                                   batch_format="pyarrow")
-
-
-def _encode_tier(rows, tier_name: str) -> pa.Table:
-    from vertex_ray.stages.encode import GorillaEncode
-    from vertex_ray.stages.fill import empty_fill_df, pack_series
-
-    if rows is None or len(rows) == 0:
-        empty = pack_series(empty_fill_df()).append_column(
-            "tier", pa.array([], type=pa.string()))
-        return GorillaEncode()(empty)
-    rows = rows.copy()
-    rows["filled"] = False
-    rows["stale"] = False
-    codes, _ = pd.factorize(rows["series_key"].to_numpy(dtype=object))
-    rows = rows.iloc[np.lexsort((rows["window_start"].to_numpy(), codes))]
-    packed = pack_series(rows)
-    packed = packed.append_column(
-        "tier", pa.array(np.full(packed.num_rows, tier_name, dtype=object),
-                         type=pa.string()))
-    return GorillaEncode()(packed)
 
 
 def cascade_store(src_dir: str, dst_dir: str, *, tiers=("5m", "1h", "1d"),

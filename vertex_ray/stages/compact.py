@@ -10,22 +10,24 @@ contiguous blocks.
 
 Shape: ONE ``groupby(bucket)`` exchange over block rows (the store's own
 partitioning key, so a series' blocks across epochs colocate by
-construction — bucket is a pure hash of series_key). The group body is
-the same decode → sort → pack → encode machinery the pipelines use, so
-the output block rows are byte-compatible with the store and decode to
-the exact same points (bit-for-bit; stale-NaN payloads re-stamped by
-``pack_series``).
+construction — bucket is a pure hash of series_key). The group body
+decodes and hands the points to the one block writer
+(stages/encode.encode_agg_rows), which sorts them, folds the fills an
+epoch carried as stored points back into run codes and re-stamps the
+stale-NaN payload of markers that stay stored. The output keeps the
+run-coded layout, decodes to the exact same points (bit-for-bit), and a
+compacted epoch store is byte-identical per (tier, series) to the
+one-shot store.
 
 ``max_block_windows`` caps points per output block: a series longer than
 the cap is split into consecutive chunks (multiple blocks per series is
-already a store invariant, e.g. the epoch layout itself). At unbounded
-retention this keeps single blocks bounded regardless of series age.
+already a store invariant, e.g. the epoch layout itself); fills never
+fold across a chunk boundary. At unbounded retention this keeps single
+blocks bounded regardless of series age.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -40,40 +42,14 @@ def compact_blocks(blocks_ds, *, max_block_windows: int = 1 << 20,
     compacted store no longer needs the tombstone file (the caller
     clears it after committing — the CleanTombstones step). A series
     whose every point is tombstoned simply emits no block."""
-    from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
-    from vertex_ray.stages.fill import pack_series
+    from vertex_ray.stages.encode import decode_blocks_points, encode_agg_rows
     from vertex_ray.state.tombstones import filter_points
 
     stones = list(tombstones or [])
 
     def compact_group(g: pa.Table) -> pa.Table:
-        flat = filter_points(decode_blocks_batch(g), stones).to_pandas()
-        # decoded rows drop the partition key; it is constant per group
-        flat["bucket"] = np.int32(g["bucket"][0].as_py())
-        flat = flat.sort_values(["tier", "series_key", "window_start"],
-                                kind="stable").reset_index(drop=True)
-        # chunk index within each (tier, series): rows beyond the cap
-        # start a new block
-        sk = flat["series_key"].to_numpy(dtype=object)
-        tr = flat["tier"].to_numpy(dtype=object)
-        new = np.ones(len(flat), dtype=bool)
-        new[1:] = (sk[1:] != sk[:-1]) | (tr[1:] != tr[:-1])
-        first = np.flatnonzero(new)
-        seg = np.cumsum(new) - 1
-        pos = np.arange(len(flat)) - first[seg]
-        flat["__chunk"] = pos // max_block_windows
-        enc = GorillaEncode()
-        outs = []
-        for (tier, _c), gg in flat.groupby(["tier", "__chunk"], sort=True):
-            packed = pack_series(gg.drop(columns=["tier", "__chunk"]))
-            packed = packed.append_column(
-                "tier", pa.array(np.full(packed.num_rows, tier,
-                                         dtype=object), type=pa.string()))
-            outs.append(enc(packed))
-        if not outs:  # every point of this bucket was tombstoned
-            from vertex_ray.schema import BLOCK_SCHEMA
-            return BLOCK_SCHEMA.empty_table()
-        return pa.concat_tables(outs)
+        return encode_agg_rows(filter_points(decode_blocks_points(g), stones),
+                               max_block_windows=max_block_windows)
 
     return blocks_ds.groupby("bucket").map_groups(
         compact_group, batch_format="pyarrow")

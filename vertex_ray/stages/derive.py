@@ -29,7 +29,6 @@ from vertex_ray.schema import (
     KIND_GAUGE,
     KIND_HISTOGRAM,
     KIND_SUM,
-    POINTS_SCHEMA,
     ROLES,
     TOOLS,
 )
@@ -237,36 +236,3 @@ def derive_points_arrays(
         k: np.concatenate([b[k] for b in blocks])
         for k in blocks[0]
     }
-
-
-def derive_points_batch(batch: pa.Table) -> pa.Table:
-    """map_batches body: transcript rows → points table (POINTS_SCHEMA).
-
-    Correct for latency only when the batch is conversation-contiguous and
-    sorted (see module docstring); the flagship pipeline instead derives
-    inside the bucket group where that invariant holds.
-    """
-    order = pa.compute.sort_indices(
-        batch, sort_keys=[("conv_id", "ascending"), ("turn_idx", "ascending")]
-    )
-    batch = batch.take(order)
-    cols = derive_points_arrays(
-        batch["conv_id"].to_numpy(zero_copy_only=False),
-        batch["turn_idx"].to_numpy(zero_copy_only=False),
-        batch["role"].to_numpy(zero_copy_only=False),
-        batch["tool"].to_numpy(zero_copy_only=False),
-        batch["ts"].cast("int64").to_numpy(),
-    )
-    return pa.table(
-        {
-            "series_key": pa.array(cols["series_key"], type=pa.string()),
-            "name": pa.array(cols["name"], type=pa.string()),
-            "conv_id": pa.array(cols["conv_id"], type=pa.string()),
-            "role": pa.array(cols["role"], type=pa.string()),
-            "tool": pa.array(cols["tool"], type=pa.string()),
-            "ts": pa.array(cols["ts"], type=pa.timestamp("us")),
-            "kind": pa.array(cols["kind"], type=pa.uint8()),
-            "value": pa.array(cols["value"], type=pa.float64()),
-        },
-        schema=POINTS_SCHEMA,
-    )

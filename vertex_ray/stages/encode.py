@@ -1,11 +1,20 @@
-"""Gorilla encode/decode stages.
+"""Gorilla block writer and decoder.
 
-``GorillaEncode`` is the canonical stateful actor-pool stage (the geoip
-pattern, src/transforms/geoip.rs:85-91 — resource acquired once per
-actor in ``__init__``, reused per batch): pass the CLASS to
-``map_batches(GorillaEncode, batch_format="pyarrow", concurrency=N)``.
-Input rows are per-series arrays (stages/fill.pack_series), so batches
-never split a series and the stage needs no shuffle of its own.
+``encode_agg_rows`` is THE block writer: every store-writing path that
+starts from agg rows (scrape, incremental scrape, cascade, record rules,
+span rollups, compaction, retention) calls it. It sorts by (tier,
+series, window) on integer codes, computes run codes (``fill_runs`` when
+the caller gap-fills, or folds already-materialised fills back into
+codes, stages/fill.fold_fills), packs with ``pack_rows`` and encodes with
+``GorillaEncode``. The flagship and epoch kernels pack through the same
+``pack_rows`` (stages/kernel.pack_arrays_virtual) and encode with
+``GorillaEncode``.
+
+``GorillaEncode`` is a stateful-actor-shaped stage (the geoip pattern,
+src/transforms/geoip.rs:85-91): pass the CLASS to
+``map_batches(GorillaEncode, batch_format="pyarrow", concurrency=N)``
+or call an instance on one packed table. Input rows are per-series
+arrays, so batches never split a series.
 
 One block layout: a row's streams hold its STORED points, plus two
 optional sections.
@@ -13,15 +22,15 @@ optional sections.
 - ``runs``: ``[window_seconds: u32 LE][one u16 LE code per stored
   point]``, code = ``n_fill | stale << 15`` — the LOCF fill windows and
   stale marker that follow the point (stages/kernel.fill_runs), rebuilt
-  bit-for-bit at decode (stages/fill.expand_runs_*). Written for packed
-  input with a ``runs`` column (kernel.pack_arrays_virtual). Fills are
-  ~58% of all points at the default staleness horizon; keeping them out
-  of the streams halves the stage's memory traffic.
-- ``flags``: 2 bits per stored point (1 = filled, 2 = stale), for stored
-  points that are themselves fills or stale markers. Written for every
-  row of packed input without runs (fill.pack_series / the retention
-  repack: every point materialized) and, with runs, only for rows that
-  hold a flagged point (an epoch's carried fills). Otherwise ``b""``.
+  bit-for-bit at decode (stages/fill.expand_runs_*). Written exactly on
+  the rows of a gap-filled tier: packed input whose ``window_seconds``
+  is > 0. Rows of tiers without fills (scrape without staleness,
+  cascade, record rules, span rollups) carry ``b""``.
+- ``flags``: 2 bits per stored point (1 = filled, 2 = stale). Written
+  only on a row that holds a flagged stored point — a fill whose real
+  source lies outside the row (an epoch's carried fills, a retention
+  cut, a source block without runs) — whatever the layout. Otherwise
+  ``b""``.
 
 A row without a runs section decodes as zero codes; one without a flags
 section as all-real points. ``n_points`` is always the EXPANDED total,
@@ -47,7 +56,9 @@ from vertex_ray.schema import (
     BLOCK_SCHEMA,
     BUCKET_COLS,
     KIND_HISTOGRAM,
+    N_BUCKETS,
     SCALAR_STREAMS,
+    STALE_NAN_BITS,
 )
 
 # the on-disk value-stream order is schema.SCALAR_STREAMS — aliased here
@@ -58,11 +69,6 @@ _SCALARS = SCALAR_STREAMS
 class GorillaEncode:
     """Actor-pool stage: per-series array rows (with a ``tier`` column)
     → Gorilla block rows."""
-
-    def __init__(self):
-        # reusable scratch would live here (buffers, tables); the numpy
-        # encoder allocates per call, so there is no per-actor state yet.
-        pass
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -92,6 +98,8 @@ class GorillaEncode:
             block_start = np.zeros(n, dtype=np.int64)
             block_end = np.zeros(n, dtype=np.int64)
 
+        runs_col = [b""] * n
+        n_points = counts.astype(np.int32)
         if virtual:
             from vertex_ray.stages.fill import RUN_FILL_MASK, RUN_STALE_SHIFT
 
@@ -115,23 +123,19 @@ class GorillaEncode:
             runs_col = [
                 (struct.pack("<I", int(ws_series[i]))
                  + raw[2 * int(ws_off[i]): 2 * int(ws_off[i + 1])])
-                if counts[i] > 0 else b""
+                if counts[i] > 0 and ws_series[i] > 0 else b""
                 for i in range(n)
             ]
-        else:
-            runs_col = [b""] * n
-            n_points = counts.astype(np.int32)
         flag_blocks = [b""] * n
         if "flags" in batch.schema.names:
             fl_off, fl_val = flat("flags")
-            flag_blocks = encode_flags_multi(fl_val, fl_off)
-            if virtual:
-                # rows of real points alone keep b"" (one-shot bytes)
-                nz = np.zeros(len(fl_val) + 1, dtype=np.int64)
-                np.cumsum(fl_val != 0, out=nz[1:])
-                flagged = nz[fl_off[1:]] > nz[fl_off[:-1]]
-                flag_blocks = [b if f else b""
-                               for b, f in zip(flag_blocks, flagged)]
+            # a flags section only on rows holding a flagged point
+            nz = np.zeros(len(fl_val) + 1, dtype=np.int64)
+            np.cumsum(fl_val != 0, out=nz[1:])
+            flagged = nz[fl_off[1:]] > nz[fl_off[:-1]]
+            flag_blocks = [b if f else b""
+                           for b, f in zip(encode_flags_multi(fl_val, fl_off),
+                                           flagged)]
 
         ts_blocks = encode_timestamps_multi(ws_val, ws_off)
         scalar_blocks = encode_values_multi_shared(
@@ -151,8 +155,9 @@ class GorillaEncode:
                 per_bucket = encode_values_multi_shared(
                     [flat(f"vals_{b}")[1] for b in BUCKET_COLS], sub_off)
             else:
-                # dense per-point layout (fill.pack_series): gather the
-                # histogram rows' points out of the full streams
+                # dense per-point layout (fill.pack_series / expand_packed
+                # output, which only tests feed in to build legacy-layout
+                # blocks): gather the histogram rows' points
                 el_mask = np.repeat(hist, counts)
                 per_bucket = encode_values_multi_shared(
                     [flat(f"vals_{b}")[1][el_mask] for b in BUCKET_COLS],
@@ -184,34 +189,144 @@ class GorillaEncode:
         )
 
 
-def decode_block_row(row: dict) -> dict[str, np.ndarray]:
-    """One block row → decoded parallel arrays (bit-for-bit). Handles both
-    dense and virtual-fill blocks via the batch decoder."""
-    t = pa.table({
-        k: pa.array([row[k]]) for k in
-        ("series_key", "name", "kind", "tier", "n_points", "ts_block",
-         "val_blocks", "flags", "runs")
-        if k in row
-    })
-    counts, streams = decode_blocks_flat(t)
-    n = int(counts[0])
-    out = {
-        "series_key": np.full(n, row["series_key"], dtype=object),
-        "name": np.full(n, row["name"], dtype=object),
-        "kind": np.full(n, row["kind"], dtype=np.uint8),
-        "window_start": streams["window_start"],
-        "filled": (streams["flags"] & 1).astype(bool),
-        "stale": ((streams["flags"] >> 1) & 1).astype(bool),
-        "sum": streams["sum"],
-        "count": streams["count"],
-        "min": streams["min"],
-        "max": streams["max"],
-        "last": streams["last"],
+def pack_rows(meta: dict, offsets: np.ndarray, pts: dict, codes: np.ndarray,
+              window_seconds: np.ndarray,
+              flags: np.ndarray | None = None) -> pa.Table:
+    """The packing core: stored points sorted by (row, window) → the
+    per-row list layout ``GorillaEncode`` reads. ``meta``: per-row Arrow
+    identity columns (bucket, series_key, name, kind[, tier]); ``pts``:
+    per-point ``window``, scalar streams and ``buckets``, a SPARSE matrix
+    over the histogram rows' points (the kernel's AggArrays form);
+    ``codes``: run codes; ``window_seconds``: per row, 0 = no runs
+    section; ``flags`` (1 = filled, 2 = stale, values stale-stamped)
+    adds a ``flags`` column."""
+    offsets = np.asarray(offsets, dtype=np.int32)
+
+    def lst(values, typ):
+        return pa.ListArray.from_arrays(offsets, pa.array(values, type=typ))
+
+    out = {k: meta[k] for k in ("bucket", "series_key", "name", "kind")}
+    out["window_starts"] = lst(pts["window"], pa.int64())
+    for s in _SCALARS:
+        out[f"vals_{s}"] = lst(
+            np.ascontiguousarray(pts[s], dtype=np.float64), pa.float64())
+    kinds = meta["kind"].to_numpy(zero_copy_only=False)
+    counts_b = np.where(kinds == KIND_HISTOGRAM, np.diff(offsets), 0)
+    offs_b = np.zeros(len(counts_b) + 1, dtype=np.int32)
+    np.cumsum(counts_b, out=offs_b[1:])
+    b = pts["buckets"]
+    for j in range(N_BUCKETS):
+        out[f"vals_b{j:02d}"] = pa.ListArray.from_arrays(
+            offs_b, pa.array(b[:, j].astype(np.float64), type=pa.float64()))
+    if flags is not None:
+        out["flags"] = lst(np.asarray(flags, dtype=np.uint8), pa.uint8())
+    out["runs"] = lst(np.asarray(codes, dtype=np.uint16), pa.uint16())
+    out["window_seconds"] = pa.array(
+        np.asarray(window_seconds, dtype=np.int32))
+    out.update({k: v for k, v in meta.items() if k not in out})
+    return pa.table(out)
+
+
+def pack_agg_rows(rows, *, tier: str | None = None,
+                  fill: tuple[int, int, int] | None = None,
+                  max_block_windows: int | None = None) -> pa.Table:
+    """Agg rows (Arrow table or pandas DataFrame) → packed block rows,
+    one per (tier, series), or per ``max_block_windows`` chunk of it.
+
+    Columns: bucket, series_key, name, kind, window_start, the scalar
+    streams, optionally the bucket columns, ``tier`` (unless passed as
+    ``tier``), ``filled``/``stale`` and a per-point ``window_seconds``
+    (its source row's runs header, 0 for none: decode_blocks_points).
+    ``fill`` = ``(window_seconds, until_s, horizon_seconds)`` gap-fills
+    real rows of one tier: the run codes come from ``kernel.fill_runs``.
+    Without it, flagged points fold back into the code of the real point
+    heading their chain (fill.fold_fills) and the rest stay stored,
+    stale-stamped. A row gets a runs section exactly when its tier is
+    gap-filled: ``fill`` is given or its source points carry a window
+    size."""
+    from vertex_ray.stages.fill import fold_fills
+    from vertex_ray.stages.kernel import fill_runs
+
+    if not isinstance(rows, pa.Table):
+        rows = pa.Table.from_pandas(rows, preserve_index=False)
+    rows = rows.combine_chunks()
+    n = rows.num_rows
+
+    def col(name, dtype, ix=slice(None)):
+        return rows[name].to_numpy()[ix].astype(dtype, copy=False)
+
+    def factorize(name):  # first-appearance integer codes + uniques
+        d = rows[name].chunk(0).dictionary_encode()
+        return d.indices.to_numpy(), d.dictionary
+
+    sk, sk_uniq = factorize("series_key")
+    tr, tr_uniq = (factorize("tier") if tier is None
+                   else (np.zeros(n, np.int32), pa.array([tier])))
+    w = col("window_start", np.int64)
+    order = np.lexsort((w, sk, tr))
+    w, sk, tr = w[order], sk[order], tr[order]
+    new_row = np.ones(n, dtype=bool)
+    new_row[1:] = (sk[1:] != sk[:-1]) | (tr[1:] != tr[:-1])
+    if max_block_windows:
+        pos = np.arange(n) - np.maximum.accumulate(
+            np.where(new_row, np.arange(n), 0))
+        new_row |= pos % max_block_windows == 0
+    first = np.flatnonzero(new_row)
+    row_of = np.cumsum(new_row) - 1
+
+    flags = np.zeros(n, dtype=np.uint8)
+    if "filled" in rows.column_names:
+        flags = (col("filled", np.uint8) | col("stale", np.uint8) << 1)[order]
+    if "window_seconds" in rows.column_names:
+        ws_pt = col("window_seconds", np.int64)[order]
+    else:
+        ws_pt = np.full(n, fill[0] if fill else 0)
+    ws_row = np.maximum.reduceat(ws_pt, first) if n else ws_pt
+    if fill:
+        window_seconds, until_s, horizon_seconds = fill
+        stored = np.ones(n, dtype=bool)
+        codes = fill_runs({"uid": row_of, "window": w}, window_seconds,
+                          until_s // window_seconds * window_seconds,
+                          horizon_seconds)
+    else:
+        stored, codes = fold_fills(w, flags, ws_pt, new_row)
+    src, flags = order[stored], flags[stored]
+    counts = np.bincount(row_of[stored], minlength=len(first))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+
+    kinds = col("kind", np.uint8, order[first])
+    meta = {
+        "bucket": pa.array(col("bucket", np.int32, order[first])),
+        "series_key": sk_uniq.take(pa.array(sk[first])),
+        "name": rows["name"].take(pa.array(order[first])),
+        "kind": pa.array(kinds, type=pa.uint8()),
+        "tier": tr_uniq.take(pa.array(tr[first])),
     }
-    if row["kind"] == KIND_HISTOGRAM:
-        for b in BUCKET_COLS:
-            out[b] = streams["buckets"][b]
-    return out
+    pts = {"window": w[stored]}
+    for s in _SCALARS:
+        pts[s] = v = col(s, np.float64, src)
+        if s != "count":
+            # a pandas hop may canonicalise NaN payloads: stored stale
+            # markers get the Prometheus stale payload back, bit-exact
+            v.view(np.uint64)[flags == 2] = STALE_NAN_BITS
+    hist = src[np.repeat(kinds == KIND_HISTOGRAM, counts)]
+    pts["buckets"] = (
+        np.column_stack([col(b, np.float64, hist) for b in BUCKET_COLS])
+        if BUCKET_COLS[0] in rows.column_names
+        else np.zeros((len(hist), N_BUCKETS)))
+    return pack_rows(meta, offsets, pts, codes, ws_row,
+                     flags if flags.any() else None)
+
+
+def encode_agg_rows(rows, *, tier: str | None = None,
+                    fill: tuple[int, int, int] | None = None,
+                    max_block_windows: int | None = None) -> pa.Table:
+    """THE block writer: agg rows → Gorilla block rows (BLOCK_SCHEMA):
+    ``pack_agg_rows`` (sort, run codes, pack), then ``GorillaEncode``."""
+    if len(rows) == 0:
+        return BLOCK_SCHEMA.empty_table()
+    return GorillaEncode()(pack_agg_rows(
+        rows, tier=tier, fill=fill, max_block_windows=max_block_windows))
 
 
 def _parse_runs(batch: pa.Table, n_points: np.ndarray):
@@ -331,6 +446,7 @@ def decode_blocks_flat(batch: pa.Table):
                 col[el_hist] = bucket_real[b_col]
             buckets[b_col] = col
         streams = {"window_start": ws, "flags": flags, "buckets": buckets,
+                   "window_seconds": np.zeros(n_rows, dtype=np.int64),
                    **scalars}
         return counts, streams
 
@@ -373,6 +489,7 @@ def decode_blocks_flat(batch: pa.Table):
         "last": exp["last"],
         "flags": exp["flags"],
         "buckets": buckets,
+        "window_seconds": ws_row,
     }
     return counts, streams
 
@@ -380,6 +497,18 @@ def decode_blocks_flat(batch: pa.Table):
 def decode_blocks_batch(batch: pa.Table) -> pa.Table:
     """map_batches body: block rows → decoded tier rows (verification and
     read path), virtual fills expanded bit-for-bit."""
+    return _decoded_table(batch, source=False)
+
+
+def decode_blocks_points(batch: pa.Table) -> pa.Table:
+    """Block rows → decoded tier rows plus each point's ``bucket`` and
+    its source row's ``window_seconds`` (0 when the row had no runs
+    section): the input of ``encode_agg_rows`` for a rewrite that
+    decodes a store (compaction, retention)."""
+    return _decoded_table(batch, source=True)
+
+
+def _decoded_table(batch: pa.Table, source: bool) -> pa.Table:
     n_rows = batch.num_rows
     if n_rows == 0:
         return pa.table({})
@@ -389,7 +518,8 @@ def decode_blocks_batch(batch: pa.Table) -> pa.Table:
         return pa.table({})
     batch = batch.combine_chunks()
     row_ix = pa.array(np.repeat(np.arange(n_rows, dtype=np.int64), counts))
-    out = {
+    out = {"bucket": batch["bucket"].take(row_ix)} if source else {}
+    out.update({
         "series_key": batch["series_key"].take(row_ix),
         "name": batch["name"].take(row_ix),
         "kind": batch["kind"].take(row_ix),
@@ -399,7 +529,7 @@ def decode_blocks_batch(batch: pa.Table) -> pa.Table:
         "min": pa.array(streams["min"], type=pa.float64()),
         "max": pa.array(streams["max"], type=pa.float64()),
         "last": pa.array(streams["last"], type=pa.float64()),
-    }
+    })
     if "tier" in batch.schema.names:
         out["tier"] = batch["tier"].take(row_ix)
     for b_col in BUCKET_COLS:
@@ -408,4 +538,7 @@ def decode_blocks_batch(batch: pa.Table) -> pa.Table:
     flags = streams["flags"]
     out["filled"] = pa.array((flags & 1).astype(bool))
     out["stale"] = pa.array(((flags >> 1) & 1).astype(bool))
+    if source:
+        out["window_seconds"] = pa.array(
+            np.repeat(streams["window_seconds"], counts))
     return pa.table(out)

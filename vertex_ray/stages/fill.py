@@ -18,9 +18,13 @@ Fill rows are flagged ``filled``; stale rows ``stale``. The tier cascade
 consumes only real rows — fills and stale markers never feed coarser
 tiers (a coarser window containing only markers stays a gap).
 
-Runs inside the bucket group (all windows of a series are co-located by
-the conv-hash bucket), fully vectorized with np.repeat — no per-series
-Python loop.
+Writers never materialise fills: they store one run code per real row
+(stages/kernel.fill_runs, stages/encode.encode_agg_rows), and
+``expand_runs_*`` below rebuild the dense rows bit-for-bit at read;
+``fold_fills`` is the inverse, for rewrites that decode a store.
+``fill_bucket_df`` and ``pack_series`` (the materialised fill rows and
+their dense packing) are the readable spec that tests compare the run
+codes against; no production path calls them.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ FILL_COLS = AGG_COLS + ["filled", "stale"]
 
 
 def empty_fill_df() -> pd.DataFrame:
-    """Typed empty agg+fill frame (FILL_COLS) — the ONE canonical empty
-    for group bodies that feed pack_series (scrape ingest, cascade)."""
+    """Typed empty agg+fill frame (FILL_COLS) for the spec above."""
     from vertex_ray.stages.rollup import empty_agg_df
 
     df = empty_agg_df()
@@ -60,7 +63,8 @@ def fill_bucket_df(
     global_end_window: int,
     horizon_seconds: int = STALENESS_SECONDS,
 ) -> pd.DataFrame:
-    """Insert LOCF fill rows and stale markers for one bucket's agg rows."""
+    """Insert LOCF fill rows and stale markers for one bucket's agg rows
+    (the materialised spec of kernel.fill_runs; test-only)."""
     if len(df) == 0:
         out = df.copy()
         out["filled"] = pd.Series(dtype=bool)
@@ -278,6 +282,38 @@ def expand_runs_carry(vals: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def fold_fills(w: np.ndarray, flags: np.ndarray, ws: np.ndarray,
+               new_row: np.ndarray):
+    """Inverse of ``expand_runs_*``: fold materialised fills and stale
+    markers back into run codes. Points are sorted by (row, window);
+    ``flags`` per point (1 = filled, 2 = stale), ``ws`` per point the
+    window seconds of its SOURCE row (0 = unknown: the point stays
+    stored), ``new_row`` marks each output row's first point.
+
+    A flagged point folds into the code of the real point heading its
+    chain when it sits in the same row, its window is the previous
+    point's + ``ws``, the previous point is not stale, and the chain
+    head is real; a chain over the code's 32,767 fills folds nowhere.
+    Everything else stays a stored point with code 0 (the carried-fill
+    form). Returns ``(stored mask, codes of the stored points)``."""
+    n = len(w)
+    fl = np.asarray(flags, dtype=np.uint8)
+    link = np.zeros(n, dtype=bool)
+    link[1:] = (~new_row[1:] & ((fl[1:] == 1) | (fl[1:] == 2))
+                & (ws[1:] > 0) & (w[1:] == w[:-1] + ws[1:]) & (fl[:-1] != 2))
+    head = np.maximum.accumulate(np.where(link, 0, np.arange(n)))
+    fold = link & (fl[head] == 0)
+    n_fill = np.bincount(head[fold & (fl == 1)], minlength=n)
+    stale = np.bincount(head[fold & (fl == 2)], minlength=n)
+    too_long = n_fill > int(RUN_FILL_MASK)
+    if too_long.any():
+        fold &= ~too_long[head]
+        n_fill[too_long] = stale[too_long] = 0
+    codes = n_fill.astype(np.uint16) | (stale.astype(np.uint16)
+                                        << RUN_STALE_SHIFT)
+    return ~fold, codes[~fold]
+
+
 def expanded_counts(counts: np.ndarray, codes: np.ndarray,
                     offsets: np.ndarray) -> np.ndarray:
     """Per-series point counts after expansion (counts + Σ extra per
@@ -386,8 +422,9 @@ def expand_packed(batch: pa.Table) -> pa.Table:
 
 def pack_series(df: pd.DataFrame) -> pa.Table:
     """Filled agg rows (one bucket, sorted by series_key/window) → one row
-    per series with parallel list columns, ready for the Gorilla actor
-    stage. Built from group offsets — no per-series Python loop."""
+    per series with parallel dense list columns: the spec layout the
+    writers' run-coded packing (encode.pack_rows) is tested against;
+    no production path calls it."""
     cols = {
         "bucket": pa.int32(),
         "series_key": pa.string(),

@@ -1,9 +1,10 @@
 """Integer-coded numpy bucket kernel — the hot path of the flagship
 pipeline.
 
-The first implementation (stages/rollup + stages/fill, kept for tests and
-as the readable spec) derives per-point series-key STRINGS and aggregates
-with pandas groupby over object columns. Under 32-way parallelism that is
+The first implementation (stages/rollup, plus the fill spec
+stages/fill.fill_bucket_df + pack_series, now test-only) derives
+per-point series-key STRINGS and aggregates with pandas groupby over
+object columns. Under 32-way parallelism that is
 memory-bandwidth-bound (~94µs/turn measured). This kernel computes the
 identical result (bit-for-bit, property-tested against the pandas path)
 entirely on int64/float64 numpy arrays:
@@ -41,6 +42,7 @@ from vertex_ray.schema import (
     TOOLS,
     US_PER_SECOND,
 )
+from vertex_ray.stages.encode import pack_rows
 
 METRIC_NAMES = (
     "turns_total",
@@ -205,14 +207,29 @@ def merge_agg_arrays(agg: AggArrays, window_seconds: int, presorted=True) -> Agg
     return out
 
 
+def fill_windows(horizon_seconds: int, window_seconds: int) -> int:
+    """LOCF fill windows per gap; ValueError when a run code cannot hold
+    them (over 32,767)."""
+    from vertex_ray.stages.fill import RUN_FILL_MASK
+
+    hw = horizon_seconds // window_seconds
+    if hw > int(RUN_FILL_MASK):
+        raise ValueError(
+            f"fill_runs: horizon {horizon_seconds}s / window "
+            f"{window_seconds}s = {hw} fill windows exceeds the uint16 "
+            "run-code range"
+        )
+    return hw
+
+
 def fill_runs(
     agg: AggArrays,
     window_seconds: int,
     global_end_window: int,
     horizon_seconds: int = STALENESS_SECONDS,
 ) -> np.ndarray:
-    """VIRTUAL gap-fill + LOCF + stale markers (semantics of
-    stages/fill.fill_bucket_df, §F5) in run-length form.
+    """VIRTUAL gap-fill + LOCF + stale markers (semantics of the test
+    spec stages/fill.fill_bucket_df, §F5) in run-length form.
 
     Returns one uint16 code per (real) agg row — ``n_fill | stale << 15``
     — describing the LOCF fill windows and optional stale marker that
@@ -227,17 +244,11 @@ def fill_runs(
     the horizon spans more fill windows than a code holds (32,767); the
     pipelines' 300 s horizon is at most 300 windows.
     """
-    from vertex_ray.stages.fill import RUN_FILL_MASK, RUN_STALE_SHIFT
+    from vertex_ray.stages.fill import RUN_STALE_SHIFT
 
     uid, w = agg["uid"], agg["window"]
     n = len(uid)
-    hw = horizon_seconds // window_seconds
-    if hw > int(RUN_FILL_MASK):
-        raise ValueError(
-            f"fill_runs: horizon {horizon_seconds}s / window "
-            f"{window_seconds}s = {hw} fill windows exceeds the uint16 "
-            "run-code range"
-        )
+    hw = fill_windows(horizon_seconds, window_seconds)
     same_next = np.zeros(n, dtype=bool)
     same_next[:-1] = uid[:-1] == uid[1:]
     next_w = np.empty(n, dtype=np.int64)
@@ -258,13 +269,10 @@ def pack_arrays_virtual(
     window_seconds: int,
     flags: np.ndarray | None = None,
 ) -> pa.Table:
-    """Stored rows (sorted by uid, window) → per-series list-column rows
-    (the Arrow schema of stages/fill.pack_series), with the virtual-fill
-    run codes as a ``runs`` list column and the tier's window size as a
-    per-series ``window_seconds`` column (the expansion's self-contained
-    geometry). The ``vals_b*`` bucket streams are SPARSE: non-histogram
-    series get empty lists. The presence of ``runs`` marks the layout
-    for unpack_series / GorillaEncode.
+    """Stored rows (sorted by uid, window) → per-series packed rows:
+    series-key rendering plus the writers' packing core
+    (stages/encode.pack_rows) — run codes as a ``runs`` list column, the
+    tier's window size per series, SPARSE ``vals_b*`` bucket streams.
 
     ``flags`` (uint8 per stored row, 1 = filled, 2 = stale) adds a
     ``flags`` list column: the epoch kernel stores carried fills as
@@ -272,44 +280,15 @@ def pack_arrays_virtual(
     every stored row is real."""
     uid = agg["uid"]
     starts = _segments(uid)
-    offsets = np.concatenate([starts, [len(uid)]]).astype(np.int32)
     keys, names, kinds = render_series_keys(uid[starts], conv_strs)
-
-    def lst(values, typ):
-        return pa.ListArray.from_arrays(offsets, pa.array(values, type=typ))
-
-    out = {
+    meta = {
         "bucket": pa.array(np.full(len(starts), bucket_id, dtype=np.int32)),
         "series_key": pa.array(keys, type=pa.string()),
         "name": pa.array(names, type=pa.string()),
         "kind": pa.array(kinds, type=pa.uint8()),
-        "window_starts": lst(agg["window"], pa.int64()),
-        "vals_sum": lst(np.ascontiguousarray(agg["sum"], dtype=np.float64),
-                        pa.float64()),
-        "vals_count": lst(agg["count"].astype(np.float64), pa.float64()),
-        "vals_min": lst(np.ascontiguousarray(agg["min"], dtype=np.float64),
-                        pa.float64()),
-        "vals_max": lst(np.ascontiguousarray(agg["max"], dtype=np.float64),
-                        pa.float64()),
-        "vals_last": lst(np.ascontiguousarray(agg["last"], dtype=np.float64),
-                         pa.float64()),
     }
-    b = agg["buckets"]
-    counts_series = np.diff(offsets).astype(np.int64)
-    hist_series = (uid[starts] >> _UID_METRIC_SHIFT) == HIST_METRIC \
-        if len(starts) else np.zeros(0, dtype=bool)
-    counts_b = np.where(hist_series, counts_series, 0).astype(np.int32)
-    offs_b = np.zeros(len(counts_b) + 1, dtype=np.int32)
-    np.cumsum(counts_b, out=offs_b[1:])
-    for j in range(N_BUCKETS):
-        out[f"vals_b{j:02d}"] = pa.ListArray.from_arrays(
-            offs_b, pa.array(b[:, j].astype(np.float64), type=pa.float64()))
-    if flags is not None:
-        out["flags"] = lst(np.asarray(flags, dtype=np.uint8), pa.uint8())
-    out["runs"] = lst(np.asarray(run_codes, dtype=np.uint16), pa.uint16())
-    out["window_seconds"] = pa.array(
-        np.full(len(starts), window_seconds, dtype=np.int32))
-    return pa.table(out)
+    return pack_rows(meta, np.concatenate([starts, [len(uid)]]), agg,
+                     run_codes, np.full(len(starts), window_seconds), flags)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ to the READ side: evaluate an aggregation over an existing tier and store
 the result as a first-class metric).
 
 Shape: tier rows → ``label_aggregate`` (combiner + ONE exchange) →
-agg-shaped gauge rows → ONE groupby(bucket) → sort + pack per series →
-Gorilla encode. The derived series count is the label cardinality — tiny
-next to the input — so everything after the first exchange is
+agg-shaped gauge rows → ONE groupby(bucket) whose task runs the one block
+writer (stages/encode.encode_agg_rows: sort, pack, Gorilla encode). The
+derived series count is the label cardinality — tiny next to the
+input — so everything after the first exchange is
 rollup-cardinality work, never raw-row work. The output block rows have
 the exact schema of the flagship block store, so retention GC, the
 PromQL read surface and ``decode_tier_blocks`` work on them unchanged.
@@ -21,7 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from vertex_ray.schema import BUCKET_COLS, KIND_GAUGE
+from vertex_ray.schema import KIND_GAUGE
 
 
 def vector_blocks(vec_ds, *, new_metric: str, tier: str,
@@ -30,7 +31,7 @@ def vector_blocks(vec_ds, *, new_metric: str, tier: str,
     window_start:int64, value:float64)`` — as Gorilla block rows for a
     gauge metric named ``new_metric`` (flagship block-store schema with
     a ``tier`` column): one groupby(bucket) exchange over
-    label-cardinality rows, sort+pack per series, actor-pool encode."""
+    label-cardinality rows, each group encoded by the block writer."""
 
     def to_agg_rows(t: pa.Table) -> pa.Table:
         keys = t["series_key"].to_numpy(zero_copy_only=False)
@@ -51,11 +52,7 @@ def vector_blocks(vec_ds, *, new_metric: str, tier: str,
             "min": pa.array(v),
             "max": pa.array(v),
             "last": pa.array(v),
-            "filled": pa.array(np.zeros(len(v), dtype=bool)),
-            "stale": pa.array(np.zeros(len(v), dtype=bool)),
         }
-        for b in BUCKET_COLS:
-            cols[b] = pa.array(np.zeros(len(v)))
         return pa.table(cols)
 
     rows = vec_ds.map_batches(to_agg_rows, batch_format="pyarrow")
@@ -64,24 +61,14 @@ def vector_blocks(vec_ds, *, new_metric: str, tier: str,
 
 def agg_rows_to_blocks(rows_ds, *, tier: str):
     """Agg-shaped rows (bucket/series_key/name/kind/window_start + scalar
-    and bucket columns + filled/stale) → Gorilla block rows: ONE
-    groupby(bucket) exchange, sort + pack per series, actor-pool encode.
-    The shared tail of every store-writing path (recording rules, scrape
-    ingest)."""
-    from vertex_ray.stages.encode import GorillaEncode
-    from vertex_ray.stages.fill import pack_series
+    and, for histograms, bucket columns) → Gorilla block rows: ONE groupby(bucket)
+    exchange whose task runs the one block writer
+    (stages/encode.encode_agg_rows). The tier is not gap-filled: rows
+    carry neither a runs nor a flags section."""
+    from vertex_ray.stages.encode import encode_agg_rows
 
-    def sort_pack(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["series_key", "window_start"], kind="stable")
-        packed = pack_series(g)
-        return packed.append_column(
-            "tier", pa.array(np.full(packed.num_rows, tier, dtype=object),
-                             type=pa.string()))
-
-    packed = rows_ds.groupby("bucket").map_groups(sort_pack,
-                                                  batch_format="pandas")
-    return packed.map_batches(GorillaEncode, batch_format="pyarrow",
-                              concurrency=(1, 4))
+    return rows_ds.groupby("bucket").map_groups(
+        lambda g: encode_agg_rows(g, tier=tier), batch_format="pyarrow")
 
 
 def _render_by_keys(new_metric: str, label: str):

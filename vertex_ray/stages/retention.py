@@ -20,8 +20,9 @@ Scale design (what happens per block row, cheapest class first):
    byte-identical; never decoded.
 3. **straddling** (``block_start < cutoff <= block_end``) — at most ONE
    block per (series, tier): decoded, windows before the cutoff sliced
-   off, re-encoded through the same ``GorillaEncode`` the pipeline uses
-   (one vectorized pass per batch of straddlers, no per-point loop).
+   off, re-encoded through the one block writer
+   (stages/encode.encode_agg_rows; one vectorized pass per batch of
+   straddlers, no per-point loop), which keeps the run-coded layout.
 
 Tiers without a horizon are retained whole. The output is a committed
 stage (manifest + lineage with the policy and ``now_s``), so reruns are
@@ -35,11 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from vertex_ray.schema import BUCKET_COLS, KIND_HISTOGRAM, SCALAR_STREAMS
-
 __all__ = ["retention_cutoffs", "apply_retention"]
-
-_SCALARS = SCALAR_STREAMS  # the on-disk stream order (format contract)
 
 _MIN64 = np.iinfo(np.int64).min
 
@@ -71,58 +68,23 @@ def retention_cutoffs(horizons: dict[str, int], now_s: int,
 def _rewrite_straddlers(t: pa.Table, cutoffs: dict[str, int],
                         name_cutoffs: dict | None = None) -> pa.Table:
     """Decode (virtual fills expanded) → slice off pre-cutoff windows →
-    re-encode, vectorized over the whole batch of straddling block rows.
-    Straddlers re-encode DENSE: at most one block per (series, tier)
-    crosses the cutoff, so the run-length layout's savings don't matter
-    here and the dense repack keeps this path layout-agnostic."""
-    from vertex_ray.stages.encode import GorillaEncode, decode_blocks_flat
+    re-encode through the one block writer, vectorized over the whole
+    batch of straddling block rows. The writer folds the surviving fills
+    back into run codes, so a run-coded row stays run-coded; fills whose
+    real source was cut off stay stored as flagged points."""
+    from vertex_ray.stages.encode import decode_blocks_points, encode_agg_rows
 
-    # zero-point rows would collapse reduceat segment boundaries below;
-    # they carry nothing to retain either way
-    t = t.filter(pc.greater(t["n_points"], 0)).combine_chunks()
-    n_rows = t.num_rows
-    if n_rows == 0:
-        from vertex_ray.schema import BLOCK_SCHEMA
-
-        return BLOCK_SCHEMA.empty_table()
-    tiers = t["tier"].to_numpy(zero_copy_only=False)
-
-    n_points, streams = decode_blocks_flat(t)
-    ws = streams["window_start"]
-    flags = streams["flags"]
-    scalars = {s: streams[s] for s in _SCALARS}
-    buckets = streams["buckets"]
-
-    row_ix = np.repeat(np.arange(n_rows, dtype=np.int64), n_points)
-    cuts = _row_cuts(t["name"].to_numpy(zero_copy_only=False), tiers,
+    # zero-point rows carry nothing to retain
+    t = t.filter(pc.greater(t["n_points"], 0))
+    if t.num_rows == 0:
+        return encode_agg_rows(t)
+    cuts = _row_cuts(t["name"].to_numpy(zero_copy_only=False),
+                     t["tier"].to_numpy(zero_copy_only=False),
                      cutoffs, name_cutoffs)
-    keep = ws >= cuts[row_ix]
-
-    new_counts = np.add.reduceat(keep.astype(np.int64),
-                                 np.concatenate([[0], np.cumsum(n_points)[:-1]]))
-    live = new_counts > 0
-    offsets = np.zeros(int(live.sum()) + 1, dtype=np.int32)
-    offsets[1:] = np.cumsum(new_counts[live])
-
-    def lst(values: np.ndarray, typ) -> pa.ListArray:
-        return pa.ListArray.from_arrays(offsets, pa.array(values[keep], type=typ))
-
-    live_ix = pa.array(np.flatnonzero(live))
-    packed = {
-        "bucket": t["bucket"].take(live_ix),
-        "series_key": t["series_key"].take(live_ix),
-        "name": t["name"].take(live_ix),
-        "kind": t["kind"].take(live_ix),
-        "window_starts": lst(ws, pa.int64()),
-    }
-    for s in _SCALARS:
-        packed[f"vals_{s}"] = lst(scalars[s], pa.float64())
-    for b_col in BUCKET_COLS:
-        packed[f"vals_{b_col}"] = lst(buckets[b_col], pa.float64())
-    packed["flags"] = lst(flags, pa.uint8())
-    tbl = pa.table(packed).append_column(
-        "tier", t["tier"].take(live_ix))
-    return GorillaEncode()(tbl)
+    pts = decode_blocks_points(t)
+    keep = (pts["window_start"].to_numpy()
+            >= np.repeat(cuts, t["n_points"].to_numpy()))
+    return encode_agg_rows(pts.filter(pa.array(keep)))
 
 
 def retention_pass(t: pa.Table, cutoffs: dict[str, int],

@@ -240,9 +240,9 @@ def span_rollup_store(ds, *, window_s: int = 60, tier: str = "1m",
     (combiner: the series exchange carries series × windows rows, never
     spans) → per-series-bucket ``merge_agg`` (same-window partial merge,
     then each ``cascade`` (tier, seconds) via the standard coarser-tier
-    merge — FIXTURES §F4 contract) → pack + fused GorillaEncode (the
-    flagship fused_bucket_group pattern). Returns encoded block rows
-    (decode with ``decode_tier_blocks``)."""
+    merge — FIXTURES §F4 contract) → the one block writer
+    (stages/encode.encode_agg_rows) in the same task. Returns encoded
+    block rows (decode with ``decode_tier_blocks``)."""
     partials = (
         ds.map_batches(_bucket_stage(n_buckets), batch_format="pyarrow")
         .groupby("bucket")
@@ -254,10 +254,9 @@ def span_rollup_store(ds, *, window_s: int = 60, tier: str = "1m",
 def _merge_pack_encode_ds(partials, window_s: int, tier: str,
                           cascade: tuple):
     """Per-series-bucket merge of windowed partials → tier cascade →
-    pack + fused GorillaEncode (the flagship fused_bucket_group
-    pattern)."""
-    from vertex_ray.stages.encode import GorillaEncode
-    from vertex_ray.stages.fill import pack_series
+    the one block writer (stages/encode.encode_agg_rows), fused into the
+    merge task."""
+    from vertex_ray.stages.encode import encode_agg_rows
     from vertex_ray.stages.rollup import merge_agg
 
     def merge_pack_encode(g: pd.DataFrame) -> pa.Table:
@@ -269,17 +268,8 @@ def _merge_pack_encode_ds(partials, window_s: int, tier: str,
         for i, (tname, seconds) in enumerate(tiers):
             if i > 0:
                 prev = merge_agg(prev, seconds)
-            out = prev.copy()
-            out["filled"] = np.zeros(len(out), bool)
-            out["stale"] = np.zeros(len(out), bool)
-            codes, _ = pd.factorize(out["series_key"].to_numpy(dtype=object))
-            out = out.iloc[np.lexsort((out["window_start"].to_numpy(),
-                                       codes))]
-            packed = pack_series(out)
-            parts.append(packed.append_column(
-                "tier", pa.array(np.full(packed.num_rows, tname,
-                                         dtype=object), type=pa.string())))
-        return GorillaEncode()(pa.concat_tables(parts))
+            parts.append(encode_agg_rows(prev, tier=tname))
+        return pa.concat_tables(parts)
 
     return (partials.groupby("bucket")
             .map_groups(merge_pack_encode, batch_format="pandas"))

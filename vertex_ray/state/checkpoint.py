@@ -38,7 +38,10 @@ def _footer_rows(paths: list[str]) -> list[int]:
 
 def stage_done(path: str) -> bool:
     """A stage is complete iff its manifest exists and matches the files
-    actually present (guards against truncated/partial copies)."""
+    actually present (guards against truncated/partial copies). A
+    corrupt or missing manifest or part means "not done"; any other
+    error (permissions, I/O) propagates instead of silently forcing a
+    recompute."""
     mpath = posixpath.join(path, MANIFEST)
     if not fsio.exists(mpath):
         return False
@@ -49,7 +52,8 @@ def stage_done(path: str) -> bool:
         return all(
             manifest["files"][f]["rows"] == r for f, r in zip(names, rows)
         )
-    except Exception:
+    # ValueError covers json.JSONDecodeError and pyarrow.ArrowInvalid
+    except (FileNotFoundError, KeyError, ValueError):
         return False
 
 
