@@ -3821,6 +3821,15 @@ FROM tok GROUP BY 1, 2
 """
 
 
+def _probe_rows(emb, chunk_ids: list[int]):
+    """The embedding rows of the probe chunks, as pandas (a vectorized
+    ``is_in`` mask per batch)."""
+    ids = pa.array(chunk_ids, pa.int64())
+    return emb.map_batches(
+        lambda t: t.filter(pc.is_in(t["chunk_id"], value_set=ids)),
+        batch_format="pyarrow").to_pandas()
+
+
 def q_rag_pipeline_docs(sf_dir: str):
     """END-TO-END retrieval indexing: chunk documents into 64-token
     windows → hashing-trick embedding per chunk (no model needed) →
@@ -3844,8 +3853,7 @@ def q_rag_pipeline_docs(sf_dir: str):
         chunks.map_batches(add_chunk_id, batch_format="pyarrow"),
         "chunk_text", "chunk_id", dim=128).materialize()
 
-    probe_ids = {1000, 2000, 3000}  # first chunk of docs 1..3
-    probes = emb.filter(lambda r: r["chunk_id"] in probe_ids).to_pandas()
+    probes = _probe_rows(emb, [1000, 2000, 3000])  # first chunk, docs 1..3
     if len(probes) == 0:  # empty corpus → empty result, stable schema
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "rank": pa.array([], pa.int64()),
@@ -3887,8 +3895,7 @@ def q_rag_int_pipeline_docs(sf_dir: str):
         chunks.map_batches(add_chunk_id, batch_format="pyarrow"),
         "chunk_text", "chunk_id", dim=128).materialize()
 
-    probe_ids = {1_000_000, 2_000_000, 3_000_000}  # first chunk, docs 1..3
-    probes = emb.filter(lambda r: r["chunk_id"] in probe_ids).to_pandas()
+    probes = _probe_rows(emb, [1_000_000, 2_000_000, 3_000_000])  # docs 1..3
     if len(probes) == 0:  # empty corpus → empty result, stable schema
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "rank": pa.array([], pa.int64()),

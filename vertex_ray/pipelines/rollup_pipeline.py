@@ -44,7 +44,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from vertex_ray.schema import TIERS
-from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup
+from vertex_ray.stages.derive import PROJECT_COLUMNS
 from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
 from vertex_ray.stages.fill import unpack_series
 from vertex_ray.state.checkpoint import (
@@ -319,12 +319,7 @@ def read_stage_files(files: list[str], tier: str | None = None,
     their LOCF/stale rows rebuilt, so consumers keep seeing the FIXTURES
     §F3 flat contract."""
     kwargs = {} if num_blocks is None else {"override_num_blocks": num_blocks}
-    expr = None
-    if tier is not None:
-        expr = pc.field("tier") == tier
-    if metric is not None:
-        e = pc.field("name") == metric
-        expr = e if expr is None else expr & e
+    expr = _stage_filter(tier, metric)
     if expr is not None:
         kwargs["filter"] = expr
     ds = rd.read_parquet(files, **kwargs)
@@ -333,6 +328,35 @@ def read_stage_files(files: list[str], tier: str | None = None,
             or any(pa.types.is_dictionary(f.type) for f in schema)):
         ds = ds.map_batches(_flat_agg_batch, batch_format="pyarrow")
     return ds
+
+
+def read_block_table(files: list[str], tier: str | None = None,
+                     metric: str | None = None) -> pa.Table:
+    """Block-stage parts → one ``pa.Table`` in the calling process, with
+    ``read_stage_files``' tier / metric-name pushdown (the read façade's
+    small-read path). Parts are read one by one and concatenated with
+    missing columns null, so a store that mixes block layouts reads as
+    Ray Data's per-file blocks do."""
+    from vertex_ray.schema import BLOCK_SCHEMA
+
+    expr = _stage_filter(tier, metric)
+    tables = []
+    for f in files:
+        fs, path = fsio.fs_path(f)
+        tables.append(pq.read_table(path, filesystem=fs, filters=expr))
+    if not tables:
+        return BLOCK_SCHEMA.empty_table()
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def _stage_filter(tier: str | None, metric: str | None):
+    expr = None
+    if tier is not None:
+        expr = pc.field("tier") == tier
+    if metric is not None:
+        e = pc.field("name") == metric
+        expr = e if expr is None else expr & e
+    return expr
 
 
 def _flat_agg_batch(t: pa.Table) -> pa.Table:

@@ -1364,9 +1364,11 @@ def eval_promql(store, expr: str, value_col: str = "count",
 def explain_promql(store, expr: str, **kw) -> str:
     """EXPLAIN for a PromQL expression: run the REAL lowering (the
     evaluator is lazy — it builds the Dataset graph without executing a
-    single block) and render the plan notes it emitted — which tier each
-    selector scans, what got pushed into the block scan (metric / key
-    regex / start-end pruning / pinned frames), and every exchange
+    single block, except that a selector whose candidate parts are
+    small is read and decoded eagerly in the driver; see ``read``) and
+    render the plan notes it emitted — which tier each selector scans,
+    what got pushed into the block scan (metric / key regex / start-end
+    pruning / pinned frames), and every exchange
     (combiner aggregations, over_time frames, hash-join vector matches)
     with its shape. The analogue of the reference's dry-build
     diagnostics (`vertex validate`, src/validate.rs:18-21) and VTL

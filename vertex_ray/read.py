@@ -14,16 +14,40 @@ staleness materialized as the filled/stale flags the fill stage wrote).
   within a ``lookback`` window (PromQL instant-vector semantics: a
   series with no sample inside the lookback is absent).
 
-Both return Datasets, so every `stages.promql` function composes on top
-(``over_time(query_range(...), ...)``).
+Every verb returns a Dataset, so every `stages.promql` function composes
+on top (``over_time(query_range(...), ...)``).
+
+Two executors, one set of logic. A verb is a read of candidate part
+files, per-batch steps (prune, decode, shape) and at most one exchange
+(``merge``). A point read's candidates are the one part per store (per
+epoch) its conversation hashes to; a range or metadata read's are every
+part of the stage. When the candidates hold fewer than
+``DRIVER_READ_MAX_BYTES`` bytes, the driver reads them with the same
+tier / metric pushdown as Ray Data's scan, runs the same steps on one
+``pa.Table`` and a single ``merge`` over the whole of it, and returns
+``ray.data.from_arrow`` of the result. Larger reads run the steps as a
+Ray Data plan. The threshold is Ray's fixed CPU cost of one execution
+divided by the driver's read + decode CPU per stage byte; on a 100k-turn
+``perfbench`` store (seed 960, 16 parts, 2.50 MB, Ray pinned to 1 CPU)
+an empty-selection ``query_range`` on Ray Data cost 0.51 s of
+process-tree CPU and the driver read and decoded every tier at 503 ns
+per stage byte, so 0.51 s / 503 ns ≈ 1.0 MB. The driver's peak RSS for
+the largest read at that size (the whole 1m tier with fills of a 1.06 MB
+store, 306k rows) was 350 MB, 160 MB above its resting 190 MB. A
+small read is therefore eager: it reads and decodes when the verb is
+called, not when the Dataset is consumed; a large read stays lazy.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray.data as rd
 
 from vertex_ray.schema import TIER_SECONDS
 
@@ -35,39 +59,110 @@ __all__ = ["query_range", "instant_query", "series_metadata",
 _SCALAR_COLS = ["series_key", "window_start", "sum", "count", "min",
                 "max", "last"]
 
+# A read whose candidate part files hold fewer bytes than this runs in
+# the driver: Ray's fixed CPU cost of one execution (0.51 s, an
+# empty-selection query_range) over the driver's read + decode CPU per
+# stage byte (503 ns), measured at 1 Ray CPU (module docstring). Below
+# it the driver is done before a Ray execution has paid its fixed cost,
+# whatever the CPU count.
+DRIVER_READ_MAX_BYTES = 1_000_000
+
+_EMPTY = pa.table({})
+
+
+def _verb(fn):
+    """A read verb returns a Dataset. Its body returns the driver's
+    ``pa.Table`` for a small read; ``verb.__wrapped__`` keeps that
+    table for the verbs that compose reads in the driver."""
+    @functools.wraps(fn)
+    def verb(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return rd.from_arrow(out) if isinstance(out, pa.Table) else out
+
+    return verb
+
+
+def _map(x, fn):
+    """One per-batch step over the driver's table or as ``map_batches``.
+    Like Ray Data, the driver never calls ``fn`` on zero rows."""
+    if isinstance(x, pa.Table):
+        return fn(x) if x.num_rows else _EMPTY
+    return x.map_batches(fn, batch_format="pyarrow")
+
+
+def _one_bucket(t: pa.Table) -> pa.Table:
+    return t.append_column("__bucket",
+                           pa.array(np.zeros(len(t), dtype=np.int64)))
+
+
+def _exchange(x, merge, key: str | None = None, n_buckets: int = 1):
+    """A verb's one exchange: ``merge`` (pandas) per hash bucket of
+    ``key`` (one bucket when None). In the driver the whole table is one
+    bucket, so ``merge`` runs once."""
+    if isinstance(x, pa.Table):
+        return _map(x, lambda t: pa.Table.from_pandas(
+            merge(_one_bucket(t).to_pandas()), preserve_index=False))
+    from vertex_ray.stages.promql import _add_series_bucket
+
+    bucket = _one_bucket if key is None else (
+        lambda t: _add_series_bucket(t, key, n_buckets))
+    return (x.map_batches(bucket, batch_format="pyarrow")
+            .groupby("__bucket").map_groups(merge, batch_format="pandas"))
+
+
+def _union(parts: list):
+    """Concatenation of read results: in the driver when every part is a
+    table, else a zero-shuffle ``Dataset.union``."""
+    if all(isinstance(p, pa.Table) for p in parts):
+        full = [p for p in parts if p.num_rows]
+        return pa.concat_tables(full) if full else _EMPTY
+    ds = [rd.from_arrow(p) if isinstance(p, pa.Table) else p for p in parts]
+    return ds[0].union(*ds[1:]) if len(ds) > 1 else ds[0]
+
 
 def _read_blocks(out_dir: str, tier: str | None, layout: str,
                  conv_id: str | None = None, metric: str | None = None):
-    if conv_id is not None:
-        return _read_blocks_point(out_dir, tier, layout, conv_id,
-                                  metric=metric)
+    """The block rows a read starts from: a ``pa.Table`` read in the
+    driver when its candidate part files hold fewer than
+    ``DRIVER_READ_MAX_BYTES`` (or there are none), else a Ray Data scan.
+    Sizes are summed only until they reach the threshold, so a large
+    store costs a few size lookups, not one per part."""
+    from vertex_ray.pipelines.epoch_pipeline import read_epochs_stage
+    from vertex_ray.pipelines.rollup_pipeline import (
+        read_stage,
+        read_stage_files,
+        read_block_table,
+    )
+
+    files, sizes, point = _candidate_parts(out_dir, layout, conv_id)
+    if all(n < DRIVER_READ_MAX_BYTES for n in itertools.accumulate(sizes)):
+        return read_block_table(files, tier, metric)
+    if point:
+        return read_stage_files(files, tier, metric)
     if layout == "oneshot":
-        from vertex_ray.pipelines.rollup_pipeline import read_stage
-
         return read_stage(out_dir, "blocks", tier, metric=metric)
-    if layout == "epochs":
-        from vertex_ray.pipelines.epoch_pipeline import read_epochs_stage
-
-        return read_epochs_stage(out_dir, "blocks", tier, metric=metric)
-    raise ValueError(f"unknown store layout: {layout!r}")
+    return read_epochs_stage(out_dir, "blocks", tier, metric=metric)
 
 
-def _read_blocks_point(out_dir: str, tier: str | None, layout: str,
-                       conv_id: str, metric: str | None = None):
-    """Point-read fast path: the store is hash-partitioned by
-    conversation (``bucket = blake2b64(conv_id) % n_buckets``, one
-    ``part-<bucket>.parquet`` per bucket — the same sharding a real
-    cluster spreads over nodes), so a single-conversation selector
-    touches exactly ONE part file per store (per epoch in the chunked
-    layout) instead of scanning every block row. ``n_buckets`` comes
-    from the stage manifest's lineage, so the path follows whatever the
-    writing run used. Cost is O(selection), independent of store
-    width."""
+def _candidate_parts(out_dir: str, layout: str, conv_id: str | None):
+    """``(files, sizes, point)``: every part file a read touches, their
+    byte sizes (an iterable, read lazily), and whether the files were
+    addressed by the conversation's bucket.
+
+    A range read touches every part of the stage. A point read uses the
+    store's hash partitioning by conversation (``bucket =
+    blake2b64(conv_id) % n_buckets``, one ``part-<bucket>.parquet`` per
+    bucket — the same sharding a real cluster spreads over nodes): a
+    single-conversation selector touches exactly ONE part file per store
+    (per epoch in the chunked layout), and its size comes from the stage
+    manifest that gives ``n_buckets``. A conversation whose bucket file
+    never materialized touches no part. Cost is O(selection),
+    independent of store width."""
     import hashlib
     import posixpath
 
-    from vertex_ray.pipelines.rollup_pipeline import read_stage_files
-    from vertex_ray.state.checkpoint import read_manifest
+    from vertex_ray.state import fsio
+    from vertex_ray.state.checkpoint import read_manifest, stage_files
 
     if layout == "oneshot":
         roots = [posixpath.join(out_dir, "blocks")]
@@ -77,30 +172,30 @@ def _read_blocks_point(out_dir: str, tier: str | None, layout: str,
         roots = [posixpath.join(e, "blocks") for e in epoch_dirs(out_dir)]
     else:
         raise ValueError(f"unknown store layout: {layout!r}")
-    h = int.from_bytes(
-        hashlib.blake2b(conv_id.encode(), digest_size=8).digest(), "big")
-    files = []
-    for root in roots:
-        m = read_manifest(root)
-        nb = m.get("lineage", {}).get("n_buckets")
-        if nb is None:
-            # a store whose files aren't bucket-addressed (e.g. a
-            # compacted stage committed by write_stage) — the bucket of
-            # this conv can't be mapped to a file; full scan is the only
-            # correct read
-            return _read_blocks(out_dir, tier, layout, metric=metric)
-        b = h % int(nb)
-        fname = f"part-{b:05d}.parquet"
-        if fname in m["files"]:
-            files.append(posixpath.join(root, fname))
-    if not files:
-        # the conversation's bucket never materialized (tiny store with
-        # more buckets than conversations) — fall back to the full scan;
-        # the caller's conv filter drops everything downstream
-        return _read_blocks(out_dir, tier, layout, metric=metric)
-    return read_stage_files(files, tier, metric)
+    if conv_id is not None:
+        h = int.from_bytes(
+            hashlib.blake2b(conv_id.encode(), digest_size=8).digest(), "big")
+        files, sizes = [], []
+        for root in roots:
+            m = read_manifest(root)
+            nb = m.get("lineage", {}).get("n_buckets")
+            if nb is None:
+                # a store whose files aren't bucket-addressed (e.g. a
+                # compacted stage committed by write_stage) — the bucket
+                # of this conv can't be mapped to a file; full scan is
+                # the only correct read
+                break
+            fname = f"part-{h % int(nb):05d}.parquet"
+            if fname in m["files"]:
+                files.append(posixpath.join(root, fname))
+                sizes.append(int(m["files"][fname]["bytes"]))
+        else:
+            return files, sizes, True
+    files = [f for root in roots for f in stage_files(root)]
+    return files, map(fsio.file_size, files), False
 
 
+@_verb
 def query_range(out_dir: str, tier: str, metric: str | None = None,
                 key_regex: str | None = None, start: int | None = None,
                 end: int | None = None, include_filled: bool = False,
@@ -136,6 +231,7 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
     ``offset=86400`` under a start/end range yields yesterday's values
     carrying today's timestamps, ready for day-over-day ``binary_op``)."""
     from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
+    from vertex_ray.stages.encode import decode_blocks_batch
     from vertex_ray.state.tombstones import (
         block_keep_mask,
         load_tombstones,
@@ -171,9 +267,8 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
             m = pc.and_(m, block_keep_mask(t, stones, tier))
         return t.filter(m)
 
-    sel = _read_blocks(out_dir, tier, layout, conv_id=conv_id,
-                       metric=metric).map_batches(
-        prune, batch_format="pyarrow")
+    sel = _map(_read_blocks(out_dir, tier, layout, conv_id=conv_id,
+                            metric=metric), prune)
 
     def shape(t: pa.Table) -> pa.Table:
         keep = pa.array(np.ones(len(t), dtype=bool))
@@ -196,9 +291,12 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
                              pc.add(t["window_start"], offset))
         return t
 
-    return decode_tier_blocks(sel).map_batches(shape, batch_format="pyarrow")
+    rows = (_map(sel, decode_blocks_batch) if isinstance(sel, pa.Table)
+            else decode_tier_blocks(sel))
+    return _map(rows, shape)
 
 
+@_verb
 def instant_query(out_dir: str, tier: str, at: int, lookback: int,
                   metric: str | None = None, key_regex: str | None = None,
                   columns: list[str] | None = None, n_buckets: int = 64,
@@ -212,13 +310,12 @@ def instant_query(out_dir: str, tier: str, at: int, lookback: int,
     ``conv_id`` takes the hash-bucket point-read fast path). ``offset``
     is the PromQL offset modifier: evaluate at ``at - offset``, re-stamp
     results into the caller's frame (query_range does both)."""
-    from vertex_ray.stages.promql import _add_series_bucket
-
     cols = columns or _SCALAR_COLS
-    rng = query_range(out_dir, tier, metric=metric, key_regex=key_regex,
-                      start=at - lookback + 1, end=at, columns=cols,
-                      tombstones=tombstones, layout=layout,
-                      conv_id=conv_id, offset=offset)
+    rng = query_range.__wrapped__(
+        out_dir, tier, metric=metric, key_regex=key_regex,
+        start=at - lookback + 1, end=at, columns=cols,
+        tombstones=tombstones, layout=layout, conv_id=conv_id,
+        offset=offset)
 
     def newest(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["series_key", "window_start"], kind="stable")
@@ -227,15 +324,10 @@ def instant_query(out_dir: str, tier: str, at: int, lookback: int,
         keep[:-1] = k[:-1] != k[1:]  # last row of each series run
         return g.loc[keep, cols]
 
-    return (
-        rng.map_batches(
-            lambda t: _add_series_bucket(t, "series_key", n_buckets),
-            batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(newest, batch_format="pandas")
-    )
+    return _exchange(rng, newest, "series_key", n_buckets)
 
 
+@_verb
 def series_metadata(out_dir: str, tier: str, metric: str | None = None,
                     key_regex: str | None = None,
                     start: int | None = None, end: int | None = None,
@@ -246,8 +338,6 @@ def series_metadata(out_dir: str, tier: str, metric: str | None = None,
     prune + distinct over block metadata (columns
     ``name, series_key, first_seen, last_seen``). At 100 TB the read
     touches only the block index columns of the parquet footers."""
-    from vertex_ray.stages.promql import _add_series_bucket
-
     ds = _read_blocks(out_dir, tier, layout, metric=metric)
 
     def prune(t: pa.Table) -> pa.Table:
@@ -275,15 +365,10 @@ def series_metadata(out_dir: str, tier: str, metric: str | None = None,
                 .agg(first_seen=("first_seen", "min"),
                      last_seen=("last_seen", "max")).reset_index())
 
-    return (
-        ds.map_batches(prune, batch_format="pyarrow")
-        .map_batches(lambda t: _add_series_bucket(t, "series_key", 64),
-                     batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return _exchange(_map(ds, prune), merge, "series_key", 64)
 
 
+@_verb
 def label_values(out_dir: str, tier: str, label: str,
                  metric: str | None = None, layout: str = "oneshot"):
     """The ``/api/v1/label/<label>/values`` metadata read: distinct
@@ -305,14 +390,7 @@ def label_values(out_dir: str, tier: str, label: str,
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g[[label]].drop_duplicates()
 
-    return (
-        ds.map_batches(prune, batch_format="pyarrow")
-        .map_batches(lambda t: t.append_column(
-            "__bucket", pa.array(np.zeros(len(t), dtype=np.int64))),
-            batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return _exchange(_map(ds, prune), merge)
 
 
 def pick_tier(step_seconds: int,
@@ -336,6 +414,7 @@ def query_range_auto(out_dir: str, step_seconds: int, **kwargs):
     return query_range(out_dir, pick_tier(step_seconds), **kwargs)
 
 
+@_verb
 def tsdb_status(out_dir: str, tier: str, metric: str | None = None,
                 layout: str = "oneshot"):
     """The ``/api/v1/status/tsdb`` analogue: per-metric store statistics
@@ -343,8 +422,6 @@ def tsdb_status(out_dir: str, tier: str, metric: str | None = None,
     stale-marker rows), and encoded payload bytes — computed entirely
     from block-row metadata, zero decode. Two metadata-sized combiner
     exchanges: (name, series) partials per batch, then per-name totals."""
-    from vertex_ray.stages.promql import _add_series_bucket
-
     ds = _read_blocks(out_dir, tier, layout, metric=metric)
 
     def per_series(t: pa.Table) -> pa.Table:
@@ -383,15 +460,10 @@ def tsdb_status(out_dir: str, tier: str, metric: str | None = None,
                     bytes=("bytes", "sum")).reset_index())
         return out
 
-    return (
-        ds.map_batches(per_series, batch_format="pyarrow")
-        .map_batches(lambda t: _add_series_bucket(t, "name", 8),
-                     batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return _exchange(_map(ds, per_series), merge, "name", 8)
 
 
+@_verb
 def label_cardinality(out_dir: str, tier: str, labels: list[str],
                       metric: str | None = None,
                       layout: str = "oneshot"):
@@ -413,7 +485,7 @@ def label_cardinality(out_dir: str, tier: str, labels: list[str],
             vals = pc.unique(e[lbl].combine_chunks())
             vals = vals.filter(pc.is_valid(vals))
             outs.append(pa.table({
-                "label": pa.array([lbl] * len(vals)),
+                "label": pa.array([lbl] * len(vals), type=pa.string()),
                 "value": vals.cast(pa.string()),
             }))
         return pa.concat_tables(outs)
@@ -423,16 +495,10 @@ def label_cardinality(out_dir: str, tier: str, labels: list[str],
                 .groupby("label", sort=False).size()
                 .rename("n_values").reset_index())
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda t: t.append_column(
-            "__bucket", pa.array(np.zeros(len(t), dtype=np.int64))),
-            batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return _exchange(_map(ds, partial), merge)
 
 
+@_verb
 def query_range_multi(out_dirs: list[str], tier: str,
                       dedupe: bool = False, n_buckets: int = 64,
                       **kwargs):
@@ -448,20 +514,17 @@ def query_range_multi(out_dirs: list[str], tier: str,
     survives, preferring the EARLIER store in ``out_dirs`` — this adds
     the one hash exchange that replica reconciliation fundamentally
     needs; leave it off for disjoint shards."""
-    parts = [query_range(d, tier, **kwargs) for d in out_dirs]
+    parts = [query_range.__wrapped__(d, tier, **kwargs) for d in out_dirs]
     if not parts:
         raise ValueError("query_range_multi needs at least one store")
     if not dedupe:
-        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    from vertex_ray.stages.promql import _add_series_bucket
+        return _union(parts)
 
     def stamp(i):
         return lambda t: t.append_column(
             "__store", pa.array(np.full(len(t), i, dtype=np.int8)))
 
-    tagged = [p.map_batches(stamp(i), batch_format="pyarrow")
-              for i, p in enumerate(parts)]
-    u = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    u = _union([_map(p, stamp(i)) for i, p in enumerate(parts)])
 
     def first(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["series_key", "window_start", "__store"],
@@ -469,15 +532,10 @@ def query_range_multi(out_dirs: list[str], tier: str,
         keep = ~g.duplicated(["series_key", "window_start"])
         return g.loc[keep].drop(columns=["__store", "__bucket"])
 
-    return (
-        u.map_batches(lambda t: _add_series_bucket(t, "series_key",
-                                                   n_buckets),
-                      batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(first, batch_format="pandas")
-    )
+    return _exchange(u, first, "series_key", n_buckets)
 
 
+@_verb
 def query_range_stitched(out_dir: str, coarse_tier: str, fine_tier: str,
                          boundary: int, metric: str | None = None,
                          key_regex: str | None = None,
@@ -496,8 +554,9 @@ def query_range_stitched(out_dir: str, coarse_tier: str, fine_tier: str,
 
     Both legs are independent pruned block reads (footer-interval prune
     before decode), so cost is proportional to each segment's own
-    selection; the union is a zero-copy concatenation of block streams —
-    no exchange."""
+    selection; the union is a concatenation — of the two tables in the
+    driver when both legs are small, else of block streams — no
+    exchange."""
     ts = tiers or dict(TIER_SECONDS)
     cs = ts[coarse_tier]
     if boundary % cs:
@@ -507,12 +566,12 @@ def query_range_stitched(out_dir: str, coarse_tier: str, fine_tier: str,
         raise ValueError("fine_tier must be finer than coarse_tier")
     common = dict(metric=metric, key_regex=key_regex, columns=columns,
                   tombstones=tombstones, layout=layout)
-    coarse = query_range(out_dir, coarse_tier, start=start,
-                         end=boundary - 1, **common)
-    fine = query_range(out_dir, fine_tier,
-                       start=boundary if start is None
-                       else max(start, boundary),
-                       end=end, **common)
+    coarse = query_range.__wrapped__(out_dir, coarse_tier, start=start,
+                                     end=boundary - 1, **common)
+    fine = query_range.__wrapped__(out_dir, fine_tier,
+                                   start=boundary if start is None
+                                   else max(start, boundary),
+                                   end=end, **common)
 
     def stamp(tier):
         def fn(t: pa.Table) -> pa.Table:
@@ -521,5 +580,5 @@ def query_range_stitched(out_dir: str, coarse_tier: str, fine_tier: str,
 
         return fn
 
-    return coarse.map_batches(stamp(coarse_tier), batch_format="pyarrow") \
-        .union(fine.map_batches(stamp(fine_tier), batch_format="pyarrow"))
+    return _union([_map(coarse, stamp(coarse_tier)),
+                   _map(fine, stamp(fine_tier))])

@@ -32,30 +32,9 @@ from vertex_ray.schema import (
     ROLES,
     TOOLS,
 )
-from vertex_ray.series import bucket_of, series_key_arrays
+from vertex_ray.series import series_key_arrays
 
 PROJECT_COLUMNS = ["conv_id", "turn_idx", "role", "tool", "ts"]
-
-
-def project_for_rollup(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
-    """Prune to rollup inputs + assign the conversation hash bucket.
-
-    This is the only stage that sees raw turns; ``text`` never enters the
-    shuffle. The bucket is the single partitioning key reused by every
-    wide step downstream (rollup, cascade, fill, encode).
-    """
-    conv = batch["conv_id"].to_numpy(zero_copy_only=False)
-    bucket = bucket_of(conv, n_buckets)
-    return pa.table(
-        {
-            "bucket": pa.array(bucket, type=pa.int32()),
-            "conv_id": batch["conv_id"],
-            "turn_idx": batch["turn_idx"],
-            "role": batch["role"],
-            "tool": batch["tool"],
-            "ts": batch["ts"],
-        }
-    )
 
 
 def conv_hash64(conv: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ process and flushes on an interval tick
 (src/transforms/metricalize.rs:195-283). Re-expressed Ray-Data-first,
 the rollup is ONE hash shuffle per run:
 
-    read_parquet → map_batches(project_for_rollup)          # prune + bucket
+    read_parquet → map_batches(derive projection)           # prune + bucket
       → groupby("bucket").map_groups(rollup_bucket)         # all the rest
 
 Inside a bucket group everything is vectorized pandas/numpy: sort by
