@@ -141,3 +141,27 @@ def test_cascade_rejects_source_or_finer_tier(ray_session, tmp_path):
         cascade_blocks(None, tiers=("1m", "5m"), source_tier="1m")
     with pytest.raises(ValueError, match="strictly coarser"):
         cascade_blocks(None, tiers=("5m",), source_tier="1h")
+
+
+def test_cascade_nan_window_equals_direct_rollup(ray_session):
+    # a NaN delta poisons the 5m window's sum/min/max exactly as scraping
+    # straight at 5m does (pandas' skipna merge gave (4, 5, 2, 2, 2))
+    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
+    from vertex_ray.pipelines.scrape_pipeline import scrape_to_store
+    from vertex_ray.stages.cascade import cascade_blocks
+
+    rows = ['c_total{j="a"} 1 0', 'c_total{j="a"} 2 10000',
+            'c_total{j="a"} NaN 20000', 'c_total{j="a"} 5 30000',
+            'c_total{j="a"} 7 70000', 'c_total{j="a"} 9 130000']
+    cols = ["window_start", "sum", "count", "min", "max", "last"]
+
+    def scalars(blocks):
+        df = decode_tier_blocks(blocks).to_pandas()
+        return [tuple("nan" if np.isnan(float(v)) else float(v)
+                      for v in r) for r in df[cols].itertuples(index=False)]
+
+    direct = scalars(scrape_to_store(_lines(rows), metric="c_total",
+                                     n_buckets=2, window_s=300, tier="5m"))
+    assert direct == [(0.0, "nan", 5.0, "nan", "nan", 2.0)]
+    one_m = scrape_to_store(_lines(rows), metric="c_total", n_buckets=2)
+    assert scalars(cascade_blocks(one_m, tiers=("5m",))) == direct

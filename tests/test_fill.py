@@ -12,8 +12,7 @@ from vertex_ray.schema import (
     STALE_NAN,
 )
 from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
-from vertex_ray.stages.fill import fill_bucket_df, pack_series
-from vertex_ray.stages.rollup import AGG_COLS
+from rollup_spec import AGG_COLS, fill_bucket_df, pack_series
 
 
 def agg_row(sk, kind, w, **kw):
@@ -284,7 +283,8 @@ def test_unpack_series_empty_dict_schema_matches_nonempty():
     (ADVICE r3)."""
     import pyarrow as pa
 
-    from vertex_ray.stages.fill import empty_fill_df, pack_series, unpack_series
+    from rollup_spec import empty_fill_df, pack_series
+    from vertex_ray.stages.fill import unpack_series
 
     packed_empty = pack_series(empty_fill_df())
     out = unpack_series(packed_empty, dict_encode=True)

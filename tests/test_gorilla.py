@@ -9,7 +9,7 @@ from vertex_ray.gorilla import (
     decode_flags_multi,
     decode_timestamps,
     decode_values,
-    encode_flags,
+    encode_flags_multi,
     encode_timestamps,
     encode_values,
 )
@@ -107,7 +107,8 @@ def test_val_roundtrip_clz_boundary_regression():
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=50))
 def test_flags_roundtrip(flags):
     f = np.asarray(flags, dtype=np.uint8)
-    got = decode_flags_multi([encode_flags(f)], np.array([len(f)]))[0]
+    got = decode_flags_multi(encode_flags_multi(f, [0, len(f)]),
+                             np.array([len(f)]))[0]
     np.testing.assert_array_equal(got, f)
 
 

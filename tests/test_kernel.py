@@ -4,12 +4,34 @@ bit-for-bit (same agg rows, fills, stale markers, packing)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vertex_ray.schema import TIERS
+from rollup_spec import (
+    AGG_COLS,
+    empty_agg_df,
+    fill_bucket_df,
+    merge_agg,
+    pack_series,
+    rollup_bucket,
+)
+from vertex_ray.schema import (
+    AGG_SCHEMA,
+    BUCKET_COLS,
+    KIND_GAUGE,
+    KIND_HISTOGRAM,
+    KIND_SUM,
+    KIND_SUMMARY,
+    TIERS,
+)
 from vertex_ray.stages.derive import conv_hash64, project_for_rollup_fast
-from vertex_ray.stages.fill import fill_bucket_df, pack_series, unpack_series
-from vertex_ray.stages.kernel import bucket_kernel
-from vertex_ray.stages.rollup import merge_agg, rollup_bucket
+from vertex_ray.stages.fill import unpack_series
+from vertex_ray.stages.kernel import (
+    bucket_kernel,
+    keyed_agg,
+    keyed_rows,
+    merge_keyed,
+)
 from vertex_ray.synth import generate_transcripts
 
 
@@ -133,3 +155,75 @@ def test_kernel_hash_collision_safe():
     turns_1m = df[(df["tier"] == "1m") & (df["name"] == "turns_total")]
     got_convs = {k.split("conv_id=")[1].split(",")[0] for k in turns_1m["series_key"]}
     assert len(got_convs) == n_convs
+
+
+_KEYED_KINDS = (KIND_SUM, KIND_GAUGE, KIND_HISTOGRAM, KIND_SUMMARY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9),
+                          st.integers(0, 59), st.integers(-4, 4),
+                          st.integers(1, 3), st.integers(0, 3)),
+                min_size=0, max_size=40),
+       st.sampled_from((60, 300, 3600)))
+def test_keyed_merge_matches_pandas_spec(parts, window_seconds):
+    """The string-keyed adapter (keyed_agg → merge_keyed → keyed_rows)
+    equals the pandas spec's merge_agg on NaN-free partials of all four
+    kinds: sums/counts/buckets add, min/max fold, ``last`` by latest
+    ``last_ts``, summaries keep their earliest row."""
+    rows = []
+    for key, w, off, v, c, b in parts:
+        kind = _KEYED_KINDS[key % 4]
+        rows.append({
+            "bucket": 0, "series_key": f"m{key}{{k={key}}}",
+            "name": f"m{key}", "kind": kind, "window_start": w * 60,
+            "sum": float(v * c), "count": c, "min": float(v - b),
+            "max": float(v + b), "last": float(v),
+            "last_ts": (w * 60 + off) * 1_000_000,
+            **{col: (b + i if kind == KIND_HISTOGRAM else 0)
+               for i, col in enumerate(BUCKET_COLS)}})
+    df = (pd.DataFrame(rows, columns=AGG_COLS) if rows
+          else empty_agg_df()).astype({c: t for c, t in zip(
+              AGG_COLS, empty_agg_df().dtypes)})
+    want = merge_agg(df, window_seconds)
+    agg, series = keyed_agg(pa.Table.from_pandas(df, schema=AGG_SCHEMA,
+                                                 preserve_index=False))
+    got = keyed_rows(merge_keyed(agg, window_seconds), series).to_pandas()
+    cols = ["series_key", "window_start", "kind", "sum", "count", "min",
+            "max", "last", "last_ts", *BUCKET_COLS]
+    key = ["series_key", "window_start"]
+    want = want[cols].sort_values(key).reset_index(drop=True)
+    got = got[cols].sort_values(key).reset_index(drop=True)
+    assert len(got) == len(want)
+    for c in cols:
+        assert got[c].tolist() == want[c].tolist(), c
+
+
+def test_no_engine_module_defines_or_imports_the_spec():
+    """vertex_ray/ has one aggregation implementation: no module defines
+    or imports a name of the pandas spec (tests/rollup_spec.py)."""
+    import ast
+    import pathlib
+
+    import vertex_ray
+
+    spec = {"merge_agg", "window_agg_points", "rollup_bucket",
+            "fill_bucket_df", "pack_series"}
+    root = pathlib.Path(vertex_ray.__file__).parent
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for a in node.names
+                         for part in (a.name.rsplit(".", 1)[-1], a.asname)}
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets
+                         if isinstance(t, ast.Name)}
+            else:
+                continue
+            hits += [f"{path.relative_to(root)}:{node.lineno} {n}"
+                     for n in sorted(names & spec)]
+    assert not hits, hits

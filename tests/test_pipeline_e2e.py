@@ -10,9 +10,8 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
-from vertex_ray.aggregate import rollup_oracle
+from rollup_spec import derive_points_arrays, rollup_oracle
 from vertex_ray.schema import BUCKET_COLS, TIER_SECONDS
-from vertex_ray.stages.derive import derive_points_arrays
 from vertex_ray.state.checkpoint import stage_files
 from vertex_ray.synth import ensure_transcripts
 

@@ -4,10 +4,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from vertex_ray.aggregate import rollup_oracle
+from rollup_spec import (
+    derive_points_arrays,
+    merge_agg,
+    rollup_bucket,
+    rollup_oracle,
+    window_agg_points,
+)
 from vertex_ray.schema import BUCKET_COLS, KIND_HISTOGRAM
-from vertex_ray.stages.derive import derive_points_arrays
-from vertex_ray.stages.rollup import merge_agg, rollup_bucket, window_agg_points
 from vertex_ray.synth import generate_transcripts
 
 

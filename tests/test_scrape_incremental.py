@@ -221,3 +221,56 @@ def test_incremental_gauge_matches_oneshot_all_columns(ray_session, tmp_path):
     got = scalars(decode_tier_blocks(
         read_scrape_epochs(store, "temp")).to_pandas())
     assert got == want
+
+
+def _scalars_nan_safe(df):
+    cols = ["sum", "count", "min", "max", "last"]
+    return {(r.series_key, int(r.window_start)):
+            tuple("nan" if np.isnan(float(getattr(r, c)))
+                  else float(getattr(r, c)) for c in cols)
+            for r in df.itertuples()}
+
+
+def _oneshot_vs_per_sample(tmp_path, rows, metric, kind):
+    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
+    from vertex_ray.pipelines.scrape_incremental import (
+        read_scrape_epochs,
+        scrape_append,
+        scrape_finalize,
+    )
+    from vertex_ray.pipelines.scrape_pipeline import scrape_to_store
+
+    want = _scalars_nan_safe(decode_tier_blocks(scrape_to_store(
+        _lines(rows), metric=metric, kind=kind, n_buckets=2)).to_pandas())
+    store = str(tmp_path / "inc")
+    for row in rows:
+        scrape_append(_lines([row]), store, kinds={metric: kind},
+                      n_buckets=2)
+    scrape_finalize(store, kinds={metric: kind}, n_buckets=2)
+    got = _scalars_nan_safe(decode_tier_blocks(
+        read_scrape_epochs(store, metric)).to_pandas())
+    return want, got
+
+
+def test_incremental_gauge_nan_poisons_like_oneshot(ray_session, tmp_path):
+    # a NaN sample replaces like any other value: the window's five
+    # scalars are NaN on both paths (pandas' skipna merge gave sum 0.0)
+    want, got = _oneshot_vs_per_sample(
+        tmp_path, ['temp{h="x"} 1.5 0', 'temp{h="x"} NaN 30000',
+                   'temp{h="x"} -4 61000'], "temp", "gauge")
+    nan = "nan"
+    assert want[("temp{h=x}", 0)] == (nan, 1.0, nan, nan, nan)
+    assert got == want
+
+
+def test_incremental_counter_nan_poisons_like_oneshot(ray_session, tmp_path):
+    # the NaN delta poisons sum/min/max of its window on both paths
+    # (pandas' skipna merge gave (6, 3, 1, 5, 5))
+    want, got = _oneshot_vs_per_sample(
+        tmp_path, ['c_total{j="a"} 1 0', 'c_total{j="a"} 2 10000',
+                   'c_total{j="a"} NaN 20000', 'c_total{j="a"} 5 30000',
+                   'c_total{j="a"} 7 70000', 'c_total{j="a"} 9 130000'],
+        "c_total", "counter")
+    nan = "nan"
+    assert want[("c_total{j=a}", 0)] == (nan, 3.0, nan, nan, 5.0)
+    assert got == want

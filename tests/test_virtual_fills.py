@@ -18,12 +18,11 @@ from vertex_ray.stages.encode import (
     decode_blocks_batch,
     pack_agg_rows,
 )
+from rollup_spec import AGG_COLS, fill_bucket_df, pack_series
 from vertex_ray.stages.fill import (
     expand_agg_table,
     expand_packed,
-    fill_bucket_df,
     fold_fills,
-    pack_series,
     unpack_series,
 )
 from vertex_ray.stages.kernel import (
@@ -36,7 +35,6 @@ from vertex_ray.stages.kernel import (
     sort_agg,
     window_agg,
 )
-from vertex_ray.stages.rollup import AGG_COLS
 from vertex_ray.synth import generate_transcripts
 
 

@@ -1,9 +1,9 @@
 """Pure aggregation kernel — vertex's merge semantics, bit-for-bit.
 
-This module has no Ray dependency; it is the single source of truth for
-observation and merge semantics, reused by the rollup stage (vectorized
-equivalents property-tested against it), the tier cascade, and the test
-oracles.
+This module has no Ray dependency; it is the scalar statement of
+observation and merge semantics. The array kernel (stages/kernel) is
+property-tested against it through the brute-force rollup oracle of the
+test spec (tests/rollup_spec.py).
 
 Contracts (from /root/reference):
 
@@ -34,13 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vertex_ray.schema import (
-    DEFAULT_BUCKETS_ARR,
-    KIND_GAUGE,
-    KIND_HISTOGRAM,
-    KIND_SUM,
-    N_BUCKETS,
-)
+from vertex_ray.schema import DEFAULT_BUCKETS_ARR, KIND_HISTOGRAM, N_BUCKETS
 
 
 @dataclass
@@ -107,21 +101,3 @@ def observe_many(kind: int, values, ts_us) -> AggState:
         st.observe(v, t)
     return st
 
-
-def rollup_oracle(
-    series_keys,
-    kinds,
-    values,
-    ts_us,
-    window_seconds: int,
-) -> dict[tuple[str, int], AggState]:
-    """Brute-force per-(series, window) rollup used as the test oracle."""
-    out: dict[tuple[str, int], AggState] = {}
-    for sk, k, v, t in zip(series_keys, kinds, values, ts_us):
-        w = (int(t) // 1_000_000) // window_seconds * window_seconds
-        st = out.get((sk, w))
-        if st is None or st.kind != int(k):
-            st = AggState(int(k))
-            out[(sk, w)] = st
-        st.observe(float(v), int(t))
-    return out

@@ -744,9 +744,9 @@ def decode_flags_multi(blocks: list[bytes], n_points: np.ndarray) -> list[np.nda
 
 
 def encode_flags_multi(flat: np.ndarray, offsets: np.ndarray) -> list[bytes]:
-    """Per-series flag blocks in one vectorized pass: 2-bit fields, padded
-    to a byte boundary at each series end (byte-identical to per-series
-    encode_flags)."""
+    """Per-series flag blocks in one vectorized pass: 2-bit fields, four
+    per byte with the first point in the high bits, padded with zero
+    fields to a byte boundary at each series end."""
     n = len(flat)
     s = len(offsets) - 1
     if n == 0:
@@ -756,12 +756,3 @@ def encode_flags_multi(flat: np.ndarray, offsets: np.ndarray) -> list[bytes]:
         np.asarray(flat, dtype=np.uint64) & np.uint64(3), 2, counts
     )
 
-
-def encode_flags(flags: np.ndarray) -> bytes:
-    f = (np.asarray(flags, dtype=np.uint8) & 3).astype(np.uint8)
-    pad = (-len(f)) % 4
-    if pad:
-        f = np.concatenate([f, np.zeros(pad, dtype=np.uint8)])
-    f = f.reshape(-1, 4)
-    byte = (f[:, 0] << 6) | (f[:, 1] << 4) | (f[:, 2] << 2) | f[:, 3]
-    return byte.astype(np.uint8).tobytes()

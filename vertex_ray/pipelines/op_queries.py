@@ -2564,6 +2564,8 @@ FROM events
 
 
 _LSH_PLANES, _LSH_DIM = 16, 64
+# near-pair bands: _LSH_BANDS bands of _LSH_PLANES // _LSH_BANDS bits each
+_LSH_BANDS = 4
 
 
 def q_lsh_signatures_embeddings(sf_dir: str):
@@ -2972,16 +2974,23 @@ def q_lsh_near_pairs_embeddings(sf_dir: str):
     """LSH-bucketed near-dup pairs with integer-exact verification
     (stages/ann.lsh_near_pairs_md5 — the oracle-able twin of the
     rng-seeded embedding_near_pairs_lsh): md5-parity plane signatures
-    split into 4×4-bit bands, candidates = ids sharing a band value,
-    verified by den²·dot² ≥ num²·‖a‖²·‖b‖² over quantized coordinates
-    (θ = 9/20 exactly). The SQL mirror rebuilds the planes, bands,
-    candidate join and the integer test, so the whole candidate
-    generation + verification chain is value-hash checked."""
+    split into _LSH_BANDS bands of _LSH_PLANES // _LSH_BANDS bits,
+    candidates = ids sharing a band value, verified by
+    den²·dot² ≥ num²·‖a‖²·‖b‖² over quantized coordinates (θ = 9/20
+    exactly). The SQL mirror rebuilds the planes, bands, candidate join
+    and the integer test, so the whole candidate generation +
+    verification chain is value-hash checked. The op's ``max_bucket``
+    cap (a larger band bucket keeps only its first ``max_bucket`` rows)
+    has no SQL counterpart: the mirror holds while no band bucket
+    exceeds the cap."""
     from vertex_ray.stages.ann import lsh_near_pairs_md5
 
     return lsh_near_pairs_md5(_emb(sf_dir), "embedding", "vec_id",
-                              n_planes=_LSH_PLANES, dim=_LSH_DIM,
-                              quant=_KMI_Q)
+                              n_planes=_LSH_PLANES, n_bands=_LSH_BANDS,
+                              dim=_LSH_DIM, quant=_KMI_Q)
+
+
+_LSH_BAND_BITS = _LSH_PLANES // _LSH_BANDS
 
 
 SQL_LSH_NEAR_PAIRS_EMBEDDINGS = f"""
@@ -3011,8 +3020,11 @@ sig AS MATERIALIZED (
   GROUP BY 1
 ),
 bands AS MATERIALIZED (
-  SELECT vec_id, b, (signature >> (b * 4)) & 15 AS bval
-  FROM sig, range(0, 4) g(b)
+  -- no counterpart of the op's max_bucket cap: every band row joins
+  SELECT vec_id, b,
+         (signature >> (b * {_LSH_BAND_BITS})) & {(1 << _LSH_BAND_BITS) - 1}
+           AS bval
+  FROM sig, range(0, {_LSH_BANDS}) g(b)
 ),
 cand AS MATERIALIZED (
   SELECT DISTINCT x.vec_id AS a, y.vec_id AS b

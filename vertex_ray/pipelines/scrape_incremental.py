@@ -15,7 +15,8 @@ flagship's epoch pipeline (pipelines/epoch_pipeline):
   first-sample/first-instant drop consumes the carried reference, so
   run N+1's first real sample EMITS a delta; no per-kind seeding code;
 - the still-OPEN window's partial aggregate rides along as agg-shaped
-  rows folded back in with the FIXTURES §F4 merge — a window only
+  rows folded back in with the FIXTURES §F4 merge (stages/kernel's
+  string-keyed ``merge_keyed``) — a window only
   emits when a later window for that series arrives (or at
   ``scrape_finalize``), so the store keeps its one-row-per-(series,
   window) invariant across arbitrary run boundaries;
@@ -24,7 +25,7 @@ flagship's epoch pipeline (pipelines/epoch_pipeline):
 
 All four kinds carry state. Summary's no-op merge needs no extra
 machinery: a summary window row's ``last_ts`` is its FIRST sample's
-instant (stages/scrape_pipeline._summary_bucket), so the §F4 merge —
+instant (pipelines/scrape_pipeline._pick_agg), so the §F4 merge —
 summary keeps the earliest-``last_ts`` row — always prefers the carried
 open partial over the window re-derived from the replayed reference
 row, which is exactly first-wins across run boundaries.
@@ -40,15 +41,31 @@ import os
 import posixpath
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from vertex_ray.schema import AGG_FIELDS, BUCKET_COLS
 from vertex_ray.state import fsio
 from vertex_ray.state.checkpoint import finalize_stage, write_stage
 
 __all__ = ["scrape_append", "scrape_finalize", "read_scrape_epochs"]
 
 _SENTINEL_KIND = 255
+
+# agg rows as the open-window state parts and the agg sink store them:
+# float ``count`` and bucket columns, then the fill flags — the layout
+# earlier versions wrote, so their stores resume unchanged
+_AGG_SCHEMA = pa.schema(
+    [(n, pa.float64() if n == "count" or n in BUCKET_COLS else t)
+     for n, t in AGG_FIELDS])
+_ROWS_SCHEMA = pa.schema(list(_AGG_SCHEMA)
+                         + [("filled", pa.bool_()), ("stale", pa.bool_())])
+
+
+def _with_flags(rows: pa.Table) -> pa.Table:
+    n = rows.num_rows
+    return (rows.append_column("filled", pa.array(np.zeros(n, bool)))
+            .append_column("stale", pa.array(np.zeros(n, bool)))
+            .cast(_ROWS_SCHEMA))
 
 
 def _sentinels(n_buckets: int, with_hist: bool) -> pa.Table:
@@ -69,6 +86,24 @@ def _sentinels(n_buckets: int, with_hist: bool) -> pa.Table:
     return pa.table(cols)
 
 
+def _read_state(state_in_dir: str | None, name: str, bucket_id: int):
+    if state_in_dir is None:
+        return None
+    p = posixpath.join(state_in_dir, f"{name}-{bucket_id:05d}.parquet")
+    if not fsio.exists(p):
+        return None
+    t = fsio.read_parquet(p)
+    return t if t.num_rows else None
+
+
+def _latest_per_series(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per-row maximum of ``vals`` over the row's series (int codes)."""
+    mx = np.full(int(keys.max()) + 1 if len(keys) else 0,
+                 np.iinfo(np.int64).min)
+    np.maximum.at(mx, keys, vals)
+    return mx[keys]
+
+
 def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
                  state_in_dir: str | None, state_parts_dir: str,
                  blocks_parts_dir: str, emit_all: bool) -> pa.Table:
@@ -77,97 +112,79 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
     emitted, side-write blocks + next state, return emitted agg rows."""
     from vertex_ray.schema import KIND_GAUGE
     from vertex_ray.stages.encode import encode_agg_rows
-    from vertex_ray.stages.rollup import merge_agg
-
-    from vertex_ray.pipelines.scrape_pipeline import (
-        _KIND_BUCKET,
-        _agg_columns,
-        _empty_agg_frame,
+    from vertex_ray.stages.kernel import (
+        _UID_CODE_MASK,
+        _UID_METRIC_SHIFT,
+        factorize,
+        keyed_agg,
+        keyed_rows,
+        merge_keyed,
+        take_agg,
     )
+
+    from vertex_ray.pipelines.scrape_pipeline import _normalize
 
     bucket_id = int(g["bucket"][0].as_py())
     kinds_col = g["kind"].to_numpy(zero_copy_only=False)
-    data = g.filter(pa.array(kinds_col != _SENTINEL_KIND)).to_pandas()
-
-    refs = open_rows = None
-    if state_in_dir is not None:
-        p = posixpath.join(state_in_dir, f"refs-{bucket_id:05d}.parquet")
-        if fsio.exists(p):
-            refs = fsio.read_parquet(p).to_pandas()
-        p = posixpath.join(state_in_dir, f"open-{bucket_id:05d}.parquet")
-        if fsio.exists(p):
-            open_rows = fsio.read_parquet(p).to_pandas()
-    if refs is None:
-        refs = data.iloc[0:0]
-    if open_rows is None:
-        open_rows = _empty_agg_frame()
-
-    # replay absorb: drop samples at or before the series' last accepted
-    # timestamp (the carried reference rows ARE that timestamp)
-    if len(data) and len(refs):
-        last = refs.groupby("series_key")["ts_ms"].max()
-        lm = data["series_key"].map(last)
-        data = data[lm.isna().to_numpy()
-                    | (data["ts_ms"].to_numpy()
-                       > lm.fillna(-1).to_numpy())]
+    data = g.filter(pa.array(kinds_col != _SENTINEL_KIND))
+    refs = _read_state(state_in_dir, "refs", bucket_id)
+    open_rows = _read_state(state_in_dir, "open", bucket_id)
 
     # carried reference rows replay as each series' FIRST instant — the
     # kernels' first-sample/first-instant drop consumes them, so diffs
     # seed from the carried values with zero per-kind seeding code
-    combined = (pd.concat([refs, data], ignore_index=True)
-                if len(refs) else data)
+    combined = (data if refs is None else
+                pa.concat_tables([refs, data], promote_options="default"))
+    code, _ = factorize(combined["series_key"])
+    ts = combined["ts_ms"].to_numpy()
+    if refs is not None:
+        # replay absorb: drop samples at or before the series' last
+        # accepted timestamp (the carried reference rows ARE that one)
+        is_ref = np.arange(len(ts)) < refs.num_rows
+        keep = is_ref | (ts > _latest_per_series(
+            code, np.where(is_ref, ts, np.iinfo(np.int64).min)))
+        combined = combined.filter(pa.array(keep))
+        code, ts = code[keep], ts[keep]
 
-    frames = [f for _, sub in combined.groupby("kind", sort=True)
-              for f in [_KIND_BUCKET[int(sub["kind"].iloc[0])](
-                  sub, window_s, n_buckets)] if len(f)]
-    new_rows = (pd.concat(frames, ignore_index=True) if frames
-                else _empty_agg_frame())
-    all_rows = pd.concat([open_rows, new_rows], ignore_index=True)
-    if len(all_rows):
-        # gauge merge = replace: of a window's carried open partial and
-        # its re-derived row (the reference sample replays into it), the
-        # latest ``last_ts`` wins alone — adding them double-counts
-        gauge = all_rows["kind"].to_numpy() == KIND_GAUGE
-        dup = (all_rows[gauge].sort_values("last_ts", kind="stable")
-               .duplicated(["series_key", "window_start"], keep="last"))
-        all_rows = all_rows.drop(index=dup.index[dup.to_numpy()])
-        all_rows = merge_agg(all_rows, window_s)
-        all_rows["filled"] = False
-        all_rows["stale"] = False
+    rows = keyed_rows(*_normalize(combined, window_s)).cast(_AGG_SCHEMA)
+    if open_rows is not None:
+        rows = pa.concat_tables([
+            open_rows.select(_AGG_SCHEMA.names).cast(_AGG_SCHEMA), rows])
+    agg, series = keyed_agg(rows)
+    # gauge merge = replace: of a window's carried open partial and its
+    # re-derived row (the reference sample replays into it), the latest
+    # ``last_ts`` wins alone — adding them double-counts. This is not a
+    # property of the §F4 merge, which adds gauge counts across windows.
+    uid, w = agg["uid"], agg["window"]
+    last_of = np.ones(len(uid), dtype=bool)
+    last_of[:-1] = (uid[1:] != uid[:-1]) | (w[1:] != w[:-1])
+    gauge = (uid >> _UID_METRIC_SHIFT) == KIND_GAUGE
+    agg = merge_keyed(take_agg(agg, last_of | ~gauge), window_s)
 
     # split: each series' LAST window stays open (unless finalizing)
-    if len(all_rows) and not emit_all:
-        mx = all_rows.groupby("series_key")["window_start"].transform("max")
-        open_mask = all_rows["window_start"].to_numpy() == mx.to_numpy()
-        opens = all_rows[open_mask]
-        emit = all_rows[~open_mask]
+    if emit_all:
+        open_mask = np.zeros(len(agg["uid"]), dtype=bool)
     else:
-        opens = all_rows.iloc[0:0]
-        emit = all_rows
+        w = agg["window"]
+        open_mask = w == _latest_per_series(agg["uid"] & _UID_CODE_MASK, w)
+    emit = _with_flags(keyed_rows(take_agg(agg, ~open_mask), series))
+    opens = _with_flags(keyed_rows(take_agg(agg, open_mask), series))
 
     # next references: every row of each series' latest instant
-    if len(combined):
-        mxts = combined.groupby("series_key")["ts_ms"].transform("max")
-        new_refs = combined[combined["ts_ms"].to_numpy() == mxts.to_numpy()]
-    else:
-        new_refs = combined
+    new_refs = combined.filter(pa.array(ts == _latest_per_series(code, ts)))
 
-    if len(emit):
+    if emit.num_rows:
         final = posixpath.join(blocks_parts_dir,
                                f"part-{bucket_id:05d}.parquet")
         if not fsio.exists(final):
             fsio.write_parquet_atomic(encode_agg_rows(emit, tier=tier), final,
                                       str(os.getpid()))
-    for name, frame in (("refs", new_refs), ("open", opens)):
+    for name, table in (("refs", new_refs), ("open", opens)):
         f = posixpath.join(state_parts_dir,
                            f"{name}-{bucket_id:05d}.parquet")
         if not fsio.exists(f):
-            fsio.write_parquet_atomic(
-                pa.Table.from_pandas(frame, preserve_index=False), f,
-                str(os.getpid()))
-
-    out = emit[[c for c in _agg_columns() if c in emit.columns]]
-    return pa.Table.from_pandas(out, preserve_index=False)
+            fsio.write_parquet_atomic(table, f, str(os.getpid()))
+    return emit
 
 
 def _epoch_seq_dirs(out_dir: str) -> list[str]:

@@ -12,12 +12,15 @@ sink holds per-series aggregates (src/sinks/prometheus_exporter.rs).
 
 Shape: a vectorized line parse per batch (sources/prometheus_text; RE2
 line split + per-UNIQUE-label canonicalization), then ONE
-``groupby(bucket)`` exchange whose group body runs the per-kind
-normalize + rollup kernels VECTORIZED across the bucket's series
-(integer-lexsort segments — no per-series Python loop on the
-counter/gauge hot paths), packs, and Gorilla-encodes in the same task
-(the flagship fused_bucket_group pattern) — read → parse → one
-exchange → block rows.
+``groupby(bucket)`` exchange whose group body (pyarrow batches) runs
+the per-kind normalize + rollup kernels VECTORIZED across the bucket's
+series — integer-lexsort segments into the array kernel's AggArrays
+(stages/kernel, its string-keyed adapter: series keys factorized once,
+names rendered once per unique series; no per-series Python loop, no
+pandas) — packs, and Gorilla-encodes in the same task (the flagship
+fused_bucket_group pattern) — read → parse → one exchange → block
+rows. The readable pandas spec of these merges lives in
+tests/rollup_spec.py.
 
 Kind semantics (MetricValue::merge, lib/event/src/metric/mod.rs:42-64):
 
@@ -54,12 +57,23 @@ import pandas as pd
 import pyarrow as pa
 
 from vertex_ray.schema import (
-    KIND_SUMMARY,
-    BUCKET_COLS,
     DEFAULT_BUCKETS_ARR,
     KIND_GAUGE,
     KIND_HISTOGRAM,
     KIND_SUM,
+    KIND_SUMMARY,
+    N_BUCKETS,
+)
+from vertex_ray.stages.kernel import (
+    AggArrays,
+    _empty_agg,
+    _segments,
+    concat_agg,
+    factorize,
+    keyed_rows,
+    keyed_uids,
+    series_table,
+    window_agg,
 )
 
 __all__ = [
@@ -112,207 +126,138 @@ def _strip_quote_tags(s: pa.Table) -> pd.Series:
                      dtype=object).str.replace('"', "", regex=False)
 
 
-def _agg_columns() -> list[str]:
-    return (["bucket", "series_key", "name", "kind", "window_start",
-             "sum", "count", "min", "max", "last", "last_ts",
-             "filled", "stale"]
-            + list(BUCKET_COLS))
-
-
-def _empty_agg_frame() -> pd.DataFrame:
-    from vertex_ray.stages.rollup import empty_agg_df
-
-    return empty_agg_df().assign(filled=pd.Series(dtype=bool),
-                                 stale=pd.Series(dtype=bool))[_agg_columns()]
-
-
-def _agg_frame_from(keys: np.ndarray, ws: np.ndarray, n_buckets: int,
-                    kind_code: int, last_ts: np.ndarray,
-                    scalars: dict) -> pd.DataFrame:
-    """Windowed rows (MANY series) → agg-shaped rows with the given kind
-    and scalar columns (sum/count/min/max/last). Fully vectorized across
-    series."""
-    n = len(ws)
-    if n == 0:
-        return _empty_agg_frame()
-    name = pd.Series(keys, dtype=object).str.split(
-        "{", n=1).str[0].to_numpy()
-    bucket = (pd.util.hash_array(keys)
-              % np.uint64(n_buckets)).astype(np.int32)
-    out = {"bucket": bucket,
-           "series_key": keys,
-           "name": name,
-           "kind": np.full(n, kind_code, dtype=np.uint8),
-           "window_start": ws.astype(np.int64)}
-    for c in ("sum", "count", "min", "max", "last"):
-        out[c] = np.asarray(scalars[c], dtype=np.float64)
-    out["last_ts"] = last_ts.astype(np.int64)
-    out["filled"] = np.zeros(n, bool)
-    out["stale"] = np.zeros(n, bool)
-    for b in BUCKET_COLS:
-        out[b] = np.zeros(n)
-    return pd.DataFrame(out)
-
-
 # ---------------------------------------------------------------------------
-# Per-kind normalize + rollup kernels. Each takes a bucket's worth of
-# rows (MANY series of one kind) sorted internally and works with
-# segmented numpy operations — no per-series Python loop on the counter
-# and gauge hot paths (the flagship kernel.py pattern).
+# Per-kind normalize + rollup kernels. Each takes one kind's samples of a
+# bucket (MANY series: integer series codes, ms timestamps, values) and
+# returns AggArrays keyed ``kind << 40 | code`` (stages/kernel's
+# string-keyed adapter), with segmented numpy operations — no per-series
+# Python loop, no pandas (the flagship kernel.py pattern). Reductions are
+# positional: a NaN-valued sample poisons its window, it does not vanish.
 # ---------------------------------------------------------------------------
 
 
-def _sorted_series_cols(g: pd.DataFrame):
-    """(codes, uniq, ts_ms, value) of the bucket sorted by (series,
-    ts_ms, value): integer-coded lexsort — object-string multi-key sorts
-    are the classic hotspot the flagship kernel avoids the same way."""
-    k = g["series_key"].to_numpy(dtype=object)
-    codes, uniq = pd.factorize(k)
-    ts = g["ts_ms"].to_numpy(dtype=np.int64)
-    v = g["value"].to_numpy(dtype=np.float64)
-    order = np.lexsort((v, ts, codes))
-    return codes[order], uniq, ts[order], v[order]
+def _sorted_samples(c: np.ndarray, ts: np.ndarray, v: np.ndarray):
+    """Samples sorted by (series, ts_ms, value): the value breaks
+    ms-resolution ties deterministically."""
+    order = np.lexsort((v, ts, c))
+    return c[order], ts[order], v[order]
 
 
-def _counter_bucket(g: pd.DataFrame, window_s: int,
-                    n_buckets: int) -> pd.DataFrame:
+def _counter_agg(c, ts, v, window_s: int):
     # normalize contract (stages/normalize.absolute_to_incremental):
     # sort, diff within series segments, decrease = reset, first
     # observation of each series emits nothing. The cumulative value is
     # the tie-breaker — it encodes arrival order exactly (non-decreasing
     # along the true order), so ms-resolution ties stay deterministic.
-    if len(g) == 0:
-        return _empty_agg_frame()
-    c, uniq, ts, v = _sorted_series_cols(g)
-    new = np.concatenate([[True], c[1:] != c[:-1]])
-    prev = np.empty_like(v)
+    c, ts, v = _sorted_samples(c, ts, v)
+    keep = np.zeros(len(c), dtype=bool)
+    keep[1:] = c[1:] == c[:-1]
+    prev = np.zeros_like(v)
     prev[1:] = v[:-1]
-    prev[0] = 0.0
     delta = np.where(v >= prev, v - prev, v)
-    ws = (ts // (window_s * 1000)) * window_s
-    keep = ~new
-    c, ws, delta, ts = c[keep], ws[keep], delta[keep], ts[keep]
-    if len(c) == 0:
-        return _empty_agg_frame()
-    # per-(series, window) partials via reduceat segments — positional
-    # (NOT pandas groupby agg, whose min/max/last silently skip NaN: a
-    # NaN-valued sample must poison its window, not vanish)
-    b, eb = _segment_bounds(c, ws)
-    return _agg_frame_from(
-        uniq[c[b]], ws[b], n_buckets, KIND_SUM, ts[eb - 1] * 1000,
-        {"sum": np.add.reduceat(delta, b),
-         "count": (eb - b),
-         "min": np.minimum.reduceat(delta, b),
-         "max": np.maximum.reduceat(delta, b),
-         "last": delta[eb - 1]})
+    # window_agg's stable (uid, window, ts) sort keeps the value order
+    return window_agg(keyed_uids(KIND_SUM, c[keep]), ts[keep] * 1000,
+                      delta[keep], window_s, False)
 
 
-def _segment_bounds(c: np.ndarray, ws: np.ndarray):
-    newg = np.concatenate([[True], (c[1:] != c[:-1]) | (ws[1:] != ws[:-1])])
-    b = np.flatnonzero(newg)
-    eb = np.concatenate([b[1:], [len(ws)]])
-    return b, eb
+def _pick_agg(kind: int, c, ts, v, window_s: int):
+    """Gauge merge = replace: the LAST sample per (series, window) in
+    (ts_ms, value) order wins (a NaN sample replaces like any other).
+    Summary merge is a NO-OP (MetricValue::merge keeps the first
+    accumulated state, lib/event/src/metric/mod.rs:33-39): the FIRST
+    sample wins, its instant is the row's ``last_ts``. Quantile streams
+    arrive as their own series (the {quantile=...} label is part of the
+    canonical key); the family's _sum/_count route to counter series in
+    the parse stage."""
+    c, ts, v = _sorted_samples(c, ts, v)
+    w = ts // (window_s * 1000) * window_s
+    starts = _segments(c, w)
+    pick = (starts if kind == KIND_SUMMARY
+            else np.append(starts[1:], len(c)) - 1)
+    val = v[pick]
+    return AggArrays(uid=keyed_uids(kind, c[pick]), window=w[pick],
+                     sum=val, count=np.ones(len(pick), np.int64), min=val,
+                     max=val, last=val, last_ts=ts[pick] * 1000,
+                     buckets=np.zeros((0, N_BUCKETS), np.int64))
 
 
-def _gauge_bucket(g: pd.DataFrame, window_s: int,
-                  n_buckets: int) -> pd.DataFrame:
-    # gauge merge = replace: last sample per (series, window) in
-    # (ts_ms, value) order (value breaks ms-resolution ties; a NaN
-    # sample replaces like any other value — positional last, no skipna)
-    if len(g) == 0:
-        return _empty_agg_frame()
-    c, uniq, ts, v = _sorted_series_cols(g)
-    ws = (ts // (window_s * 1000)) * window_s
-    b, eb = _segment_bounds(c, ws)
-    last = v[eb - 1]
-    return _agg_frame_from(
-        uniq[c[b]], ws[b], n_buckets, KIND_GAUGE, ts[eb - 1] * 1000,
-        {"sum": last, "count": np.ones(len(b)), "min": last, "max": last,
-         "last": last})
-
-
-def _summary_bucket(g: pd.DataFrame, window_s: int,
-                    n_buckets: int) -> pd.DataFrame:
-    # summary merge is a NO-OP (MetricValue::merge keeps the first
-    # accumulated state, lib/event/src/metric/mod.rs:33-39): the FIRST
-    # sample per (series, window) in (ts_ms, value) order wins — the
-    # exact dual of the gauge kernel's last. Quantile streams arrive as
-    # their own series (the {quantile=...} label is part of the
-    # canonical key); the family's _sum/_count route to counter series
-    # in the parse stage.
-    if len(g) == 0:
-        return _empty_agg_frame()
-    c, uniq, ts, v = _sorted_series_cols(g)
-    ws = (ts // (window_s * 1000)) * window_s
-    b, eb = _segment_bounds(c, ws)
-    first = v[b]
-    return _agg_frame_from(
-        uniq[c[b]], ws[b], n_buckets, KIND_SUMMARY, ts[b] * 1000,
-        {"sum": first, "count": np.ones(len(b)), "min": first,
-         "max": first, "last": first})
-
-
-def _hist_bucket(g: pd.DataFrame, window_s: int,
-                 n_buckets: int) -> pd.DataFrame:
-    # histogram families are O(instrumented metrics): a per-series pass
-    # within the bucket is fine (the wide pivot dominates anyway)
-    frames = [_hist_series_frame(s, window_s, n_buckets)
-              for _, s in g.groupby("series_key", sort=False)]
-    frames = [f for f in frames if len(f)]
-    return (pd.concat(frames, ignore_index=True) if frames
-            else _empty_agg_frame())
-
-
-def _hist_series_frame(g: pd.DataFrame, window_s: int,
-                       n_buckets: int) -> pd.DataFrame:
-    key = g["series_key"].iloc[0]
-    cnt = g[g["role"] == "count"].groupby("ts_ms")["value"].last()
-    sm = g[g["role"] == "sum"].groupby("ts_ms")["value"].last()
-    b = g[g["role"] == "bucket"].pivot_table(
-        index="ts_ms", columns="le", values="value", aggfunc="last")
-    uppers = np.asarray([u for u in b.columns if np.isfinite(u)])
-    if not np.array_equal(uppers, DEFAULT_BUCKETS_ARR):
+def _hist_agg(c, ts, v, window_s: int, role, le, keys: pa.Array):
+    """Histogram families: per series, one wide row per scrape instant
+    (count, sum, then the 11 cumulative-le counters), normalized JOINTLY
+    on count resets; window = per-stream delta sums. An instant without
+    a ``_count`` sample is ignored; a series' finite ``le`` set must be
+    the store layout, and every instant of a series with two or more
+    must carry ``_count``, ``_sum`` and all buckets."""
+    j = np.searchsorted(DEFAULT_BUCKETS_ARR, le)
+    fin = (role == "bucket") & np.isfinite(le)
+    known = fin & (DEFAULT_BUCKETS_ARR[np.minimum(j, N_BUCKETS - 1)] == le)
+    seen = np.zeros((len(keys), N_BUCKETS + 1), dtype=bool)
+    seen[c[fin], np.where(known, j, N_BUCKETS)[fin]] = True
+    u = np.unique(c)
+    bad = u[seen[u, N_BUCKETS] | ~seen[u, :N_BUCKETS].all(axis=1)]
+    if len(bad):
         raise ValueError(
-            f"scraped le uppers {list(uppers)} do not match the store "
-            f"layout {list(DEFAULT_BUCKETS_ARR)} for {key}")
-    if len(cnt) < 2:
-        return _empty_agg_frame()
-    # one wide matrix per scrape instant: count, sum, then the 11
-    # cumulative-le counters, all normalized jointly on count resets
-    mat = np.column_stack(
-        [cnt.to_numpy(np.float64),
-         sm.reindex(cnt.index).to_numpy(np.float64)]
-        + [b[u].reindex(cnt.index).to_numpy(np.float64) for u in uppers])
-    if np.isnan(mat).any():
+            f"scraped le uppers {list(np.unique(le[fin & (c == bad[0])]))} "
+            f"do not match the store layout {list(DEFAULT_BUCKETS_ARR)} "
+            f"for {keys[bad[0]].as_py()}")
+    # the last sample of each (series, instant, stream) in input order
+    col = np.select([role == "count", role == "sum", known], [0, 1, 2 + j], -1)
+    m = col >= 0
+    order = np.lexsort((col[m], ts[m], c[m]))
+    c, ts, v, col = (x[m][order] for x in (c, ts, v, col))
+    last = np.append(_segments(c, ts, col)[1:], len(c)) - 1
+    c, ts, v, col = c[last], ts[last], v[last], col[last]
+    inst = _segments(c, ts)
+    inst_of = np.repeat(np.arange(len(inst)), np.diff(np.append(inst, len(c))))
+    mat = np.full((len(inst), 2 + N_BUCKETS), np.nan)
+    mat[inst_of, col] = v
+    has_count = np.isin(np.arange(len(inst)), inst_of[col == 0])
+    mat, ic, its = mat[has_count], c[inst][has_count], ts[inst][has_count]
+    new = np.ones(len(ic), dtype=bool)
+    new[1:] = ic[1:] != ic[:-1]
+    incomplete = np.isnan(mat).any(axis=1) & np.isin(ic, ic[~new])
+    if incomplete.any():
+        key = keys[ic[incomplete][0]].as_py()
         raise ValueError(f"incomplete scrape instants for {key}: every "
                          "ts must carry _count, _sum and all buckets")
-    prev, cur = mat[:-1], mat[1:]
-    reset = cur[:, 0] < prev[:, 0]
-    delta = np.where(reset[:, None], cur, cur - prev)
-    ts = cnt.index.to_numpy(np.int64)[1:]
-    out = pd.DataFrame(delta, columns=["count", "sum"] + list(BUCKET_COLS))
-    out["window_start"] = (ts // (window_s * 1000)) * window_s
-    out["last_ts"] = ts * 1000
-    agg = {col: "sum" for col in ["count", "sum"] + list(BUCKET_COLS)}
-    agg["last_ts"] = "max"
-    out = out.groupby("window_start", as_index=False).agg(agg)
-    n = len(out)
-    out.insert(0, "series_key", key)
-    out.insert(0, "bucket", np.int32(
-        pd.util.hash_array(np.array([key], dtype=object))[0]
-        % np.uint64(n_buckets)))
-    out["name"] = key.split("{", 1)[0]
-    out["kind"] = np.uint8(KIND_HISTOGRAM)
-    for c in ("min", "max", "last"):
-        out[c] = np.zeros(n)
-    out["filled"] = np.zeros(n, bool)
-    out["stale"] = np.zeros(n, bool)
-    return out[_agg_columns()]
+    prev = np.roll(mat, 1, axis=0)  # row 0 of each series is dropped
+    delta = np.where((mat[:, 0] < prev[:, 0])[:, None], mat, mat - prev)[~new]
+    ic, its = ic[~new], its[~new]
+    if not len(ic):
+        return _empty_agg()
+    w = its // (window_s * 1000) * window_s
+    starts = _segments(ic, w)
+    sums = np.add.reduceat(delta, starts, axis=0)
+    zero = np.zeros(len(starts))
+    return AggArrays(uid=keyed_uids(KIND_HISTOGRAM, ic[starts]),
+                     window=w[starts], sum=sums[:, 1], count=sums[:, 0],
+                     min=zero, max=zero, last=zero,
+                     last_ts=its[np.append(starts[1:], len(its)) - 1] * 1000,
+                     buckets=sums[:, 2:])
 
 
-_KIND_BUCKET = {KIND_SUM: _counter_bucket, KIND_GAUGE: _gauge_bucket,
-                KIND_HISTOGRAM: _hist_bucket,
-                KIND_SUMMARY: _summary_bucket}
+def _normalize(g: pa.Table, window_s: int) -> tuple[AggArrays, pa.Table]:
+    """A bucket's routed samples → (per-(series, window) AggArrays over
+    every kind, per-series identity table): the per-kind normalize +
+    rollup kernels, vectorized across the bucket's series."""
+    c, keys = factorize(g["series_key"])
+    kind = g["kind"].to_numpy()
+    ts = g["ts_ms"].to_numpy()
+    v = g["value"].to_numpy()
+    series = series_table(keys, g["bucket"][0].as_py() if len(g) else 0)
+    parts = [_empty_agg()]
+    for k in np.unique(kind):
+        m = kind == k
+        if k == KIND_SUM:
+            parts.append(_counter_agg(c[m], ts[m], v[m], window_s))
+        elif k == KIND_HISTOGRAM:
+            parts.append(_hist_agg(
+                c[m], ts[m], v[m], window_s,
+                g["role"].to_numpy(zero_copy_only=False)[m],
+                g["le"].to_numpy(zero_copy_only=False)[m], keys))
+        else:
+            parts.append(_pick_agg(int(k), c[m], ts[m], v[m], window_s))
+    return concat_agg(parts), series
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +468,12 @@ def _scrape_routed(lines_ds, *, kinds: dict, window_s: int, tier: str,
                               untyped_fallback=untyped_fallback,
                               fallback_skip=fallback_skip)
 
-    def normalize_pack_encode(g: pd.DataFrame) -> pa.Table:
-        frames = [_KIND_BUCKET[int(code)](sub, window_s, n_buckets)
-                  for code, sub in g.groupby("kind", sort=True)]
-        frames = [f for f in frames if len(f)]
-        rows = (pd.concat(frames, ignore_index=True) if frames
-                else _empty_agg_frame())
+    def normalize_pack_encode(g: pa.Table) -> pa.Table:
         # exporter-TTL staleness (fill: LOCF run codes + one stale
         # marker per expired series) and the Gorilla encode run in the
         # same bucket task — no separate actor-pool stage
-        return encode_agg_rows(rows, tier=tier, fill=fill)
+        return encode_agg_rows(keyed_rows(*_normalize(g, window_s)),
+                               tier=tier, fill=fill)
 
     return (parsed.groupby("bucket")
-            .map_groups(normalize_pack_encode, batch_format="pandas"))
+            .map_groups(normalize_pack_encode, batch_format="pyarrow"))

@@ -40,8 +40,6 @@ KIND_GAUGE = 1  # last-write-wins        (MetricValue::Gauge)
 KIND_HISTOGRAM = 2  # cumulative-bucket  (MetricValue::Histogram)
 KIND_SUMMARY = 3  # quantiles, non-mergeable (MetricValue::Summary)
 
-KIND_NAMES = {KIND_SUM: "sum", KIND_GAUGE: "gauge", KIND_HISTOGRAM: "histogram"}
-
 # Default histogram uppers: exactly vertex's metricalize defaults
 # (src/transforms/metricalize.rs:21-25); +Inf is implicit as the final
 # cumulative bucket == count (rendered "+Inf", metric/mod.rs:190-193).
@@ -85,25 +83,6 @@ STALE_NAN_BITS = np.uint64(0x7FF0000000000002)
 STALE_NAN = float(np.uint64(STALE_NAN_BITS).view(np.float64))
 
 US_PER_SECOND = 1_000_000
-
-# ---------------------------------------------------------------------------
-# Derived points table (stage-1 output, FIXTURES.md §F2). Tags are carried
-# as flat columns (conv_id / role / tool) instead of a map<> so every stage
-# stays zero-copy Arrow and oracle-comparable; series_key is the canonical
-# sorted-tag identity string (series.py).
-# ---------------------------------------------------------------------------
-
-POINTS_FIELDS = [
-    ("series_key", pa.string()),
-    ("name", pa.string()),
-    ("conv_id", pa.string()),
-    ("role", pa.string()),
-    ("tool", pa.string()),
-    ("ts", pa.timestamp("us")),
-    ("kind", pa.uint8()),
-    ("value", pa.float64()),
-]
-POINTS_SCHEMA = pa.schema([pa.field(n, t) for n, t in POINTS_FIELDS])
 
 # ---------------------------------------------------------------------------
 # Tier aggregate table (FIXTURES.md §F3). One row per (series_key,

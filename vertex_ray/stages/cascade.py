@@ -4,9 +4,11 @@ Gorilla block rows — the flagship cascade (pipelines/rollup_pipeline)
 applied AT REST to a store that was ingested without coarser tiers
 (scrape ingest, streaming ingest, backfilled stores).
 
-Semantics are the tier-merge contract of FIXTURES.md §F4 via
-stages/rollup.merge_agg: sums/counts add, min/max fold, gauge ``last``
-by latest window, element-wise histogram bucket adds. LOCF fills and
+Semantics are the tier-merge contract of FIXTURES.md §F4 via the
+array kernel's string-keyed merge (stages/kernel.merge_keyed): sums/counts
+add, min/max fold (a NaN poisons its window, as in a direct rollup),
+gauge ``last`` by latest window, element-wise histogram bucket adds,
+summaries keep their first window (§F10). LOCF fills and
 stale markers never feed a coarser tier (a coarser window containing
 only markers stays a gap) — same rule as the flagship cascade.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from vertex_ray.schema import BLOCK_SCHEMA, TIER_SECONDS, US_PER_SECOND
 
@@ -41,7 +44,7 @@ def cascade_blocks(blocks_ds, *, tiers=("5m", "1h", "1d"),
     """Source-tier block rows → block rows for every tier in ``tiers``
     (ascending window sizes), one groupby(bucket) exchange total."""
     from vertex_ray.stages.encode import decode_blocks_batch, encode_agg_rows
-    from vertex_ray.stages.rollup import merge_agg
+    from vertex_ray.stages.kernel import keyed_agg, keyed_rows, merge_keyed
 
     secs = dict(tier_seconds or TIER_SECONDS)
     order = [(t, secs[t]) for t in tiers]
@@ -57,21 +60,24 @@ def cascade_blocks(blocks_ds, *, tiers=("5m", "1h", "1d"),
             f"{source_tier} in ascending order: {chain}")
 
     def body(g: pa.Table) -> pa.Table:
-        flat = decode_blocks_batch(g).to_pandas()
-        if len(flat):
-            flat = flat[flat["tier"] == source_tier]
+        flat = decode_blocks_batch(g)
+        if flat.num_rows:
             # markers never feed coarser tiers (FIXTURES §F5)
-            flat = flat[~(flat["filled"] | flat["stale"])]
-        if len(flat) == 0:
+            flat = flat.filter(pc.and_(
+                pc.equal(flat["tier"], source_tier),
+                pc.invert(pc.or_(flat["filled"], flat["stale"]))))
+        if flat.num_rows == 0:
             return BLOCK_SCHEMA.empty_table()
-        flat = flat.copy()
-        flat["bucket"] = np.int32(g["bucket"][0].as_py())
-        flat["last_ts"] = flat["window_start"].to_numpy() * US_PER_SECOND
+        w = flat["window_start"].to_numpy()
+        flat = (flat.append_column("bucket", pa.array(
+                    np.full(len(w), g["bucket"][0].as_py(), np.int32)))
+                .append_column("last_ts", pa.array(w * US_PER_SECOND)))
+        cur, series = keyed_agg(flat)
         out = []
-        cur = flat
         for tier_name, tier_s in order:
-            cur = merge_agg(cur, tier_s)
-            out.append(encode_agg_rows(cur, tier=tier_name))
+            cur = merge_keyed(cur, tier_s)
+            out.append(encode_agg_rows(keyed_rows(cur, series),
+                                       tier=tier_name))
         return pa.concat_tables(out)
 
     return blocks_ds.groupby("bucket").map_groups(body,

@@ -25,14 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from vertex_ray.schema import (
-    KIND_GAUGE,
-    KIND_HISTOGRAM,
-    KIND_SUM,
-    ROLES,
-    TOOLS,
-)
-from vertex_ray.series import series_key_arrays
+from vertex_ray.schema import ROLES, TOOLS
 
 PROJECT_COLUMNS = ["conv_id", "turn_idx", "role", "tool", "ts"]
 
@@ -130,88 +123,3 @@ def project_for_rollup_packed(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
         }
     )
 
-
-def derive_points_arrays(
-    conv_id: np.ndarray,
-    turn_idx: np.ndarray,
-    role: np.ndarray,
-    tool: np.ndarray,
-    ts_us: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Vectorized points derivation over conversation-contiguous arrays
-    sorted by (conv_id, turn_idx). Returns parallel numpy columns matching
-    POINTS_SCHEMA (minus Arrow types)."""
-    n = len(conv_id)
-    empty = np.full(n, "", dtype=object)
-
-    # turns_total: one observation of 1.0 per turn
-    sk_turns = series_key_arrays("turns_total", conv_id=conv_id, role=role)
-
-    # tool_invocations_total: turns that invoked a tool
-    tool_mask = np.asarray(tool, dtype=object) != ""
-    sk_tool = series_key_arrays(
-        "tool_invocations_total",
-        conv_id=conv_id[tool_mask],
-        tool=np.asarray(tool, dtype=object)[tool_mask],
-    )
-
-    # inter_turn_latency_seconds: gap to previous turn of the same conv.
-    # Input is conv-contiguous and turn-sorted, so the previous row is the
-    # previous turn except at conversation starts (turn_idx == 0).
-    lat_mask = np.asarray(turn_idx) > 0
-    prev_ts = np.empty(n, dtype=np.int64)
-    prev_ts[1:] = ts_us[:-1]
-    prev_ts[0] = 0
-    lat = (ts_us - prev_ts).astype(np.float64) / 1e6
-    sk_lat = series_key_arrays("inter_turn_latency_seconds", conv_id=conv_id[lat_mask])
-
-    # conv_turn_idx: gauge of the last-written turn index per conversation
-    sk_gauge = series_key_arrays("conv_turn_idx", conv_id=conv_id)
-
-    def block(sk, name, cids, roles, tools, ts, kind, vals):
-        m = len(sk)
-        return {
-            "series_key": sk,
-            "name": np.full(m, name, dtype=object),
-            "conv_id": cids,
-            "role": roles,
-            "tool": tools,
-            "ts": ts,
-            "kind": np.full(m, kind, dtype=np.uint8),
-            "value": vals,
-        }
-
-    blocks = [
-        block(
-            sk_turns, "turns_total", conv_id, role, empty, ts_us, KIND_SUM,
-            np.ones(n, dtype=np.float64),
-        ),
-        block(
-            sk_tool,
-            "tool_invocations_total",
-            conv_id[tool_mask],
-            empty[: int(tool_mask.sum())],
-            np.asarray(tool, dtype=object)[tool_mask],
-            ts_us[tool_mask],
-            KIND_SUM,
-            np.ones(int(tool_mask.sum()), dtype=np.float64),
-        ),
-        block(
-            sk_lat,
-            "inter_turn_latency_seconds",
-            conv_id[lat_mask],
-            empty[: int(lat_mask.sum())],
-            empty[: int(lat_mask.sum())],
-            ts_us[lat_mask],
-            KIND_HISTOGRAM,
-            lat[lat_mask],
-        ),
-        block(
-            sk_gauge, "conv_turn_idx", conv_id, empty, empty, ts_us, KIND_GAUGE,
-            np.asarray(turn_idx, dtype=np.float64),
-        ),
-    ]
-    return {
-        k: np.concatenate([b[k] for b in blocks])
-        for k in blocks[0]
-    }

@@ -155,9 +155,9 @@ class GorillaEncode:
                 per_bucket = encode_values_multi_shared(
                     [flat(f"vals_{b}")[1] for b in BUCKET_COLS], sub_off)
             else:
-                # dense per-point layout (fill.pack_series / expand_packed
-                # output, which only tests feed in to build legacy-layout
-                # blocks): gather the histogram rows' points
+                # dense per-point layout (the test spec's packing /
+                # expand_packed output, which only tests feed in to build
+                # legacy-layout blocks): gather the histogram rows' points
                 el_mask = np.repeat(hist, counts)
                 per_bucket = encode_values_multi_shared(
                     [flat(f"vals_{b}")[1][el_mask] for b in BUCKET_COLS],

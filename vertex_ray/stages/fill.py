@@ -22,134 +22,21 @@ Writers never materialise fills: they store one run code per real row
 (stages/kernel.fill_runs, stages/encode.encode_agg_rows), and
 ``expand_runs_*`` below rebuild the dense rows bit-for-bit at read;
 ``fold_fills`` is the inverse, for rewrites that decode a store.
-``fill_bucket_df`` and ``pack_series`` (the materialised fill rows and
-their dense packing) are the readable spec that tests compare the run
-codes against; no production path calls them.
+The materialised fill rows and their dense packing are the readable
+spec in tests/rollup_spec.py that the run codes are tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from vertex_ray.schema import (
     BUCKET_COLS,
     KIND_GAUGE,
     KIND_HISTOGRAM,
-    KIND_SUM,
-    STALE_NAN,
     STALE_NAN_BITS,
-    STALENESS_SECONDS,
 )
-from vertex_ray.stages.rollup import AGG_COLS
-
-FILL_COLS = AGG_COLS + ["filled", "stale"]
-
-
-def empty_fill_df() -> pd.DataFrame:
-    """Typed empty agg+fill frame (FILL_COLS) for the spec above."""
-    from vertex_ray.stages.rollup import empty_agg_df
-
-    df = empty_agg_df()
-    df["filled"] = pd.Series(dtype=bool)
-    df["stale"] = pd.Series(dtype=bool)
-    return df[FILL_COLS]
-
-
-def fill_bucket_df(
-    df: pd.DataFrame,
-    window_seconds: int,
-    global_end_window: int,
-    horizon_seconds: int = STALENESS_SECONDS,
-) -> pd.DataFrame:
-    """Insert LOCF fill rows and stale markers for one bucket's agg rows
-    (the materialised spec of kernel.fill_runs; test-only)."""
-    if len(df) == 0:
-        out = df.copy()
-        out["filled"] = pd.Series(dtype=bool)
-        out["stale"] = pd.Series(dtype=bool)
-        return out
-    df = df.sort_values(["series_key", "window_start"], kind="stable").reset_index(
-        drop=True
-    )
-    n = len(df)
-    w = df["window_start"].to_numpy(np.int64)
-    sk = df["series_key"].to_numpy(dtype=object)
-    same_next = np.zeros(n, dtype=bool)
-    same_next[:-1] = sk[:-1] == sk[1:]
-    next_w = np.empty(n, dtype=np.int64)
-    next_w[:-1] = w[1:]
-    limit = np.where(same_next, next_w, np.int64(global_end_window + window_seconds))
-
-    hw = horizon_seconds // window_seconds  # LOCF windows per gap
-    gap_windows = (limit - w) // window_seconds - 1
-    n_fill = np.clip(gap_windows, 0, hw)
-    stale_w = w + (hw + 1) * window_seconds
-    stale_mask = stale_w < limit
-
-    total = int(n_fill.sum())
-    parts = [df.assign(filled=False, stale=False)]
-    if total:
-        idx = np.repeat(np.arange(n), n_fill)
-        pos = np.arange(total) - np.repeat(np.cumsum(n_fill) - n_fill, n_fill) + 1
-        src = df.iloc[idx]
-        fill = pd.DataFrame(
-            {
-                "bucket": src["bucket"].to_numpy(),
-                "series_key": src["series_key"].to_numpy(),
-                "name": src["name"].to_numpy(),
-                "kind": src["kind"].to_numpy(),
-                "window_start": w[idx] + pos * window_seconds,
-                "last_ts": src["last_ts"].to_numpy(),
-                "filled": True,
-                "stale": False,
-            }
-        )
-        kind = src["kind"].to_numpy()
-        is_ctr = kind == KIND_SUM
-        is_gauge = kind == KIND_GAUGE
-        is_hist = kind == KIND_HISTOGRAM
-        last = src["last"].to_numpy()
-        fill["sum"] = np.where(is_ctr, 0.0, np.where(is_gauge, last, src["sum"].to_numpy()))
-        fill["count"] = np.where(is_hist, src["count"].to_numpy(), 0)
-        fill["min"] = np.where(is_ctr, np.nan, np.where(is_gauge, last, src["min"].to_numpy()))
-        fill["max"] = np.where(is_ctr, np.nan, np.where(is_gauge, last, src["max"].to_numpy()))
-        fill["last"] = np.where(is_ctr, 0.0, last)
-        for b in BUCKET_COLS:
-            fill[b] = np.where(is_hist, src[b].to_numpy(), 0)
-        parts.append(fill[FILL_COLS])
-    if stale_mask.any():
-        src = df.iloc[np.flatnonzero(stale_mask)]
-        m = len(src)
-        stale = pd.DataFrame(
-            {
-                "bucket": src["bucket"].to_numpy(),
-                "series_key": src["series_key"].to_numpy(),
-                "name": src["name"].to_numpy(),
-                "kind": src["kind"].to_numpy(),
-                "window_start": stale_w[stale_mask],
-                "sum": np.full(m, STALE_NAN),
-                "count": np.zeros(m, dtype=np.int64),
-                "min": np.full(m, STALE_NAN),
-                "max": np.full(m, STALE_NAN),
-                "last": np.full(m, STALE_NAN),
-                "last_ts": src["last_ts"].to_numpy(),
-                "filled": False,
-                "stale": True,
-            }
-        )
-        for b in BUCKET_COLS:
-            stale[b] = np.zeros(m, dtype=np.int64)
-        parts.append(stale[FILL_COLS])
-    out = pd.concat(parts, ignore_index=True)
-    out = out.sort_values(["series_key", "window_start"], kind="stable").reset_index(
-        drop=True
-    )
-    out["count"] = out["count"].astype(np.int64)
-    for b in BUCKET_COLS:
-        out[b] = out[b].astype(np.int64)
-    return out[FILL_COLS]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +44,8 @@ def fill_bucket_df(
 # layout. A run code (uint16, ``n_fill | stale << 15``) describes the LOCF
 # fill rows and optional stale marker that follow one stored row; every
 # synthesized row is a pure function of (kind, source row, position), so
-# expansion is bit-for-bit identical to the materialized fill_bucket_df rows.
+# expansion is bit-for-bit identical to the spec's materialized fill rows
+# (tests/rollup_spec.py).
 # ---------------------------------------------------------------------------
 
 
@@ -202,8 +90,8 @@ def expand_runs_scalars(
     real). A stored point with a nonzero flag is a fill or stale marker
     kept as a point (an epoch's carried fills); its code is 0.
     Returns the expanded streams plus the per-point ``flags`` (uint8:
-    1 = filled, 2 = stale) — bit-for-bit the materialized fill rows of
-    fill_bucket_df + pack_series stamping (canonical NaN for counter fill
+    1 = filled, 2 = stale) — bit-for-bit the spec's materialized fill
+    rows and their dense packing (canonical NaN for counter fill
     min/max, STALE_NAN payload on stale scalar streams, count never
     stamped)."""
     n = len(codes)
@@ -246,7 +134,7 @@ def expand_runs_scalars(
         dsts = dst0[src] + n_fill[src] + 1
         out_w[dsts] = w[src] + (n_fill[src] + 1) * ws_pt[src]
         # stale scalar streams carry the Prometheus stale NaN payload
-        # bit-exactly (the uint64-view stamp of pack_series)
+        # bit-exactly (a uint64-view stamp, as in the spec's packing)
         for o in (o_sum, o_min, o_max, o_last):
             o.view(np.uint64)[dsts] = STALE_NAN_BITS
         o_cnt[dsts] = 0.0
@@ -420,66 +308,9 @@ def expand_packed(batch: pa.Table) -> pa.Table:
     return pa.table(dense)
 
 
-def pack_series(df: pd.DataFrame) -> pa.Table:
-    """Filled agg rows (one bucket, sorted by series_key/window) → one row
-    per series with parallel dense list columns: the spec layout the
-    writers' run-coded packing (encode.pack_rows) is tested against;
-    no production path calls it."""
-    cols = {
-        "bucket": pa.int32(),
-        "series_key": pa.string(),
-        "name": pa.string(),
-        "kind": pa.uint8(),
-    }
-    if len(df) == 0:
-        empty = {k: pa.array([], type=t) for k, t in cols.items()}
-        empty["window_starts"] = pa.array([], type=pa.list_(pa.int64()))
-        for s in ["sum", "count", "min", "max", "last"]:
-            empty[f"vals_{s}"] = pa.array([], type=pa.list_(pa.float64()))
-        for b in BUCKET_COLS:
-            empty[f"vals_{b}"] = pa.array([], type=pa.list_(pa.float64()))
-        empty["flags"] = pa.array([], type=pa.list_(pa.uint8()))
-        return pa.table(empty)
-    sk = df["series_key"].to_numpy(dtype=object)
-    change = np.flatnonzero(np.concatenate([[True], sk[1:] != sk[:-1]]))
-    offsets = np.concatenate([change, [len(sk)]]).astype(np.int32)
-
-    def lst(values, typ):
-        return pa.ListArray.from_arrays(offsets, pa.array(values, type=typ))
-
-    stale_mask = df["stale"].to_numpy().astype(bool)
-    flags = df["filled"].to_numpy().astype(np.uint8) | (
-        stale_mask.astype(np.uint8) << 1
-    )
-
-    def stamp_stale(vals: np.ndarray) -> np.ndarray:
-        # pandas concat canonicalizes NaN payloads, so the Prometheus stale
-        # payload (0x7ff0000000000002) is stamped here, through a uint64
-        # view (bit-exact), before the values reach the Gorilla encoder.
-        out = np.ascontiguousarray(vals, dtype=np.float64).copy()
-        out.view(np.uint64)[stale_mask] = STALE_NAN_BITS
-        return out
-    out = {
-        "bucket": pa.array(df["bucket"].to_numpy()[change], type=pa.int32()),
-        "series_key": pa.array(sk[change], type=pa.string()),
-        "name": pa.array(df["name"].to_numpy(dtype=object)[change], type=pa.string()),
-        "kind": pa.array(df["kind"].to_numpy()[change], type=pa.uint8()),
-        "window_starts": lst(df["window_start"].to_numpy(np.int64), pa.int64()),
-    }
-    for s in ["sum", "count", "min", "max", "last"]:
-        vals = df[s].to_numpy(np.float64)
-        if s != "count":
-            vals = stamp_stale(vals)
-        out[f"vals_{s}"] = lst(vals, pa.float64())
-    for b in BUCKET_COLS:
-        out[f"vals_{b}"] = lst(df[b].to_numpy(np.float64), pa.float64())
-    out["flags"] = lst(flags, pa.uint8())
-    return pa.table(out)
-
-
 def unpack_series(batch: pa.Table, dict_encode: bool = False,
                   sparse_fills: bool = False) -> pa.Table:
-    """Inverse of pack_series: per-series array rows → flat tier rows
+    """Per-series array rows (the packed layout) → flat tier rows
     (AGG columns + tier + filled + stale). Pure Arrow/numpy explode — the
     tier aggregate tables are derived from the packed representation with
     no extra shuffle.

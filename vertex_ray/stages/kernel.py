@@ -1,13 +1,13 @@
 """Integer-coded numpy bucket kernel — the hot path of the flagship
 pipeline.
 
-The first implementation (stages/rollup, plus the fill spec
-stages/fill.fill_bucket_df + pack_series, now test-only) derives
-per-point series-key STRINGS and aggregates with pandas groupby over
-object columns. Under 32-way parallelism that is
-memory-bandwidth-bound (~94µs/turn measured). This kernel computes the
-identical result (bit-for-bit, property-tested against the pandas path)
-entirely on int64/float64 numpy arrays:
+It is the engine's one aggregation implementation. The readable
+pandas spec it is tested against (per-point series-key strings,
+groupby over object columns, materialised fills: tests/rollup_spec.py)
+was memory-bandwidth-bound under 32-way parallelism (~94µs/turn
+measured). This kernel computes the identical result (bit-for-bit,
+property-tested against that spec) entirely on int64/float64 numpy
+arrays:
 
 - conversations are identified by a 64-bit content hash computed at the
   project stage (string equality re-checked at group boundaries, so hash
@@ -24,18 +24,26 @@ entirely on int64/float64 numpy arrays:
 All sums stay exact (counter increments of 1.0, integer-second latencies),
 so reduction order cannot change a single bit — the property that makes
 the whole engine reproducible across parallelism levels.
+
+String-keyed agg rows (scrape, incremental scrape, cascade, span
+rollups) enter the same arrays through a small adapter (``keyed_agg``,
+``keyed_rows``, ``merge_keyed``): ``series_key`` is factorized and the
+uid becomes ``kind << 40 | code``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from vertex_ray.schema import (
+    BUCKET_COLS,
     DEFAULT_BUCKETS_ARR,
     KIND_GAUGE,
     KIND_HISTOGRAM,
     KIND_SUM,
+    KIND_SUMMARY,
     N_BUCKETS,
     ROLES,
     STALENESS_SECONDS,
@@ -67,6 +75,12 @@ def _hist_range(uid_sorted: np.ndarray) -> tuple[int, int]:
     hi = int(np.searchsorted(uid_sorted,
                              (HIST_METRIC + 1) << _UID_METRIC_SHIFT))
     return lo, hi
+
+
+# agg-row scalar columns in row order; AggArrays calls window_start
+# ``window``
+AGG_SCALARS = ("window_start", "sum", "count", "min", "max", "last",
+               "last_ts")
 
 
 class AggArrays(dict):
@@ -172,13 +186,11 @@ def sort_agg(agg: AggArrays) -> AggArrays:
     return out
 
 
-def merge_agg_arrays(agg: AggArrays, window_seconds: int, presorted=True) -> AggArrays:
+def merge_agg_arrays(agg: AggArrays, window_seconds: int) -> AggArrays:
     """Tier-merge partials into (coarser) windows — FIXTURES §F4 contract.
-    Input sorted by (uid, window) ⇒ coarse groups are contiguous and
-    last_ts is non-decreasing within a uid, so ``last`` is the segment's
-    final element."""
-    if not presorted:
-        agg = sort_agg(agg)
+    Input sorted by (uid, window[, last_ts]) ⇒ coarse groups are
+    contiguous and last_ts is non-decreasing within a uid, so ``last`` is
+    the segment's final element."""
     uid = agg["uid"]
     n = len(uid)
     if n == 0:
@@ -207,6 +219,106 @@ def merge_agg_arrays(agg: AggArrays, window_seconds: int, presorted=True) -> Agg
     return out
 
 
+# ---------------------------------------------------------------------------
+# string-keyed agg rows: scrape, incremental scrape, cascade, span rollups
+# ---------------------------------------------------------------------------
+
+_UID_CODE_MASK = (np.int64(1) << _UID_METRIC_SHIFT) - 1
+
+
+def factorize(col) -> tuple[np.ndarray, pa.Array]:
+    """String column → (int64 first-appearance codes, unique values)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_dictionary(col.type):
+        col = col.cast(col.type.value_type)
+    d = col.dictionary_encode()
+    return d.indices.to_numpy().astype(np.int64), d.dictionary
+
+
+def keyed_uids(kind, code: np.ndarray) -> np.ndarray:
+    """``kind << 40 | series code``: the kind in the top bits keeps the
+    histogram rows one uid range (KIND_HISTOGRAM == HIST_METRIC == 2),
+    so the sparse bucket matrix and ``_hist_range`` work unchanged."""
+    return (np.asarray(kind, dtype=np.int64) << _UID_METRIC_SHIFT) | code
+
+
+def series_table(keys: pa.Array, bucket, name=None) -> pa.Table:
+    """Per-series identity indexed by series code, rendered once per
+    series; ``name`` defaults to the key's text before ``{``."""
+    if name is None:
+        name = pc.list_element(pc.split_pattern(keys, "{", max_splits=1), 0)
+    bucket = np.broadcast_to(np.asarray(bucket, np.int32), (len(keys),))
+    return pa.table({"series_key": keys, "name": name,
+                     "bucket": pa.array(bucket)})
+
+
+def keyed_agg(rows: pa.Table) -> tuple[AggArrays, pa.Table]:
+    """Agg rows keyed by ``series_key`` strings → (AggArrays sorted by
+    (uid, window, last_ts), per-series table): a merge's ``last`` is the
+    latest ``last_ts`` and a summary's first the earliest (input order
+    breaks ties)."""
+    code, keys = factorize(rows["series_key"])
+    kind = rows["kind"].to_numpy()
+    first = np.unique(code, return_index=True)[1]
+    series = series_table(keys, rows["bucket"].to_numpy()[first],
+                          rows["name"].take(pa.array(first)))
+    col = {k: rows[k].to_numpy() for k in rows.column_names
+           if k in AGG_SCALARS or k in BUCKET_COLS}
+    uid = keyed_uids(kind, code)
+    order = np.lexsort((col["last_ts"], col["window_start"], uid))
+    agg = AggArrays(uid=uid[order], window=col["window_start"][order],
+                    **{k: col[k][order] for k in AGG_SCALARS[1:]})
+    hist = order[kind[order] == KIND_HISTOGRAM]
+    agg["buckets"] = (np.column_stack([col[b][hist] for b in BUCKET_COLS])
+                      if BUCKET_COLS[0] in col
+                      else np.zeros((len(hist), N_BUCKETS), np.int64))
+    return agg, series
+
+
+def keyed_rows(agg: AggArrays, series: pa.Table) -> pa.Table:
+    """Inverse of ``keyed_agg``: one agg row per entry, identity columns
+    taken from the per-series table, dense ``b00..b10``."""
+    ids = series.take(pa.array(agg["uid"] & _UID_CODE_MASK))
+    kind = (agg["uid"] >> _UID_METRIC_SHIFT).astype(np.uint8)
+    out = {"bucket": ids["bucket"], "series_key": ids["series_key"],
+           "name": ids["name"], "kind": pa.array(kind),
+           "window_start": pa.array(agg["window"])}
+    out.update({k: pa.array(agg[k]) for k in AGG_SCALARS[1:]})
+    b = np.zeros((len(kind), N_BUCKETS), dtype=agg["buckets"].dtype)
+    b[kind == KIND_HISTOGRAM] = agg["buckets"]
+    out.update({name: pa.array(b[:, j]) for j, name in enumerate(BUCKET_COLS)})
+    return pa.table(out)
+
+
+def take_agg(agg: AggArrays, mask: np.ndarray) -> AggArrays:
+    """Rows of ``agg`` where ``mask``, sparse bucket rows included."""
+    is_hist = (agg["uid"] >> _UID_METRIC_SHIFT) == HIST_METRIC
+    out = AggArrays({k: v[mask] for k, v in agg.items() if k != "buckets"})
+    out["buckets"] = agg["buckets"][mask[is_hist]]
+    return out
+
+
+def merge_keyed(agg: AggArrays, window_seconds: int) -> AggArrays:
+    """§F4 merge of ``keyed_agg`` partials into ``window_seconds``
+    windows; summary rows follow the no-op merge (FIXTURES §F10): each
+    window keeps its earliest-``last_ts`` row, every column untouched.
+    The rule lives here, not in ``merge_agg_arrays``: a keyed uid's top
+    bits are the row's kind column, a flagship uid's a metric index (3 is
+    the conv_turn_idx gauge)."""
+    summary = (agg["uid"] >> _UID_METRIC_SHIFT) == KIND_SUMMARY
+    if not summary.any():
+        return merge_agg_arrays(agg, window_seconds)
+    rest = merge_agg_arrays(take_agg(agg, ~summary), window_seconds)
+    s = take_agg(agg, summary)
+    cw = s["window"] // window_seconds * window_seconds
+    first = np.zeros(len(cw), dtype=bool)
+    first[_segments(s["uid"], cw)] = True
+    s = take_agg(s, first)
+    s["window"] = cw[first]
+    return sort_agg(concat_agg([rest, s]))
+
+
 def fill_windows(horizon_seconds: int, window_seconds: int) -> int:
     """LOCF fill windows per gap; ValueError when a run code cannot hold
     them (over 32,767)."""
@@ -229,7 +341,7 @@ def fill_runs(
     horizon_seconds: int = STALENESS_SECONDS,
 ) -> np.ndarray:
     """VIRTUAL gap-fill + LOCF + stale markers (semantics of the test
-    spec stages/fill.fill_bucket_df, §F5) in run-length form.
+    fill spec in tests/rollup_spec.py, §F5) in run-length form.
 
     Returns one uint16 code per (real) agg row — ``n_fill | stale << 15``
     — describing the LOCF fill windows and optional stale marker that

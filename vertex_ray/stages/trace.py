@@ -199,37 +199,33 @@ def _span_partials_group(g: pa.Table, window_s: int,
 def _partials_from_spans(spans: pa.Table, window_s: int,
                          n_out_buckets: int) -> pa.Table:
     """Span rows → windowed per-(series, window) PARTIAL agg rows,
-    re-bucketed by series hash for the merge exchange."""
-    from vertex_ray.stages.rollup import window_agg_points
+    re-bucketed by series hash for the merge exchange (partials from
+    every conv bucket for the same series must co-locate)."""
+    from vertex_ray.stages.kernel import (
+        concat_agg,
+        factorize,
+        keyed_rows,
+        keyed_uids,
+        series_table,
+        window_agg,
+    )
 
-    n = spans.num_rows
-    if n == 0:
-        from vertex_ray.stages.rollup import empty_agg_df
-
-        return pa.Table.from_pandas(empty_agg_df(), preserve_index=False)
-    role = spans["name"].to_numpy(zero_copy_only=False)
-    start_ns = spans["start_ns"].to_numpy(zero_copy_only=False)
+    role = spans["name"].to_numpy(zero_copy_only=False).astype(object)
+    ts_us = spans["start_ns"].to_numpy(zero_copy_only=False) // 1000
     dur_s = spans["duration_ns"].to_numpy(
         zero_copy_only=False).astype(np.float64) / 1e9
-    ts_us = start_ns // 1000
-    sk_cnt = series_key_arrays("span_count_total",
-                               role=role.astype(object))
-    sk_dur = series_key_arrays("span_duration_seconds",
-                               role=role.astype(object))
-    keys = np.concatenate([sk_cnt, sk_dur])
-    names = np.concatenate([np.full(n, "span_count_total", dtype=object),
-                            np.full(n, "span_duration_seconds",
-                                    dtype=object)])
-    kinds = np.concatenate([np.full(n, KIND_SUM, dtype=np.uint8),
-                            np.full(n, KIND_HISTOGRAM, dtype=np.uint8)])
-    ts2 = np.concatenate([ts_us, ts_us])
-    vals = np.concatenate([np.ones(n, np.float64), dur_s])
-    agg = window_agg_points(keys, names, kinds, ts2, vals, window_s, 0)
-    # re-bucket by SERIES for the merge exchange (partials from every
-    # conv bucket for the same series must co-locate)
-    agg["bucket"] = bucket_of(
-        agg["series_key"].to_numpy(dtype=object), n_out_buckets)
-    return pa.Table.from_pandas(agg, preserve_index=False)
+    n = spans.num_rows
+    code, keys = factorize(pa.array(np.concatenate([
+        series_key_arrays("span_count_total", role=role),
+        series_key_arrays("span_duration_seconds", role=role)]),
+        type=pa.string()))
+    agg = concat_agg([
+        window_agg(keyed_uids(KIND_SUM, code[:n]), ts_us, np.ones(n),
+                   window_s, False),
+        window_agg(keyed_uids(KIND_HISTOGRAM, code[n:]), ts_us, dur_s,
+                   window_s, True)])
+    return keyed_rows(agg, series_table(keys, bucket_of(
+        keys.to_numpy(zero_copy_only=False), n_out_buckets)))
 
 
 def span_rollup_store(ds, *, window_s: int = 60, tier: str = "1m",
@@ -238,9 +234,9 @@ def span_rollup_store(ds, *, window_s: int = 60, tier: str = "1m",
 
     conv-bucket exchange (whole traces per task) → windowed partials
     (combiner: the series exchange carries series × windows rows, never
-    spans) → per-series-bucket ``merge_agg`` (same-window partial merge,
-    then each ``cascade`` (tier, seconds) via the standard coarser-tier
-    merge — FIXTURES §F4 contract) → the one block writer
+    spans) → per-series-bucket ``kernel.merge_keyed`` (same-window
+    partial merge, then each ``cascade`` (tier, seconds) via the same
+    coarser-tier merge — FIXTURES §F4 contract) → the one block writer
     (stages/encode.encode_agg_rows) in the same task. Returns encoded
     block rows (decode with ``decode_tier_blocks``)."""
     partials = (
@@ -257,22 +253,21 @@ def _merge_pack_encode_ds(partials, window_s: int, tier: str,
     the one block writer (stages/encode.encode_agg_rows), fused into the
     merge task."""
     from vertex_ray.stages.encode import encode_agg_rows
-    from vertex_ray.stages.rollup import merge_agg
+    from vertex_ray.stages.kernel import keyed_agg, keyed_rows, merge_keyed
 
-    def merge_pack_encode(g: pd.DataFrame) -> pa.Table:
+    def merge_pack_encode(g: pa.Table) -> pa.Table:
+        prev, series = keyed_agg(g)
         parts = []
         # base tier (same-window partial merge), then cascade each
         # coarser tier from the previous tier's aggregates
-        prev = merge_agg(g, window_s)
-        tiers = [(tier, window_s)] + list(cascade)
-        for i, (tname, seconds) in enumerate(tiers):
-            if i > 0:
-                prev = merge_agg(prev, seconds)
-            parts.append(encode_agg_rows(prev, tier=tname))
+        for tname, seconds in [(tier, window_s)] + list(cascade):
+            prev = merge_keyed(prev, seconds)
+            parts.append(encode_agg_rows(keyed_rows(prev, series),
+                                         tier=tname))
         return pa.concat_tables(parts)
 
     return (partials.groupby("bucket")
-            .map_groups(merge_pack_encode, batch_format="pandas"))
+            .map_groups(merge_pack_encode, batch_format="pyarrow"))
 
 
 def _spans_to_turns(t: pa.Table) -> pa.Table:
