@@ -1,0 +1,132 @@
+"""Digests of the stores one transcript input builds, for bit-identity
+checks between two versions of the engine.
+
+Builds a ``run_pipeline`` store and a ``run_pipeline_epochs`` store
+(daily epochs) from ``ensure_transcripts(<sf dir>)`` in a temporary
+directory, then prints one JSON line:
+
+- ``parts``: the sha256 of every ``blocks/`` part file of both stores,
+  keyed by its path under the store;
+- ``rows``: one row-order-independent digest per store — its block rows
+  sorted by (tier, series_key, block_start), and for the epoch store
+  also each epoch's state rows sorted by (stype, conv_id, metric, sub,
+  tier, window).
+
+Byte-equal parts show an unchanged writer; equal ``rows`` digests show
+the same stored content when only row order may differ.
+
+    python scripts/store_digest.py <sf dir>
+
+Run it from any directory; it starts and stops its own local Ray
+session with ``num_cpus=1``. The stores take the engine's
+``auto_n_buckets`` width, which follows the session's CPU count, so the
+fixed CPU count keeps the width, and the digests, comparable between
+machines.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import posixpath
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+
+import numpy as np  # noqa: E402
+import pyarrow as pa  # noqa: E402
+import pyarrow.parquet as pq  # noqa: E402
+
+BLOCK_KEYS = ("tier", "series_key", "block_start")
+STATE_KEYS = ("stype", "conv_id", "metric", "sub", "tier", "window")
+
+
+def file_sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def table_digest(t: pa.Table, keys) -> str:
+    """sha256 of ``t`` sorted by ``keys``; refuses a table whose keys are
+    not unique, since its digest would depend on row order."""
+    t = t.sort_by([(k, "ascending") for k in keys])
+    key_rows = list(zip(*(t[k].to_pylist() for k in keys)))
+    if len(set(key_rows)) != len(key_rows):
+        raise ValueError(f"rows are not unique by {keys}")
+    h = hashlib.sha256()
+    for name in t.column_names:
+        col = t[name].combine_chunks()
+        h.update(f"{name}:{col.type}".encode())
+        if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
+            # raw bytes keep NaN payloads (stale markers) apart
+            h.update(np.ascontiguousarray(col.to_numpy()).tobytes())
+        else:
+            h.update(repr(col.to_pylist()).encode())
+    return h.hexdigest()
+
+
+def read_parts(files: list[str]) -> pa.Table:
+    return pa.concat_tables([pq.read_table(f) for f in files],
+                            promote_options="default")
+
+
+def store_digests(root: str, stage_dirs: list[str], state_dirs: list[str]):
+    from vertex_ray.state.checkpoint import stage_files
+
+    parts, blocks = {}, []
+    for d in stage_dirs:
+        for f in sorted(stage_files(d)):
+            parts[os.path.relpath(f, root)] = file_sha256(f)
+            blocks.append(f)
+    h = hashlib.sha256(table_digest(read_parts(blocks), BLOCK_KEYS).encode())
+    for d in state_dirs:
+        h.update(table_digest(read_parts(stage_files(d)), STATE_KEYS).encode())
+    return parts, h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sf_dir", help="scale-factor directory, e.g. .../sf0.001")
+    args = ap.parse_args()
+
+    import ray
+
+    # Ray workers import vertex_ray from the driver's working directory
+    os.chdir(REPO)
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    from ray.data import DataContext
+
+    DataContext.get_current().enable_progress_bars = False
+    from vertex_ray.pipelines.epoch_pipeline import epoch_dirs, run_pipeline_epochs
+    from vertex_ray.pipelines.rollup_pipeline import run_pipeline
+    from vertex_ray.synth import ensure_transcripts
+
+    trans = ensure_transcripts(args.sf_dir)
+    out = {"input": os.path.basename(os.path.normpath(args.sf_dir)),
+           "parts": {}, "rows": {}}
+    try:
+        with tempfile.TemporaryDirectory(prefix="store_digest_") as tmp:
+            one = os.path.join(tmp, "oneshot")
+            epo = os.path.join(tmp, "epochs")
+            run_pipeline(trans, one)
+            run_pipeline_epochs(trans, epo, epoch_seconds=86_400)
+            edirs = epoch_dirs(epo)
+            for name, root, blocks, states in (
+                ("oneshot", one, [posixpath.join(one, "blocks")], []),
+                ("epochs", epo, [posixpath.join(e, "blocks") for e in edirs],
+                 [posixpath.join(e, "state") for e in edirs]),
+            ):
+                parts, digest = store_digests(root, blocks, states)
+                out["parts"].update({f"{name}/{k}": v for k, v in parts.items()})
+                out["rows"][name] = digest
+    finally:
+        ray.shutdown()
+    print(json.dumps(out, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

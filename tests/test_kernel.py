@@ -1,6 +1,8 @@
 """The numpy bucket kernel must match the pandas reference path
 bit-for-bit (same agg rows, fills, stale markers, packing)."""
 
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -24,14 +26,19 @@ from vertex_ray.schema import (
     KIND_SUMMARY,
     TIERS,
 )
-from vertex_ray.stages.derive import conv_hash64, project_for_rollup_fast
+from vertex_ray.pipelines.rollup_pipeline import bucket_kernel_group_packed
+from vertex_ray.stages.derive import (
+    conv_hash64,
+    project_for_rollup_fast,
+    project_for_rollup_packed,
+)
 from vertex_ray.stages.fill import unpack_series
 from vertex_ray.stages.kernel import (
-    bucket_kernel,
     keyed_agg,
     keyed_rows,
     merge_keyed,
 )
+from vertex_ray.stages.kernel_epoch import epoch_kernel
 from vertex_ray.synth import generate_transcripts
 
 
@@ -87,18 +94,20 @@ def run_both(n_turns=20000, salt=1):
     got_parts = []
     for b, g in fast_df.groupby("bucket"):
         got_parts.append(
-            bucket_kernel(
+            epoch_kernel(
                 g["conv_id"].to_numpy(dtype=object),
-                g["conv_hash"].to_numpy(),
                 g["turn_idx"].to_numpy(),
                 g["role_code"].to_numpy(),
                 g["tool_code"].to_numpy(),
                 g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64),
+                None,
                 TIERS,
+                None,
+                None,
                 end,
                 int(b),
                 salt,
-            )
+            )[0]
         )
     got = _unpack_df(pa.concat_tables(got_parts))
     return ref, got
@@ -135,26 +144,59 @@ def test_kernel_hash_collision_safe():
     t = generate_transcripts(600)
     fast = project_for_rollup_fast(t, n_buckets=1)
     conv = fast["conv_id"].to_numpy(zero_copy_only=False)
-    ch = fast["conv_hash"].to_numpy().copy()
-    ch[:] = 42  # all conversations collide
     end = int(t["ts"].cast("int64").to_numpy().max() // 1_000_000)
-    out = bucket_kernel(
-        conv,
-        ch,
-        fast["turn_idx"].to_numpy(),
-        fast["role_code"].to_numpy(),
-        fast["tool_code"].to_numpy(),
-        fast["ts"].cast(pa.int64()).to_numpy(),
-        TIERS,
-        end,
-        0,
-    )
+    # all conversations collide on the hash that orders them
+    with mock.patch("vertex_ray.stages.kernel_epoch.conv_hash64",
+                    lambda c: np.full(len(c), 42, dtype=np.uint64)):
+        out = epoch_kernel(
+            conv,
+            fast["turn_idx"].to_numpy(),
+            fast["role_code"].to_numpy(),
+            fast["tool_code"].to_numpy(),
+            fast["ts"].cast(pa.int64()).to_numpy(),
+            None,
+            TIERS,
+            None,
+            None,
+            end,
+            0,
+        )[0]
     df = unpack_series(out).to_pandas()
     # every conversation must still appear as its own series
     n_convs = len(set(conv))
     turns_1m = df[(df["tier"] == "1m") & (df["name"] == "turns_total")]
     got_convs = {k.split("conv_id=")[1].split(",")[0] for k in turns_1m["series_key"]}
     assert len(got_convs) == n_convs
+
+
+def test_oneshot_accepts_ts_decreasing_in_turn_order():
+    """A one-shot run has no epoch boundary to guard: a conversation whose
+    ts decreases in turn order, which a bounded epoch refuses
+    (test_epoch_pipeline.test_nonmonotonic_ts_raises), goes through the
+    one-shot group body and matches the pandas spec bit for bit."""
+    t = generate_transcripts(3000)
+    conv = t["conv_id"].to_numpy(zero_copy_only=False)
+    ids, counts = np.unique(conv, return_counts=True)
+    rows = np.flatnonzero(conv == ids[counts.argmax()])
+    ts = t["ts"].cast(pa.int64()).to_numpy().copy()
+    ts[rows] = ts[rows][::-1]  # the longest conversation runs backwards
+    assert (np.diff(ts[rows]) < 0).any()
+    t = t.set_column(t.schema.get_field_index("ts"), "ts",
+                     pa.array(ts).cast(t.schema.field("ts").type))
+    end = int(ts.max() // 1_000_000)
+
+    pdf = t.to_pandas()
+    pdf["bucket"] = project_for_rollup_fast(t, n_buckets=4)["bucket"].to_numpy()
+    ref = _unpack_df(pa.concat_tables([
+        bucket_rollup_all_tiers(g, TIERS, end) for _, g in pdf.groupby("bucket")
+    ]))
+    packed = project_for_rollup_packed(t, n_buckets=4)
+    got = _unpack_df(pa.concat_tables([
+        bucket_kernel_group_packed(
+            packed.filter(pa.compute.equal(packed["bucket"], b)), TIERS, end, 1)
+        for b in np.unique(packed["bucket"].to_numpy())
+    ]))
+    assert_bit_identical(ref, got)
 
 
 _KEYED_KINDS = (KIND_SUM, KIND_GAUGE, KIND_HISTOGRAM, KIND_SUMMARY)

@@ -1,5 +1,5 @@
 """Property: sequential epoch_kernel calls with carried state reproduce
-bucket_kernel's one-shot output bit-for-bit, for arbitrary (per-conv
+the unbounded epoch's one-shot output bit-for-bit, for arbitrary (per-conv
 ts-monotonic) turn data — the epoch pipeline's correctness contract at
 the kernel level, where Hypothesis can run hundreds of cases cheaply."""
 
@@ -9,9 +9,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertex_ray.stages.derive import conv_hash64
 from vertex_ray.stages.fill import unpack_series
-from vertex_ray.stages.kernel import bucket_kernel
 from vertex_ray.stages.kernel_epoch import epoch_kernel
 
 TIERS = (("1m", 60), ("5m", 300))
@@ -75,9 +73,9 @@ def test_epoch_kernel_equals_oneshot(rows):
     conv, ti, rc, tc, ts = _arrays(rows)
     end_s = int(ts.max()) // 1_000_000
 
-    one = bucket_kernel(
-        conv, conv_hash64(conv).view(np.int64), ti, rc, tc, ts,
-        TIERS, end_s, bucket_id=0, salt=1,
+    one, _ = epoch_kernel(
+        conv, ti, rc, tc, ts, None,
+        TIERS, None, None, end_s, bucket_id=0, salt=1,
     )
 
     sec = ts // 1_000_000

@@ -192,6 +192,25 @@ def test_parse_numeric():
     assert vals[ok].tolist() == [1.5, 2.0, 3.25]
 
 
+def test_metricalize_skips_non_finite_in_every_form():
+    """One NaN rule: a value that is not finite is skipped whether it
+    arrives as a string, a float or a mixed-object value, so the same
+    window aggregates to the same (sum, count, min, max)."""
+    ts = pa.array([1, 2, 3, 4], type=pa.timestamp("us"))
+    strs = ["1", "NaN", "3", "inf"]
+    floats = [1.0, float("nan"), 3.0, float("inf")]
+    got = []
+    for v in (strs, floats):
+        out = metricalize_partial(T(v=v, ts=ts, svc=["s"] * 4), ["svc"], "v",
+                                  "ts", 60, [])
+        got.append((out["sum"].iloc[0], out["count"].iloc[0],
+                    out["min"].iloc[0], out["max"].iloc[0]))
+    vals, ok = parse_numeric(np.array([1, "NaN", "3", np.inf], dtype=object))
+    v = vals[ok]
+    got.append((v.sum(), len(v), v.min(), v.max()))
+    assert got == [(4.0, 2, 1.0, 3.0)] * 3
+
+
 def test_metricalize_last_tie_deterministic():
     """Equal-timestamp ties for ``last`` break by order_col, independent of
     arrival/merge order (round-1 judge finding: partial arrival order was

@@ -27,7 +27,6 @@ from vertex_ray.stages.fill import (
 )
 from vertex_ray.stages.kernel import (
     HIST_METRIC,
-    bucket_kernel,
     concat_agg,
     fill_runs,
     pack_arrays_virtual,
@@ -35,6 +34,7 @@ from vertex_ray.stages.kernel import (
     sort_agg,
     window_agg,
 )
+from vertex_ray.stages.kernel_epoch import epoch_kernel
 from vertex_ray.synth import generate_transcripts
 
 
@@ -45,18 +45,20 @@ def _kernel_packed(n_turns=6000, tiers=TIERS):
     t = generate_transcripts(n_turns)
     fast = project_for_rollup_fast(t, n_buckets=1)
     end = int(t["ts"].cast("int64").to_numpy().max() // 1_000_000)
-    return bucket_kernel(
+    return epoch_kernel(
         fast["conv_id"].to_numpy(zero_copy_only=False),
-        fast["conv_hash"].to_numpy(),
         fast["turn_idx"].to_numpy(),
         fast["role_code"].to_numpy(),
         fast["tool_code"].to_numpy(),
         fast["ts"].cast(pa.int64()).to_numpy(),
+        None,
         tiers,
+        None,
+        None,
         end,
         0,
         1,
-    )
+    )[0]
 
 
 def _agg_from_obs(uid, ts_s, vals, hist, window_seconds=60):
@@ -344,13 +346,14 @@ def test_oversize_horizon_raises():
     hold (fine windows + long staleness) is refused with fill_runs'
     ValueError; the pipelines' 300 s horizon never reaches it."""
     conv = np.array(["c1", "c1", "c2"], dtype=object)
-    h = np.array([1, 1, 2], dtype=np.uint64)
-    args = (conv, h, np.array([0, 1, 0]), np.array([1, 2, 1]),
+    args = (conv, np.array([0, 1, 0]), np.array([1, 2, 1]),
             np.array([0, 0, 3]),
             np.array([0, 2_000_000, 65_000_000], dtype=np.int64))
+    agg = _agg_from_obs([0, 0, 1], [0, 2, 65], [1.0, 1.0, 1.0], False, 1)
     with pytest.raises(ValueError, match="run-code range"):
-        bucket_kernel(*args, (("1s", 1),), 70, 0, horizon_seconds=50_000)
-    assert "runs" in bucket_kernel(*args, (("1s", 1),), 70, 0).schema.names
+        fill_runs(agg, 1, 70, horizon_seconds=50_000)
+    assert "runs" in epoch_kernel(*args, None, (("1s", 1),), None, None, 70,
+                                  0)[0].schema.names
 
 
 E0 = 1_700_000_000 // 3600 * 3600

@@ -119,29 +119,36 @@ def cmd_top(args) -> int:
 
 def cmd_stats(args) -> int:
     """LIVE per-stage execution stats — the ``vertex top`` live-tap
-    analogue (/root/reference src/top.rs:42-55, per-component live
-    throughput via src/extensions/remote_tap): run the flagship pipeline
-    expression end to end (read → project/bucket → fused
-    rollup+cascade+pack group → Gorilla encode) and print Ray Data's
-    executed-operator stats — per-operator wall time, rows in/out,
-    object-store memory, actor-pool utilization (``ds.stats()``) — plus
-    a one-line total. ``--out-dir`` appends the committed counters table
-    (the static half the ``top`` verb already shows)."""
+    analogue (the reference's src/top.rs:42-55, per-component live
+    throughput via src/extensions/remote_tap): run the plan
+    ``run_pipeline`` runs (rollup_pipeline.rollup_dataset: read →
+    run-packed projection → bucket groupby → fused kernel + Gorilla
+    encode + blocks side-write) end to end, its blocks into a temporary
+    directory, and print Ray Data's executed-operator stats —
+    per-operator wall time, rows in/out, object-store memory
+    (``ds.stats()``) — plus a one-line total. ``--out-dir`` appends the
+    committed counters table (the static half the ``top`` verb already
+    shows)."""
     _ray_up()
+    import tempfile
+
+    import pyarrow.parquet as pq
+
     from vertex_ray.pipelines.rollup_pipeline import (
-        encode_blocks,
-        packed_dataset,
-        read_transcripts,
+        rollup_dataset,
         transcripts_end_ts,
     )
+    from vertex_ray.state.checkpoint import stage_files
 
     end = transcripts_end_ts(args.transcripts)
-    blocks = encode_blocks(
-        packed_dataset(read_transcripts(args.transcripts), end,
-                       n_buckets=args.buckets))
-    mat = blocks.materialize()
+    with tempfile.TemporaryDirectory() as parts:
+        mat = rollup_dataset(args.transcripts, end, args.buckets,
+                             parts).materialize()
+        files = stage_files(parts)
+        n_blocks = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     print(mat.stats())
-    print(f"TOTAL: {mat.count()} block rows, "
+    print(f"TOTAL: {n_blocks} block rows in {len(files)} bucket parts, "
+          f"{mat.count()} agg rows, "
           f"{mat.size_bytes() / 1e6:.1f} MB materialized")
     if args.out_dir:
         from vertex_ray.state.checkpoint import pipeline_counters

@@ -5,12 +5,16 @@ streaming daemon carries per-series state in RAM across ticks
 (src/transforms/metricalize.rs:220-262, prometheus_exporter's TTL'd
 series map), this pipeline processes the transcript stream one EPOCH at
 a time and carries the cross-epoch state in per-bucket parquet parts.
-Each epoch run is the same shape as the one-shot flagship (pruned scan →
-ONE bucket groupby → kernel → agg rows + side-written Gorilla blocks),
-plus a per-bucket state read at group entry and a state part write at
-group exit. No task ever holds more than one epoch of one bucket — the
-unbounded-retention answer to the one-shot design's "bucket holds its
-entire history" scale note.
+Each epoch run is the same plan as the one-shot flagship: a ts-pruned
+scan → the run-packed projection (derive.project_for_rollup_packed, one
+exchange row per conversation run) plus one empty sentinel run per
+bucket → ONE bucket groupby → the shared run explode
+(rollup_pipeline.explode_runs) → the one bucket kernel
+(kernel_epoch.epoch_kernel, here over a bounded epoch) → agg rows +
+side-written Gorilla blocks. Only the carry differs: a per-bucket state
+read at group entry and a state part write at group exit. No task ever
+holds more than one epoch of one bucket — the unbounded-retention answer
+to the one-shot design's "bucket holds its entire history" scale note.
 
 Layout under ``out_dir``::
 
@@ -39,11 +43,11 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from vertex_ray.schema import TIERS
-from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup_fast
+from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup_packed
 from vertex_ray.stages.encode import GorillaEncode
 from vertex_ray.stages.fill import unpack_series
 from vertex_ray.stages.kernel import METRIC_NAMES
-from vertex_ray.stages.kernel_epoch import SENTINEL_ROLE, epoch_kernel
+from vertex_ray.stages.kernel_epoch import epoch_kernel
 from vertex_ray.state import fsio
 from vertex_ray.state.checkpoint import (
     finalize_stage,
@@ -55,6 +59,7 @@ from vertex_ray.state.checkpoint import (
 from vertex_ray.pipelines.rollup_pipeline import (
     _target_blocks,
     auto_n_buckets,
+    explode_runs,
     read_stage_files,
 )
 
@@ -82,22 +87,25 @@ def transcripts_span_s(path: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _sentinels(n_buckets: int, epoch_start_s: int) -> pa.Table:
-    """One throwaway row per bucket so every bucket's group runs every
-    epoch — idle buckets must still emit carried fills/stale markers and
-    re-commit their state."""
+def _sentinels(n_buckets: int) -> pa.Table:
+    """One EMPTY run per bucket, in the run-packed projection's schema, so
+    every bucket's group runs every epoch — idle buckets must still emit
+    carried fills/stale markers and re-commit their state. An empty run
+    explodes to no turn."""
     n = n_buckets
+
+    def empty(typ):
+        return pa.ListArray.from_arrays(np.zeros(n + 1, np.int32),
+                                        pa.array([], type=typ))
+
     return pa.table(
         {
             "bucket": pa.array(np.arange(n, dtype=np.int32)),
             "conv_id": pa.array([""] * n, type=pa.string()),
-            "conv_hash": pa.array(np.zeros(n, np.int64)),
-            "turn_idx": pa.array(np.full(n, -1, np.int32)),
-            "role_code": pa.array(np.full(n, SENTINEL_ROLE, np.uint8)),
-            "tool_code": pa.array(np.zeros(n, np.uint8)),
-            "ts": pa.array(
-                np.full(n, epoch_start_s * 1_000_000, np.int64), type=pa.timestamp("us")
-            ),
+            "turn_idx": empty(pa.int32()),
+            "role_code": empty(pa.uint8()),
+            "tool_code": empty(pa.uint8()),
+            "ts_us": empty(pa.int64()),
         }
     )
 
@@ -116,11 +124,7 @@ def epoch_bucket_group(
     """Group body for one bucket × one epoch: read carried state, run the
     kernel, side-write blocks + next-epoch state (atomic, idempotent),
     return the epoch's flat tier rows."""
-    bucket_id = int(group["bucket"][0].as_py())
-    rc = group["role_code"].to_numpy(zero_copy_only=False)
-    mask = rc != SENTINEL_ROLE
-    data = group if mask.all() else group.filter(pa.array(mask))
-
+    bucket_id, cols = explode_runs(group)
     state_in = None
     if state_in_dir is not None:
         p = posixpath.join(state_in_dir, f"part-{bucket_id:05d}.parquet")
@@ -128,11 +132,7 @@ def epoch_bucket_group(
             state_in = fsio.read_parquet(p)
 
     packed, state_out = epoch_kernel(
-        data["conv_id"].to_numpy(zero_copy_only=False),
-        data["turn_idx"].to_numpy(zero_copy_only=False),
-        data["role_code"].to_numpy(zero_copy_only=False),
-        data["tool_code"].to_numpy(zero_copy_only=False),
-        data["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
+        *cols,
         state_in,
         tiers,
         epoch_start_s,
@@ -209,9 +209,9 @@ def run_one_epoch(
         override_num_blocks=_target_blocks(),
     )
     projected = raw.map_batches(
-        functools.partial(project_for_rollup_fast, n_buckets=n_buckets),
+        functools.partial(project_for_rollup_packed, n_buckets=n_buckets),
         batch_format="pyarrow",
-    ).union(rd.from_arrow(_sentinels(n_buckets, epoch_start_s)))
+    ).union(rd.from_arrow(_sentinels(n_buckets)))
     agg_ds = projected.groupby("bucket").map_groups(
         functools.partial(
             epoch_bucket_group,

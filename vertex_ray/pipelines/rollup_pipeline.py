@@ -4,16 +4,19 @@ retention tiers (SURVEY.md §3.3).
 ONE all-to-all exchange and ONE Ray execution for the whole run:
 
     read_parquet(transcripts)                     # fragments = input shards
-      → map_batches(project_for_rollup_fast)      # int codes; text never shuffles
+      → map_batches(project_for_rollup_packed)    # one row per conv run;
+                                                  # int codes, text never shuffles
       → groupby("bucket").map_groups(             # THE shuffle
-            numpy kernel: rollup 1m → cascade 5m/1h/1d → gap-fill → pack
+            explode runs → bucket kernel over the unbounded epoch
+            (kernel_epoch.epoch_kernel): rollup 1m → cascade 5m/1h/1d
+            → gap-fill run codes → pack
             → Gorilla-encode + side-write this bucket's blocks file
-            → return flat tier agg rows)
+            → return the sparse tier agg rows)
       → write agg stage (commit protocol)
     blocks stage = the per-bucket side-written files, sealed with a manifest
 
-(`packed_dataset` / `encode_blocks` remain available as standalone
-composable stages — encode_blocks is the actor-pool form.)
+``rollup_dataset`` builds this plan for ``run_pipeline`` and for
+``vertex stats``.
 
 Everything after the bucket groupby is embarrassingly parallel because the
 conversation-hash bucket co-locates every series of a conversation: the
@@ -190,88 +193,67 @@ def transcripts_end_ts(path: str) -> int:
     return end
 
 
-def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,
-                               salt: int) -> pa.Table:
-    """map_groups body over the RUN-PACKED projection
-    (derive.project_for_rollup_packed): explode the per-run list columns
-    back to flat per-turn arrays (one np.repeat per scalar column, one
-    .values view per list column — bytes unchanged, only exchange row
-    count shrank) and run the same kernel."""
+def explode_runs(group: pa.Table) -> tuple[int, tuple]:
+    """A bucket's rows of the RUN-PACKED projection
+    (derive.project_for_rollup_packed) → (bucket id, flat per-turn
+    conv_id, turn_idx, role_code, tool_code, ts_us): one np.repeat for
+    conv_id, one flatten per list column. The one-shot and epoch group
+    bodies share it; an empty run (an epoch's per-bucket sentinel)
+    explodes to nothing."""
     import numpy as np
 
-    from vertex_ray.stages.kernel import bucket_kernel
-
-    if group.num_rows == 0:
-        return bucket_kernel(
-            np.zeros(0, dtype=object), np.zeros(0, np.int64),
-            np.zeros(0, np.int32), np.zeros(0, np.uint8),
-            np.zeros(0, np.uint8), np.zeros(0, np.int64),
-            tiers, global_end_s, 0, salt,
-        )
     g = group.combine_chunks()
 
-    def _arr(col_name):
-        col = g[col_name]
-        return col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
+    def col(name):
+        c = g[name]
+        return c.chunk(0) if c.num_chunks else pa.array([], c.type)
 
-    def flat(col_name):
-        # flatten() honors slice offsets — .values would leak the whole
-        # underlying child buffer when Ray hands us a sliced block
-        return _arr(col_name).flatten().to_numpy(zero_copy_only=False)
-
-    counts = pc.list_value_length(_arr("turn_idx")).to_numpy()
-    return bucket_kernel(
-        np.repeat(g["conv_id"].to_numpy(zero_copy_only=False), counts),
-        np.repeat(g["conv_hash"].to_numpy(zero_copy_only=False), counts),
-        flat("turn_idx"),
-        flat("role_code"),
-        flat("tool_code"),
-        flat("ts_us"),
-        tiers,
-        global_end_s,
-        int(g["bucket"][0].as_py()),
-        salt,
-    )
+    # flatten() honors slice offsets — .values would leak the whole
+    # underlying child buffer when Ray hands us a sliced block
+    counts = pc.list_value_length(col("turn_idx")).to_numpy(
+        zero_copy_only=False)
+    flat = [col(c).flatten().to_numpy(zero_copy_only=False)
+            for c in ("turn_idx", "role_code", "tool_code", "ts_us")]
+    conv = np.repeat(col("conv_id").to_numpy(zero_copy_only=False), counts)
+    bucket_id = int(g["bucket"][0].as_py()) if g.num_rows else 0
+    return bucket_id, (conv, *flat)
 
 
-def packed_dataset(
-    transcripts: "rd.Dataset",
-    global_end_s: int,
-    n_buckets: int = DEFAULT_N_BUCKETS,
-    salt: int = 1,
-    tiers=TIERS,
-) -> "rd.Dataset":
+def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,
+                               salt: int) -> pa.Table:
+    """One-shot map_groups body: the bucket's runs, exploded, through the
+    bucket kernel over the unbounded epoch (no carry in or out, fills up
+    to ``global_end_s``)."""
+    from vertex_ray.stages.kernel_epoch import epoch_kernel
+
+    bucket_id, cols = explode_runs(group)
+    return epoch_kernel(*cols, None, tiers, None, None, global_end_s,
+                        bucket_id, salt)[0]
+
+
+def rollup_dataset(transcripts_path: str, global_end_s: int, n_buckets: int,
+                   blocks_parts_dir: str, salt: int = 1,
+                   tiers=TIERS) -> "rd.Dataset":
+    """THE flagship plan: scan → run-packed projection → groupby(bucket)
+    → fused bucket group, which side-writes each bucket's blocks under
+    ``blocks_parts_dir`` and returns its sparse agg rows. ``run_pipeline``
+    writes it as the agg stage; ``vertex stats`` materializes it for its
+    operator stats."""
     from vertex_ray.stages.derive import project_for_rollup_packed
 
-    projected = transcripts.map_batches(
+    projected = read_transcripts(transcripts_path).map_batches(
         functools.partial(project_for_rollup_packed, n_buckets=n_buckets),
         batch_format="pyarrow",
     )
     return projected.groupby("bucket").map_groups(
         functools.partial(
-            bucket_kernel_group_packed,
+            fused_bucket_group,
             tiers=tiers,
             global_end_s=global_end_s,
             salt=salt,
+            blocks_parts_dir=blocks_parts_dir,
         ),
         batch_format="pyarrow",
-    )
-
-
-def default_encode_concurrency() -> int:
-    """Actor-pool size that leaves headroom for the read and write stages —
-    a pool reserving every CPU starves its producers and serializes the
-    pipeline (observed: at 8 CPUs an 8-actor pool deadlocked the scan)."""
-    return max(1, session_cpus() - 2)
-
-
-def encode_blocks(packed: "rd.Dataset", concurrency: int | None = None) -> "rd.Dataset":
-    return packed.map_batches(
-        GorillaEncode,
-        batch_format="pyarrow",
-        batch_size=64,  # ~300 windows × 17 streams per series row → a few MB
-        concurrency=min(concurrency or 10**9, default_encode_concurrency()),
-        num_cpus=1,
     )
 
 
@@ -487,26 +469,8 @@ def run_pipeline(
     fsio.makedirs(blocks_parts)
     if not fsio.exists(stamp_path):
         fsio.write_json(stamp_path, lineage_stamp)
-    projected = read_transcripts(transcripts_path).map_batches(
-        functools.partial(
-            __import__(
-                "vertex_ray.stages.derive",
-                fromlist=["project_for_rollup_packed"]
-            ).project_for_rollup_packed,
-            n_buckets=n_buckets,
-        ),
-        batch_format="pyarrow",
-    )
-    agg_ds = projected.groupby("bucket").map_groups(
-        functools.partial(
-            fused_bucket_group,
-            tiers=tiers,
-            global_end_s=end,
-            salt=salt,
-            blocks_parts_dir=blocks_parts,
-        ),
-        batch_format="pyarrow",
-    )
+    agg_ds = rollup_dataset(transcripts_path, end, n_buckets, blocks_parts,
+                            salt, tiers)
     lineage = dict(lineage_stamp)
     # force recompute of a stale agg stage (blocks incomplete implies the
     # previous run died mid-execution)

@@ -363,7 +363,7 @@ def geoip_enrich(ds, mmdb_bytes: bytes, ip_col: str, fields: list[str],
     import ray
 
     # an actor pool reserving EVERY CPU starves its producer and
-    # deadlocks the pipeline (the default_encode_concurrency rule) —
+    # deadlocks the pipeline (seen at 8 CPUs with an 8-actor pool) —
     # cap the pool below the session's CPU count
     cpus = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8

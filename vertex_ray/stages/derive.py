@@ -32,11 +32,15 @@ PROJECT_COLUMNS = ["conv_id", "turn_idx", "role", "tool", "ts"]
 
 def conv_hash64(conv: np.ndarray) -> np.ndarray:
     """64-bit content hash per conversation id — computed once per UNIQUE
-    value per batch (blake2b, stable across processes). Grouping downstream
+    value per batch (blake2b, stable across processes; ``pd.factorize``
+    finds the unique values without sorting strings). Grouping downstream
     re-checks string equality at hash boundaries, so collisions are safe."""
     import hashlib
 
-    uniq, inv = np.unique(conv.astype(object), return_inverse=True)
+    import pandas as pd
+
+    inv, uniq = pd.factorize(np.asarray(conv, dtype=object),
+                             use_na_sentinel=False)
     h = np.fromiter(
         (
             int.from_bytes(hashlib.blake2b(str(s).encode(), digest_size=8).digest(), "big")
@@ -90,7 +94,8 @@ def project_for_rollup_packed(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
 
     Correctness does not depend on layout: a conversation split across
     batches/runs re-co-locates in the bucket group (same hash bucket)
-    and the kernel re-sorts by (conv_hash, turn_idx) there."""
+    and the kernel orders conversations by hash and string there. The
+    hash only splits runs here; it does not cross the exchange."""
     flat = project_for_rollup_fast(batch, n_buckets)
     conv = flat["conv_id"].to_numpy(zero_copy_only=False)
     n = len(conv)
@@ -115,7 +120,6 @@ def project_for_rollup_packed(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
         {
             "bucket": flat["bucket"].take(starts),
             "conv_id": flat["conv_id"].take(starts),
-            "conv_hash": flat["conv_hash"].take(starts),
             "turn_idx": lst(flat["turn_idx"]),
             "role_code": lst(flat["role_code"]),
             "tool_code": lst(flat["tool_code"]),

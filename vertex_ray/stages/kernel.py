@@ -1,5 +1,6 @@
-"""Integer-coded numpy bucket kernel — the hot path of the flagship
-pipeline.
+"""Integer-coded numpy aggregation arrays — the hot path of the flagship
+pipeline. The bucket body that drives them, for one-shot and epoch runs
+alike, is stages/kernel_epoch.epoch_kernel.
 
 It is the engine's one aggregation implementation. The readable
 pandas spec it is tested against (per-point series-key strings,
@@ -9,9 +10,9 @@ measured). This kernel computes the identical result (bit-for-bit,
 property-tested against that spec) entirely on int64/float64 numpy
 arrays:
 
-- conversations are identified by a 64-bit content hash computed at the
-  project stage (string equality re-checked at group boundaries, so hash
-  collisions cannot corrupt grouping);
+- conversations are identified by their conv_id strings and numbered in
+  the order of their 64-bit content hash (derive.conv_hash64), then the
+  string, so hash collisions cannot merge two conversations;
 - a series is a packed int64 uid ``metric<<40 | conv_ord<<8 | sub_code``;
   the canonical sorted-tag series_key string is rendered once per unique
   series at pack time, never per point;
@@ -164,11 +165,9 @@ def window_agg(uid, ts_us, vals, window_seconds: int, hist: bool) -> AggArrays:
 
 
 def concat_agg(parts: list[AggArrays]) -> AggArrays:
-    out = AggArrays()
-    for k in ("uid", "window", "sum", "count", "min", "max", "last", "last_ts"):
-        out[k] = np.concatenate([p[k] for p in parts])
-    out["buckets"] = np.concatenate([p["buckets"] for p in parts], axis=0)
-    return out
+    """Row-wise concatenation of every array the parts hold."""
+    return AggArrays({k: np.concatenate([p[k] for p in parts], axis=0)
+                      for k in parts[0]})
 
 
 def sort_agg(agg: AggArrays) -> AggArrays:
@@ -428,108 +427,3 @@ def render_series_keys(uids: np.ndarray, conv_strs: np.ndarray):
         else:
             keys[i] = f"conv_turn_idx{{conv_id={c}}}"
     return keys, names, kinds
-
-
-# ---------------------------------------------------------------------------
-# the full per-bucket kernel
-# ---------------------------------------------------------------------------
-
-
-def bucket_kernel(
-    conv_id: np.ndarray,
-    conv_hash: np.ndarray,
-    turn_idx: np.ndarray,
-    role_code: np.ndarray,
-    tool_code: np.ndarray,
-    ts_us: np.ndarray,
-    tiers,
-    global_end_s: int,
-    bucket_id: int,
-    salt: int = 1,
-    horizon_seconds: int = STALENESS_SECONDS,
-) -> pa.Table:
-    n = len(conv_id)
-    if n == 0:
-        empty = pack_arrays_virtual(
-            _empty_agg(),
-            np.zeros(0, dtype=np.uint16),
-            np.zeros(0, dtype=object),
-            bucket_id,
-            tiers[0][1],
-        )
-        return empty.append_column("tier", pa.array([], type=pa.string()))
-    order = np.lexsort((turn_idx, conv_hash))
-    conv_id = conv_id[order]
-    conv_hash = conv_hash[order]
-    turn_idx = turn_idx[order]
-    role_code = role_code[order].astype(np.int64)
-    tool_code = tool_code[order].astype(np.int64)
-    ts_us = ts_us[order]
-
-    # conversation ordinals; hash equality refined by string equality so a
-    # 64-bit collision can never merge two conversations
-    new_conv = np.ones(n, dtype=bool)
-    new_conv[1:] = conv_hash[1:] != conv_hash[:-1]
-    suspect = ~new_conv[1:]
-    if suspect.any():
-        eq = conv_id[1:] == conv_id[:-1]
-        new_conv[1:] |= ~eq
-    conv_ord = np.cumsum(new_conv) - 1
-    conv_strs = conv_id[new_conv]
-
-    base = np.int64(1) << _UID_METRIC_SHIFT
-    conv_part = conv_ord.astype(np.int64) << _UID_CONV_SHIFT
-
-    def agg_of(uid, ts, vals, hist):
-        if salt <= 1:
-            return window_agg(uid, ts, vals, tiers[0][1], hist)
-        sgroup = (ts // US_PER_SECOND) % salt
-        parts = [
-            window_agg(uid[sgroup == i], ts[sgroup == i], vals[sgroup == i],
-                       tiers[0][1], hist)
-            for i in range(salt)
-            if int((sgroup == i).sum())
-        ]
-        return merge_agg_arrays(sort_agg(concat_agg(parts)), tiers[0][1])
-
-    # turns_total (metric 0): one 1.0 observation per turn, sub = role
-    uid_turns = base * 0 + conv_part + role_code
-    a_turns = agg_of(uid_turns, ts_us, np.ones(n), False)
-
-    # tool_invocations_total (metric 1): tool turns only, sub = tool code
-    tmask = tool_code > 0
-    uid_tools = base * 1 + conv_part[tmask] + tool_code[tmask]
-    a_tools = agg_of(uid_tools, ts_us[tmask], np.ones(int(tmask.sum())), False)
-
-    # inter_turn_latency_seconds (metric 2): gap to previous turn of conv
-    lmask = np.zeros(n, dtype=bool)
-    lmask[1:] = ~new_conv[1:]
-    prev_ts = np.empty(n, dtype=np.int64)
-    prev_ts[1:] = ts_us[:-1]
-    prev_ts[0] = 0
-    lat = (ts_us - prev_ts).astype(np.float64) / 1e6
-    uid_lat = base * 2 + conv_part[lmask]
-    a_lat = agg_of(uid_lat, ts_us[lmask], lat[lmask], True)
-
-    # conv_turn_idx (metric 3): GAUGE — last-written turn index per conv;
-    # integer values stay exact doubles (the order-independence invariant)
-    uid_gauge = base * 3 + conv_part
-    a_gauge = agg_of(uid_gauge, ts_us, np.asarray(turn_idx, dtype=np.float64), False)
-
-    agg = sort_agg(concat_agg([a_turns, a_tools, a_lat, a_gauge]))
-
-    parts = []
-    prev = agg
-    base_seconds = tiers[0][1]
-    for tier, seconds in tiers:
-        if seconds != base_seconds:
-            prev = merge_agg_arrays(prev, seconds)
-        end_w = global_end_s // seconds * seconds
-        codes = fill_runs(prev, seconds, end_w, horizon_seconds)
-        packed = pack_arrays_virtual(prev, codes, conv_strs, bucket_id, seconds)
-        parts.append(
-            packed.append_column(
-                "tier", pa.array([tier] * packed.num_rows, type=pa.string())
-            )
-        )
-    return pa.concat_tables(parts)

@@ -1,13 +1,26 @@
-"""Epoch-incremental bucket kernel — unbounded retention for the flagship.
+"""The bucket kernel — the engine's one bucket body: one bucket × one
+epoch → packed tier rows, plus the state the next epoch carries.
 
-The one-shot kernel (stages/kernel.bucket_kernel) holds a bucket's ENTIRE
-history in one group task; at unbounded retention that task grows without
-bound (the round-1 scale note). This module processes ONE epoch (a time
-slice aligned to the coarsest tier) per run, carrying the cross-epoch
-coupling in explicit per-bucket state — the batch analogue of the
-reference's resident streaming state (metricalize's per-series map,
-src/transforms/metricalize.rs:220-262, and prometheus_exporter's TTL'd
-series entries, src/sinks/prometheus_exporter.rs:416-512):
+Per call it derives the four metrics (stages/kernel.METRIC_NAMES) into
+base-tier windows, cascades them through the tiers, gap-fills them with
+run codes (kernel.fill_runs) and packs them (kernel.pack_arrays_virtual).
+Conversations are identified by their conv_id strings, over the data and
+the carried state, and numbered in (signed conv_hash64, string) order,
+so a series' uid and its packed row position depend on which
+conversations a call sees, never on the order in which their rows
+arrive.
+
+A one-shot run (rollup_pipeline.bucket_kernel_group_packed) is the
+UNBOUNDED epoch, ``epoch_start_s = epoch_end_s = None``: it reads no
+carry, builds no state, and needs no ts-monotonic turns, because there
+is no epoch boundary for a decrease to cross. The epoch pipeline runs
+one time slice aligned to the coarsest tier per call, which keeps a
+bucket's task from holding its entire history at unbounded retention,
+and carries the cross-epoch coupling in explicit per-bucket state — the
+batch analogue of the reference's resident streaming state
+(metricalize's per-series map, src/transforms/metricalize.rs:220-262,
+and prometheus_exporter's TTL'd series entries,
+src/sinks/prometheus_exporter.rs:416-512):
 
 - per-conversation last turn timestamp → seeds the inter-turn latency of
   a conversation's first turn in the next epoch;
@@ -16,21 +29,20 @@ series entries, src/sinks/prometheus_exporter.rs:416-512):
 
 Contract (property-tested in tests/test_kernel_epoch_property.py and
 tests/test_epoch_pipeline.py): running the epochs sequentially produces
-BIT-FOR-BIT the same tier rows as the one-shot kernel over the whole span.
+BIT-FOR-BIT the same tier rows as the unbounded epoch over the whole
+span.
 
-Epoch blocks use the one-shot layout: real rows plus ``fill_runs`` codes
-(stages/kernel.pack_arrays_virtual). The carry is cheap because a run
-code is a pure function of (source row, next window, horizon): the
-kernel PREPENDS the carried row per series per tier and computes the
-codes over both. This epoch's real rows are stored with their codes, cut
-at the epoch's fill horizon. A carried row lies before the epoch, so its
-code cannot be stored on it: the kernel expands it
-(stages/fill.expand_runs_scalars) and stores the fills and stale marker
-that land inside the epoch as ordinary points with code 0 and flag 1 or
-2. The carried row itself was stored by an earlier epoch. Those carried
-points are the one addition to the one-shot layout (a ``flags`` section
-next to ``runs``): 0.4% of the points of a six-day, 200k-turn synthetic
-input with daily epochs.
+The carry is cheap because a run code is a pure function of (source row,
+next window, horizon): the kernel PREPENDS the carried row per series
+per tier and computes the codes over both. This epoch's real rows are
+stored with their codes, cut at the epoch's fill horizon. A carried row
+lies before the epoch, so its code cannot be stored on it: the kernel
+expands it (stages/fill.expand_runs_scalars) and stores the fills and
+stale marker that land inside the epoch as ordinary points with code 0
+and flag 1 or 2. The carried row itself was stored by an earlier epoch.
+Those carried points are the one addition to the one-shot layout (a
+``flags`` section next to ``runs``): 0.4% of the points of a six-day,
+200k-turn synthetic input with daily epochs.
 
 State stays bounded: a series' carry row is pruned once its stale marker
 has been emitted (windows before ``epoch_end`` emit nothing ever again
@@ -56,6 +68,7 @@ from vertex_ray.schema import (
     STALENESS_SECONDS,
     US_PER_SECOND,
 )
+from vertex_ray.stages.derive import conv_hash64
 from vertex_ray.stages.fill import _run_parts, expand_runs_carry, expand_runs_scalars
 from vertex_ray.stages.kernel import (
     HIST_METRIC,
@@ -70,10 +83,9 @@ from vertex_ray.stages.kernel import (
     merge_agg_arrays,
     pack_arrays_virtual,
     sort_agg,
+    take_agg,
     window_agg,
 )
-
-SENTINEL_ROLE = 255  # injected per-bucket row so idle buckets still run
 
 STATE_CONV = 0
 STATE_SERIES = 1
@@ -128,46 +140,122 @@ def _agg_of(uid, ts, vals, window_seconds, hist, salt):
     return merge_agg_arrays(sort_agg(concat_agg(parts)), window_seconds)
 
 
+def _conv_ordinals(conv_id: np.ndarray, state_conv: np.ndarray):
+    """(ordinals of the data rows, ordinals of the state rows, conv_id of
+    each ordinal). Identity is the string (``pd.factorize``, so no hash
+    collision can merge two conversations); ordinals follow the signed
+    64-bit ``conv_hash64`` and then the string."""
+    ids = np.concatenate([np.asarray(conv_id, dtype=object),
+                          np.asarray(state_conv, dtype=object)])
+    codes, uniq = pd.factorize(ids)
+    uniq = np.asarray(uniq, dtype=object)
+    h = conv_hash64(uniq).view(np.int64)
+    order = np.argsort(h, kind="stable")
+    if (np.diff(h[order]) == 0).any():  # a collision: break ties by string
+        order = np.lexsort((uniq, h))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    codes = rank[codes]
+    return codes[:len(conv_id)], codes[len(conv_id):], uniq[order]
+
+
 def _stored_points(combined: AggArrays, codes: np.ndarray, seconds: int,
                    epoch_start_s: int):
     """One tier's stored points for this epoch → (rows, run codes, flags).
 
     ``combined`` is this epoch's real rows plus the carried rows, sorted
-    by (uid, window), and ``codes`` its ``fill_runs``. Real rows keep
-    their code with flag 0. A carried row (window before the epoch) is
-    expanded; its fills and stale marker inside the epoch become stored
-    points with code 0 and flag 1 / 2, and the carried row itself is
-    dropped. Expansion keeps (uid, window) order, so the result is born
-    sorted."""
+    by (uid, window), and ``codes`` its ``fill_runs``. Real rows are
+    stored as they are, with their code and flag 0. Only the carried rows
+    (window before the epoch) are expanded: each is replaced by its fills
+    and stale marker that land inside the epoch, stored as points with
+    code 0 and flag 1 / 2. Those land strictly between the carried row
+    and its series' next real row, so (uid, window) stays unique."""
     uid, w = combined["uid"], combined["window"]
     carried = w < epoch_start_s
-    own = np.where(carried, codes, np.uint16(0))  # expand carried rows only
-    kinds = np.asarray(METRIC_KINDS, dtype=np.uint8)[uid >> _UID_METRIC_SHIFT]
+    if not carried.any():
+        return combined, codes, np.zeros(len(w), dtype=np.uint8)
+    c = np.flatnonzero(carried)
+    kinds = np.asarray(METRIC_KINDS, dtype=np.uint8)[uid[c] >> _UID_METRIC_SHIFT]
     exp = expand_runs_scalars(
-        w, combined["sum"], combined["count"].astype(np.float64),
-        combined["min"], combined["max"], combined["last"], kinds, own,
-        np.full(len(uid), seconds, dtype=np.int64),
+        w[c], combined["sum"][c], combined["count"][c].astype(np.float64),
+        combined["min"][c], combined["max"][c], combined["last"][c], kinds,
+        codes[c], np.full(len(c), seconds, dtype=np.int64),
     )
-    _, _, extra, _, _ = _run_parts(own)
-    out_uid = np.repeat(uid, 1 + extra)
+    _, _, extra, _, _ = _run_parts(codes[c])
     keep = exp["window"] >= epoch_start_s
-    lo, hi = _hist_range(uid)
-    o_lo, o_hi = _hist_range(out_uid)
-    buckets = expand_runs_carry(combined["buckets"], own[lo:hi])
-    rows = {
-        "uid": out_uid[keep],
-        "window": exp["window"][keep],
-        "sum": exp["sum"][keep],
-        "count": exp["count"][keep].astype(np.int64),
-        "min": exp["min"][keep],
-        "max": exp["max"][keep],
-        "last": exp["last"][keep],
-        "buckets": buckets[keep[o_lo:o_hi]],
+    src = np.repeat(c, 1 + extra)[keep]  # the carried row of each kept point
+    # sparse histogram buckets: a carried row's fills copy its vector
+    is_hist = (uid >> _UID_METRIC_SHIFT) == HIST_METRIC
+    bk = np.zeros((len(c), N_BUCKETS), dtype=combined["buckets"].dtype)
+    bk[is_hist[c]] = combined["buckets"][c[is_hist[c]] - _hist_range(uid)[0]]
+    fills = AggArrays(
+        uid=uid[src], window=exp["window"][keep],
+        count=exp["count"][keep].astype(np.int64),
+        **{k: exp[k][keep] for k in ("sum", "min", "max", "last")},
+        last_ts=np.zeros(len(src), np.int64),
+        buckets=expand_runs_carry(bk, codes[c])[keep][is_hist[src]],
+        codes=np.zeros(len(src), codes.dtype), flags=exp["flags"][keep],
+    )
+    real = take_agg(combined, ~carried)
+    real["codes"] = codes[~carried]
+    real["flags"] = np.zeros(len(real["uid"]), np.uint8)
+    rows = sort_agg(concat_agg([real, fills]))
+    return rows, rows["codes"], rows["flags"]
+
+
+def _series_state(combined: AggArrays, tier: str, seconds: int,
+                  epoch_end_s: int, conv_strs: np.ndarray) -> dict | None:
+    """Next-epoch carry of one tier: the last real row per series, minus
+    the rows whose stale marker has already been emitted (they can never
+    fill again)."""
+    cu = combined["uid"]
+    if not len(cu):
+        return None
+    starts = _segments(cu)
+    last_idx = np.concatenate([starts[1:], [len(cu)]]) - 1
+    hw = STALENESS_SECONDS // seconds
+    w_last = combined["window"][last_idx]
+    keep = last_idx[w_last + (hw + 1) * seconds >= epoch_end_s]
+    if not len(keep):
+        return None
+    uid_k = cu[keep]
+    # densify the kept rows' bucket vectors for the state table
+    c_lo, _ = _hist_range(cu)
+    bk_keep = np.zeros((len(keep), N_BUCKETS), np.int64)
+    k_hist = (uid_k >> _UID_METRIC_SHIFT) == HIST_METRIC
+    if k_hist.any():
+        bk_keep[k_hist] = combined["buckets"][keep[k_hist] - c_lo]
+    return {
+        "stype": np.full(len(keep), STATE_SERIES, np.int8),
+        "conv_id": conv_strs[(uid_k >> _UID_CONV_SHIFT) & np.int64(0xFFFFFFFF)],
+        "metric": uid_k >> _UID_METRIC_SHIFT,
+        "sub": uid_k & np.int64(0xFF),
+        "tier": np.full(len(keep), tier, dtype=object),
+        **{k: combined[k][keep] for k in ("window", "sum", "count", "min",
+                                          "max", "last", "last_ts")},
+        "buckets": bk_keep,
     }
-    # real rows keep their code; a carried row's fills copy its 0, its
-    # stale marker is 0 too
-    run_codes = expand_runs_carry(np.where(carried, np.uint16(0), codes), own)
-    return rows, run_codes[keep], exp["flags"][keep]
+
+
+def _state_table(groups: list[dict]) -> pa.Table:
+    """State row groups → one STATE_SCHEMA table; a field a group leaves
+    out is "" (tier) or 0, its bucket columns included."""
+
+    def col(g, name, typ):
+        n = len(g["stype"])
+        if name in BUCKET_COLS and "buckets" in g:
+            return g["buckets"][:, BUCKET_COLS.index(name)]
+        if name in g:
+            return g[name]
+        if typ == pa.string():
+            return np.full(n, "", dtype=object)
+        return np.zeros(n, dtype=typ.to_pandas_dtype())
+
+    return pa.table({
+        name: pa.array(np.concatenate([col(g, name, typ) for g in groups]),
+                       type=typ)
+        for name, typ in _STATE_FIELDS
+    })
 
 
 def epoch_kernel(
@@ -178,32 +266,25 @@ def epoch_kernel(
     ts_us: np.ndarray,
     state: pa.Table | None,
     tiers,
-    epoch_start_s: int,
-    epoch_end_s: int,
+    epoch_start_s: int | None,
+    epoch_end_s: int | None,
     fill_end_s: int,
     bucket_id: int,
     salt: int = 1,
-) -> tuple[pa.Table, pa.Table]:
+) -> tuple[pa.Table, pa.Table | None]:
     """One bucket × one epoch → (packed tier rows, state for next epoch).
 
     ``fill_end_s``: absolute horizon for trailing fills — the epoch's last
     covered second for intermediate epochs (epoch_end_s - 1), the global
-    max timestamp for the final one (matches the one-shot global_end)."""
+    max timestamp for the final one. ``epoch_start_s = epoch_end_s =
+    None`` is the unbounded epoch of a one-shot run: ``state`` must be
+    None, and the state returned is None."""
+    unbounded = epoch_end_s is None
     nd = len(conv_id)
     st = _state_arrays(state)
     conv_mask = st["stype"] == STATE_CONV
     ser_mask = st["stype"] == STATE_SERIES
-
-    # conversation ordinals over BOTH epochs' data and carried state —
-    # identity is the conv_id string (pd.factorize: one vectorized hash
-    # pass; no 64-bit-collision caveat to defend)
-    all_conv = np.concatenate(
-        [np.asarray(conv_id, dtype=object), np.asarray(st["conv_id"], dtype=object)]
-    )
-    codes, uniq = pd.factorize(all_conv)
-    conv_strs = np.asarray(uniq, dtype=object)
-    codes = codes.astype(np.int64)
-    code_data, code_state = codes[:nd], codes[nd:]
+    code_data, code_state, conv_strs = _conv_ordinals(conv_id, st["conv_id"])
 
     order = np.lexsort((turn_idx, code_data))
     cd = code_data[order]
@@ -228,12 +309,11 @@ def epoch_kernel(
         seed = conv_last_in[cd]
         prev_ts[new_conv] = seed[new_conv]
         lmask = (~new_conv) | (seed >= 0)
-        # the documented partitioning assumption: ts non-decreasing in
-        # turn order within a conversation (both within this epoch and
-        # against the carried last-turn ts). A violation would silently
-        # break one-shot parity — fail loudly instead.
-        bad = (lmask & (ts < prev_ts)).any()
-        if bad:
+        # the documented partitioning assumption of a bounded epoch: ts
+        # non-decreasing in turn order within a conversation (both within
+        # this epoch and against the carried last-turn ts). A violation
+        # would silently break one-shot parity — fail loudly instead.
+        if not unbounded and (lmask & (ts < prev_ts)).any():
             raise ValueError(
                 f"bucket {bucket_id}: conversation timestamps decrease in "
                 "turn order (within the epoch or across the carried "
@@ -252,6 +332,8 @@ def epoch_kernel(
                       np.ones(int(tmask.sum())), base_seconds, False, salt)
     a_lat = _agg_of(base * 2 + conv_part[lmask], ts[lmask], lat[lmask],
                     base_seconds, True, salt)
+    # conv_turn_idx is a GAUGE: last-written turn index per conversation;
+    # integer values stay exact doubles (the order-independence invariant)
     a_gauge = _agg_of(base * 3 + conv_part, ts, ti.astype(np.float64),
                       base_seconds, False, salt)
     agg = sort_agg(concat_agg([a_turns, a_tools, a_lat, a_gauge]))
@@ -296,51 +378,25 @@ def epoch_kernel(
             prev if carry is None else sort_agg(concat_agg([prev, carry]))
         )
         codes = fill_runs(combined, seconds, fill_end_s // seconds * seconds)
-        rows, run_codes, flags = _stored_points(combined, codes, seconds,
-                                                epoch_start_s)
-        packed = pack_arrays_virtual(rows, run_codes, conv_strs, bucket_id,
-                                     seconds, flags)
+        if unbounded:
+            packed = pack_arrays_virtual(combined, codes, conv_strs,
+                                         bucket_id, seconds)
+        else:
+            rows, run_codes, flags = _stored_points(combined, codes, seconds,
+                                                    epoch_start_s)
+            packed = pack_arrays_virtual(rows, run_codes, conv_strs,
+                                         bucket_id, seconds, flags)
+            carry_out = _series_state(combined, tier, seconds, epoch_end_s,
+                                      conv_strs)
+            if carry_out is not None:
+                state_rows.append(carry_out)
         parts.append(
             packed.append_column(
                 "tier", pa.array([tier] * packed.num_rows, type=pa.string())
             )
         )
-        # next-epoch carry = last real row per series; prune rows whose
-        # stale marker has already been emitted (they can never fill again)
-        cu = combined["uid"]
-        if len(cu):
-            starts = _segments(cu)
-            last_idx = np.concatenate([starts[1:], [len(cu)]]) - 1
-            hw = STALENESS_SECONDS // seconds
-            w_last = combined["window"][last_idx]
-            keep = last_idx[w_last + (hw + 1) * seconds >= epoch_end_s]
-            if len(keep):
-                uid_k = cu[keep]
-                # densify the kept rows' bucket vectors for the state table
-                c_lo, _ = _hist_range(cu)
-                bk_keep = np.zeros((len(keep), N_BUCKETS), np.int64)
-                k_hist = (uid_k >> _UID_METRIC_SHIFT) == HIST_METRIC
-                if k_hist.any():
-                    bk_keep[k_hist] = combined["buckets"][keep[k_hist] - c_lo]
-                state_rows.append(
-                    {
-                        "stype": np.full(len(keep), STATE_SERIES, np.int8),
-                        "conv_id": conv_strs[
-                            (uid_k >> _UID_CONV_SHIFT) & np.int64(0xFFFFFFFF)
-                        ],
-                        "metric": uid_k >> _UID_METRIC_SHIFT,
-                        "sub": uid_k & np.int64(0xFF),
-                        "tier": np.full(len(keep), tier, dtype=object),
-                        "window": combined["window"][keep],
-                        "sum": combined["sum"][keep],
-                        "count": combined["count"][keep],
-                        "min": combined["min"][keep],
-                        "max": combined["max"][keep],
-                        "last": combined["last"][keep],
-                        "last_ts": combined["last_ts"][keep],
-                        "buckets": bk_keep,
-                    }
-                )
+    if unbounded:
+        return pa.concat_tables(parts), None
 
     # conversation state out: every conv ever seen, with its latest turn ts
     conv_last_out = conv_last_in.copy()
@@ -349,36 +405,7 @@ def epoch_kernel(
         conv_ends = np.concatenate([conv_starts[1:], [nd]]) - 1
         conv_last_out[cd[conv_starts]] = ts[conv_ends]
     seen = conv_last_out >= 0
-    state_rows.insert(
-        0,
-        {
-            "stype": np.full(int(seen.sum()), STATE_CONV, np.int8),
-            "conv_id": conv_strs[seen],
-            "metric": np.zeros(int(seen.sum()), np.int64),
-            "sub": np.zeros(int(seen.sum()), np.int64),
-            "tier": np.full(int(seen.sum()), "", dtype=object),
-            "window": np.zeros(int(seen.sum()), np.int64),
-            "sum": np.zeros(int(seen.sum())),
-            "count": np.zeros(int(seen.sum()), np.int64),
-            "min": np.zeros(int(seen.sum())),
-            "max": np.zeros(int(seen.sum())),
-            "last": np.zeros(int(seen.sum())),
-            "last_ts": conv_last_out[seen],
-            "buckets": np.zeros((int(seen.sum()), N_BUCKETS), np.int64),
-        },
-    )
-
-    cols: dict[str, list] = {name: [] for name, _ in _STATE_FIELDS}
-    for row in state_rows:
-        for name, _ in _STATE_FIELDS:
-            if name in BUCKET_COLS:
-                cols[name].append(row["buckets"][:, BUCKET_COLS.index(name)])
-            else:
-                cols[name].append(row[name])
-    state_out = pa.table(
-        {
-            name: pa.array(np.concatenate(cols[name]), type=typ)
-            for name, typ in _STATE_FIELDS
-        }
-    )
-    return pa.concat_tables(parts), state_out
+    state_rows.insert(0, {"stype": np.full(int(seen.sum()), STATE_CONV, np.int8),
+                          "conv_id": conv_strs[seen],
+                          "last_ts": conv_last_out[seen]})
+    return pa.concat_tables(parts), _state_table(state_rows)

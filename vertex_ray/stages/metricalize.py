@@ -5,6 +5,9 @@ Reference semantics reproduced:
   adds 1.0 (metricalize.rs:220-235; golden vector F4.1);
 - counter with increment_by_value: numeric values (or numeric strings)
   add their value; unparseable strings are skipped (F4.2);
+- one NaN rule for every value type: a value that is not finite (NaN or
+  ±inf, as a number or as a string such as "NaN") is skipped like an
+  unparseable string — it is not counted and feeds no sum/min/max/last;
 - gauge: last write wins by timestamp (F4.4);
 - histogram: cumulative "le" buckets, f <= upper (F4.5/F4.7).
 
@@ -25,7 +28,8 @@ from vertex_ray.schema import US_PER_SECOND
 
 
 def parse_numeric(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(parsed float64, ok mask) — numeric strings parse, others skip."""
+    """(parsed float64, ok mask) — finite numbers and numeric strings
+    parse; anything else, non-finite values included, is skipped."""
     out = np.full(len(vals), np.nan)
     ok = np.zeros(len(vals), dtype=bool)
     for i, v in enumerate(vals):
@@ -40,7 +44,7 @@ def parse_numeric(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 ok[i] = True
             except ValueError:
                 pass
-    return out, ok
+    return out, ok & np.isfinite(out)
 
 
 def metricalize_partial(
