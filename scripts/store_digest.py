@@ -1,16 +1,24 @@
 """Digests of the stores one transcript input builds, for bit-identity
 checks between two versions of the engine.
 
-Builds a ``run_pipeline`` store and a ``run_pipeline_epochs`` store
-(daily epochs) from ``ensure_transcripts(<sf dir>)`` in a temporary
-directory, then prints one JSON line:
+Builds, in a temporary directory, one store per ingest path:
 
-- ``parts``: the sha256 of every ``blocks/`` part file of both stores,
+- ``oneshot``: ``run_pipeline`` over ``ensure_transcripts(<sf dir>)``;
+- ``epochs``: ``run_pipeline_epochs`` (daily epochs) over the same input;
+- ``scrape_incremental``: the ``scrape_incremental_1m_events`` oracle
+  fixture's store — ``<sf dir>/events.parquet`` as cumulative counter
+  exposition text, appended in three ``scrape_append`` runs (8 buckets)
+  plus ``scrape_finalize``.
+
+Then prints one JSON line:
+
+- ``parts``: the sha256 of every ``blocks/`` part file of every store,
   keyed by its path under the store;
 - ``rows``: one row-order-independent digest per store — its block rows
-  sorted by (tier, series_key, block_start), and for the epoch store
-  also each epoch's state rows sorted by (stype, conv_id, metric, sub,
-  tier, window).
+  sorted by (tier, series_key, block_start), plus each epoch's state
+  rows: for the epoch store sorted by (stype, conv_id, metric, sub,
+  tier, window), for the scrape store its ``refs`` and ``open`` parts
+  each sorted by every column.
 
 Byte-equal parts show an unchanged writer; equal ``rows`` digests show
 the same stored content when only row order may differ.
@@ -48,12 +56,15 @@ def file_sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def table_digest(t: pa.Table, keys) -> str:
-    """sha256 of ``t`` sorted by ``keys``; refuses a table whose keys are
-    not unique, since its digest would depend on row order."""
+def table_digest(t: pa.Table, keys=None) -> str:
+    """sha256 of ``t`` sorted by ``keys`` (every column when None);
+    refuses a table whose keys are not unique, since its digest would
+    depend on row order — unless the keys are every column, where rows
+    equal on them are identical."""
+    keys = t.column_names if keys is None else keys
     t = t.sort_by([(k, "ascending") for k in keys])
     key_rows = list(zip(*(t[k].to_pylist() for k in keys)))
-    if len(set(key_rows)) != len(key_rows):
+    if len(set(key_rows)) != len(key_rows) and len(keys) < t.num_columns:
         raise ValueError(f"rows are not unique by {keys}")
     h = hashlib.sha256()
     for name in t.column_names:
@@ -72,7 +83,10 @@ def read_parts(files: list[str]) -> pa.Table:
                             promote_options="default")
 
 
-def store_digests(root: str, stage_dirs: list[str], state_dirs: list[str]):
+def store_digests(root: str, stage_dirs: list[str], state_dirs: list[str],
+                  state_keys):
+    """``state_keys`` maps a state part's file-name prefix to its sort
+    keys (None: every column)."""
     from vertex_ray.state.checkpoint import stage_files
 
     parts, blocks = {}, []
@@ -82,8 +96,38 @@ def store_digests(root: str, stage_dirs: list[str], state_dirs: list[str]):
             blocks.append(f)
     h = hashlib.sha256(table_digest(read_parts(blocks), BLOCK_KEYS).encode())
     for d in state_dirs:
-        h.update(table_digest(read_parts(stage_files(d)), STATE_KEYS).encode())
+        for prefix, keys in state_keys.items():
+            files = [f for f in stage_files(d)
+                     if os.path.basename(f).startswith(prefix + "-")]
+            h.update(table_digest(read_parts(files), keys).encode())
     return parts, h.hexdigest()
+
+
+def build_scrape_incremental(sf_dir: str, out: str) -> None:
+    """The ``scrape_incremental_1m_events`` fixture's store at ``out``."""
+    import pyarrow.compute as pc
+
+    from vertex_ray.pipelines.op_queries import _ev, _scrape_counter_lines
+    from vertex_ray.pipelines.scrape_incremental import (
+        scrape_append,
+        scrape_finalize,
+    )
+
+    def to_lines_runs(g):
+        lines = _scrape_counter_lines(g)
+        lines["run"] = (np.arange(len(lines)) * 3) // max(len(lines), 1)
+        return lines
+
+    kinds = {"events_total": "counter"}
+    lines = _ev(sf_dir).groupby("event_type").map_groups(
+        to_lines_runs, batch_format="pandas")
+    for r in range(3):
+        run = lines.map_batches(
+            lambda t, r=r: t.filter(pc.equal(t["run"], r)).select(["text"]),
+            batch_format="pyarrow")
+        scrape_append(run, out, kinds=kinds, window_s=60, tier="1m",
+                      n_buckets=8)
+    scrape_finalize(out, kinds=kinds, window_s=60, tier="1m", n_buckets=8)
 
 
 def main() -> int:
@@ -111,15 +155,22 @@ def main() -> int:
         with tempfile.TemporaryDirectory(prefix="store_digest_") as tmp:
             one = os.path.join(tmp, "oneshot")
             epo = os.path.join(tmp, "epochs")
+            scr = os.path.join(tmp, "scrape_incremental")
             run_pipeline(trans, one)
             run_pipeline_epochs(trans, epo, epoch_seconds=86_400)
-            edirs = epoch_dirs(epo)
-            for name, root, blocks, states in (
-                ("oneshot", one, [posixpath.join(one, "blocks")], []),
-                ("epochs", epo, [posixpath.join(e, "blocks") for e in edirs],
-                 [posixpath.join(e, "state") for e in edirs]),
+            build_scrape_incremental(args.sf_dir, scr)
+            stores = [("oneshot", one, [posixpath.join(one, "blocks")], [], {})]
+            for name, root, keys in (
+                ("epochs", epo, {"part": STATE_KEYS}),
+                ("scrape_incremental", scr, {"refs": None, "open": None}),
             ):
-                parts, digest = store_digests(root, blocks, states)
+                edirs = epoch_dirs(root)
+                stores.append((name, root,
+                               [posixpath.join(e, "blocks") for e in edirs],
+                               [posixpath.join(e, "state") for e in edirs],
+                               keys))
+            for name, root, blocks, states, keys in stores:
+                parts, digest = store_digests(root, blocks, states, keys)
                 out["parts"].update({f"{name}/{k}": v for k, v in parts.items()})
                 out["rows"][name] = digest
     finally:

@@ -45,3 +45,39 @@ def test_io_error_propagates(stage, monkeypatch):
     monkeypatch.setattr(checkpoint.fsio, "read_json", denied)
     with pytest.raises(PermissionError):
         stage_done(stage)
+
+
+def test_committed_is_whole_set_under_lineage(tmp_path):
+    from vertex_ray.state.checkpoint import committed
+
+    paths = {}
+    for name in ("a", "b"):
+        parts = tmp_path / f"{name}.__parts__"
+        parts.mkdir()
+        pq.write_table(pa.table({"x": [1]}), str(parts / "part-00000.parquet"))
+        paths[name] = str(tmp_path / name)
+        finalize_stage(str(parts), paths[name], {"k": 1})
+    assert set(committed(paths, {"k": 1})) == {"a", "b"}
+    assert set(committed(paths)) == {"a", "b"}
+    # another lineage: the whole set is removed, not just one stage
+    assert committed(paths, {"k": 2}) is None
+    assert not any(os.path.exists(p) for p in paths.values())
+
+
+def test_parts_reused_only_under_same_lineage(tmp_path):
+    from vertex_ray.state.checkpoint import open_parts, write_part
+
+    stage = str(tmp_path / "blocks")
+    built = []
+
+    def build():
+        built.append(1)
+        return pa.table({"x": [1]})
+
+    parts = open_parts(stage, {"k": 1})
+    write_part(parts, 3, build)
+    assert open_parts(stage, {"k": 1}) == parts
+    write_part(parts, 3, build)
+    assert len(built) == 1  # a reused part is never rebuilt
+    open_parts(stage, {"k": 2})
+    assert not os.path.exists(os.path.join(parts, "part-00003.parquet"))

@@ -274,3 +274,44 @@ def test_incremental_counter_nan_poisons_like_oneshot(ray_session, tmp_path):
     nan = "nan"
     assert want[("c_total{j=a}", 0)] == (nan, 3.0, nan, nan, 5.0)
     assert got == want
+
+
+def test_incremental_resumes_after_killed_append(ray_session, tmp_path):
+    # an append killed after opening its parts leaves an uncommitted
+    # epoch holding only blocks.__parts__; the retry rebuilds that epoch
+    # from its own input, reusing none of the killed run's parts (they
+    # came from another input under the same lineage stamp)
+    import os
+    import shutil
+
+    from vertex_ray.pipelines.scrape_incremental import (
+        scrape_append,
+        scrape_finalize,
+    )
+
+    rows = _mk_stream(5, "req_total")
+    cut, kinds = len(rows) // 2, {"req_total": "counter"}
+    clean = str(tmp_path / "clean")
+    scrape_append(_lines(rows[:cut]), clean, kinds=kinds, n_buckets=4)
+    scrape_append(_lines(rows[cut:]), clean, kinds=kinds, n_buckets=4)
+    scrape_finalize(clean, kinds=kinds, n_buckets=4)
+
+    store = str(tmp_path / "killed")
+    scrape_append(_lines(rows[:cut]), store, kinds=kinds, n_buckets=4)
+    scrape_append(_lines(rows[cut:cut + 20]), store, kinds=kinds,
+                  n_buckets=4)
+    edir = os.path.join(store, "epoch-1")
+    parts = os.path.join(edir, "blocks.__parts__")
+    os.rename(os.path.join(edir, "blocks"), parts)
+    for name in ("manifest.json", "_SUCCESS"):
+        os.remove(os.path.join(parts, name))
+    for stage in ("agg", "state"):
+        shutil.rmtree(os.path.join(edir, stage))
+    assert sorted(os.listdir(edir)) == ["blocks.__parts__"]
+    assert any(f.endswith(".parquet") for f in os.listdir(parts))
+
+    scrape_append(_lines(rows[cut:]), store, kinds=kinds, n_buckets=4)
+    scrape_finalize(store, kinds=kinds, n_buckets=4)
+    for col in ("sum", "count", "min", "max", "last"):
+        assert (_decoded(store, "req_total", col)
+                == _decoded(clean, "req_total", col))

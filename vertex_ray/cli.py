@@ -122,7 +122,7 @@ def cmd_stats(args) -> int:
     analogue (the reference's src/top.rs:42-55, per-component live
     throughput via src/extensions/remote_tap): run the plan
     ``run_pipeline`` runs (rollup_pipeline.rollup_dataset: read →
-    run-packed projection → bucket groupby → fused kernel + Gorilla
+    run-packed projection → bucket groupby → bucket kernel + Gorilla
     encode + blocks side-write) end to end, its blocks into a temporary
     directory, and print Ray Data's executed-operator stats —
     per-operator wall time, rows in/out, object-store memory

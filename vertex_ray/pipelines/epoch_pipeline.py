@@ -8,9 +8,8 @@ a time and carries the cross-epoch state in per-bucket parquet parts.
 Each epoch run is the same plan as the one-shot flagship: a ts-pruned
 scan → the run-packed projection (derive.project_for_rollup_packed, one
 exchange row per conversation run) plus one empty sentinel run per
-bucket → ONE bucket groupby → the shared run explode
-(rollup_pipeline.explode_runs) → the one bucket kernel
-(kernel_epoch.epoch_kernel, here over a bounded epoch) → agg rows +
+bucket → ONE bucket groupby → the one group body
+(rollup_pipeline.bucket_group, here over a bounded epoch) → agg rows +
 side-written Gorilla blocks. Only the carry differs: a per-bucket state
 read at group entry and a state part write at group exit. No task ever
 holds more than one epoch of one bucket — the unbounded-retention answer
@@ -22,69 +21,45 @@ Layout under ``out_dir``::
     epoch-<start_s>/blocks/  Gorilla blocks for those windows
     epoch-<start_s>/state/   per-bucket carry state consumed by the NEXT epoch
 
-Every stage commits atomically with lineage (state/checkpoint); a killed
-run resumes at the first incomplete epoch, reusing finished per-bucket
-parts inside it. Sequential epochs reproduce the one-shot output
-BIT-FOR-BIT (tests/test_epoch_pipeline.py), so all the flagship's SQL
-oracles apply unchanged to the epoched engine.
+Each epoch's three stages commit as one set with lineage
+(state/checkpoint, the one-shot run's protocol); a killed run resumes at
+the first incomplete epoch, reusing finished per-bucket parts inside it.
+Sequential epochs reproduce the one-shot output BIT-FOR-BIT
+(tests/test_epoch_pipeline.py), so all the flagship's SQL oracles apply
+unchanged to the epoched engine.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import posixpath
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray.data as rd
 
 from vertex_ray.schema import TIERS
 from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup_packed
-from vertex_ray.stages.encode import GorillaEncode
-from vertex_ray.stages.fill import unpack_series
+from vertex_ray.stages.encode import BLOCK_FORMAT
 from vertex_ray.stages.kernel import METRIC_NAMES
-from vertex_ray.stages.kernel_epoch import epoch_kernel
 from vertex_ray.state import fsio
 from vertex_ray.state.checkpoint import (
-    finalize_stage,
+    committed,
+    open_parts,
     read_manifest,
+    seal,
     stage_done,
     stage_files,
-    write_stage,
 )
 from vertex_ray.pipelines.rollup_pipeline import (
     _target_blocks,
     auto_n_buckets,
-    explode_runs,
+    bucket_group,
     read_stage_files,
+    transcripts_span_s,
 )
-
-
-def transcripts_span_s(path: str) -> tuple[int, int]:
-    """(min, max) transcript timestamp in epoch seconds, from parquet
-    footer statistics only."""
-    lo = hi = None
-    files = stage_files(path) if os.path.isdir(path) else [path]
-    for f in files:
-        md = pq.ParquetFile(f).metadata
-        idx = {md.schema.column(i).name: i for i in range(md.num_columns)}["ts"]
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or st.min is None:
-                continue
-
-            def _s(v):
-                return int(v.timestamp()) if hasattr(v, "timestamp") else int(v) // 1_000_000
-
-            lo = _s(st.min) if lo is None else min(lo, _s(st.min))
-            hi = _s(st.max) if hi is None else max(hi, _s(st.max))
-    if lo is None:
-        raise ValueError(f"no ts statistics in {path}")
-    return lo, hi
 
 
 def _sentinels(n_buckets: int) -> pa.Table:
@@ -110,65 +85,6 @@ def _sentinels(n_buckets: int) -> pa.Table:
     )
 
 
-def epoch_bucket_group(
-    group: pa.Table,
-    tiers,
-    epoch_start_s: int,
-    epoch_end_s: int,
-    fill_end_s: int,
-    salt: int,
-    state_in_dir: str | None,
-    state_parts_dir: str,
-    blocks_parts_dir: str,
-) -> pa.Table:
-    """Group body for one bucket × one epoch: read carried state, run the
-    kernel, side-write blocks + next-epoch state (atomic, idempotent),
-    return the epoch's flat tier rows."""
-    bucket_id, cols = explode_runs(group)
-    state_in = None
-    if state_in_dir is not None:
-        p = posixpath.join(state_in_dir, f"part-{bucket_id:05d}.parquet")
-        if fsio.exists(p):
-            state_in = fsio.read_parquet(p)
-
-    packed, state_out = epoch_kernel(
-        *cols,
-        state_in,
-        tiers,
-        epoch_start_s,
-        epoch_end_s,
-        fill_end_s,
-        bucket_id,
-        salt,
-    )
-    if packed.num_rows:
-        final = posixpath.join(blocks_parts_dir, f"part-{bucket_id:05d}.parquet")
-        if not fsio.exists(final):
-            fsio.write_parquet_atomic(GorillaEncode()(packed), final, str(os.getpid()))
-    sfinal = posixpath.join(state_parts_dir, f"part-{bucket_id:05d}.parquet")
-    if not fsio.exists(sfinal):
-        fsio.write_parquet_atomic(state_out, sfinal, str(os.getpid()))
-    # sparse agg sink, as the one-shot pipeline's: one row per stored
-    # point + fill_runs/window_seconds; read_epochs_stage expands it
-    return unpack_series(packed, dict_encode=True, sparse_fills=True)
-
-
-def _prepare_parts_dir(parts_dir: str, lineage: dict) -> None:
-    stamp = posixpath.join(parts_dir, "__lineage__.json")
-    if fsio.exists(parts_dir):
-        old = fsio.read_json(stamp) if fsio.exists(stamp) else None
-        if old != lineage:
-            fsio.rmtree(parts_dir)
-    fsio.makedirs(parts_dir)
-    if not fsio.exists(stamp):
-        fsio.write_json(stamp, lineage)
-
-
-def _lineage_matches(manifest: dict, lineage: dict) -> bool:
-    lin = {k: v for k, v in manifest.get("lineage", {}).items() if k != "wall_seconds"}
-    return lin == lineage
-
-
 def run_one_epoch(
     transcripts_path: str,
     edir: str,
@@ -182,23 +98,11 @@ def run_one_epoch(
     tiers,
 ) -> dict[str, dict]:
     paths = {s: posixpath.join(edir, s) for s in ("agg", "blocks", "state")}
-    if all(stage_done(p) for p in paths.values()):
-        manifests = {s: read_manifest(p) for s, p in paths.items()}
-        if all(_lineage_matches(m, lineage) for m in manifests.values()):
-            return manifests
-        for p in paths.values():
-            fsio.rmtree(p)
-    else:
-        # partial epoch from a killed run: recompute the Dataset stage,
-        # reusing any committed per-bucket parts below
-        for p in paths.values():
-            if fsio.exists(p):
-                fsio.rmtree(p)
-
-    blocks_parts = paths["blocks"] + ".__parts__"
-    state_parts = paths["state"] + ".__parts__"
-    _prepare_parts_dir(blocks_parts, lineage)
-    _prepare_parts_dir(state_parts, lineage)
+    manifests = committed(paths, lineage)
+    if manifests is not None:
+        return manifests
+    blocks_parts = open_parts(paths["blocks"], lineage)
+    state_parts = open_parts(paths["state"], lineage)
 
     lo = pa.scalar(epoch_start_s * 1_000_000, type=pa.timestamp("us"))
     hi = pa.scalar(epoch_end_s * 1_000_000, type=pa.timestamp("us"))
@@ -214,7 +118,7 @@ def run_one_epoch(
     ).union(rd.from_arrow(_sentinels(n_buckets)))
     agg_ds = projected.groupby("bucket").map_groups(
         functools.partial(
-            epoch_bucket_group,
+            bucket_group,
             tiers=tiers,
             epoch_start_s=epoch_start_s,
             epoch_end_s=epoch_end_s,
@@ -226,10 +130,7 @@ def run_one_epoch(
         ),
         batch_format="pyarrow",
     )
-    manifests = {"agg": write_stage(agg_ds, paths["agg"], lineage)}
-    manifests["blocks"] = finalize_stage(blocks_parts, paths["blocks"], lineage)
-    manifests["state"] = finalize_stage(state_parts, paths["state"], lineage)
-    return manifests
+    return seal(agg_ds, paths, lineage)
 
 
 def epoch_dirs(out_dir: str) -> list[str]:
@@ -291,11 +192,7 @@ def run_pipeline_epochs(
             "salt": salt,
             "tiers": [t for t, _ in tiers],
             "metrics": list(METRIC_NAMES),
-            # on-disk block + agg layout version: epoch stores write run
-            # codes (carried fills as flagged points) and a sparse agg
-            # sink; a store of an older layout is recomputed on resume,
-            # never mixed into one stage
-            "block_format": "gorilla-columnar-v3-virtual-fills",
+            "block_format": BLOCK_FORMAT,
             "epoch_seconds": epoch_seconds,
             "epoch_start_s": es,
             "fill_end_s": fill_end,

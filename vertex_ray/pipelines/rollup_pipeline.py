@@ -7,16 +7,18 @@ ONE all-to-all exchange and ONE Ray execution for the whole run:
       → map_batches(project_for_rollup_packed)    # one row per conv run;
                                                   # int codes, text never shuffles
       → groupby("bucket").map_groups(             # THE shuffle
-            explode runs → bucket kernel over the unbounded epoch
-            (kernel_epoch.epoch_kernel): rollup 1m → cascade 5m/1h/1d
-            → gap-fill run codes → pack
-            → Gorilla-encode + side-write this bucket's blocks file
+            bucket_group: explode runs → bucket kernel over the
+            unbounded epoch (kernel_epoch.epoch_kernel): rollup 1m →
+            cascade 5m/1h/1d → gap-fill run codes → pack
+            → Gorilla-encode + side-write this bucket's blocks part
             → return the sparse tier agg rows)
       → write agg stage (commit protocol)
-    blocks stage = the per-bucket side-written files, sealed with a manifest
+    blocks stage = the per-bucket side-written parts, sealed with a manifest
 
 ``rollup_dataset`` builds this plan for ``run_pipeline`` and for
-``vertex stats``.
+``vertex stats``. ``bucket_group`` is the one group body of the one-shot
+and epoch ingests (pipelines/epoch_pipeline): a one-shot run is the
+epoch with nothing carried — no epoch bounds, no state in, no state out.
 
 Everything after the bucket groupby is embarrassingly parallel because the
 conversation-hash bucket co-locates every series of a conversation: the
@@ -29,16 +31,16 @@ are read exactly once.
 from the transcript parquet column statistics — footer metadata only, no
 data read.
 
-Every stage write goes through state/checkpoint.write_stage: atomic
-rename + manifest, so a rerun resumes (skips validated stages).
+The agg and blocks stages commit as one set through state/checkpoint
+(``committed`` → ``open_parts`` → ``write_part`` per bucket → ``seal``):
+a rerun skips a set committed under the same lineage, and a killed run
+resumes reusing its finished per-bucket parts.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import posixpath
-import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -48,15 +50,22 @@ import ray.data as rd
 
 from vertex_ray.schema import TIERS
 from vertex_ray.stages.derive import PROJECT_COLUMNS
-from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch
+from vertex_ray.stages.encode import (
+    BLOCK_FORMAT,
+    GorillaEncode,
+    decode_blocks_batch,
+)
 from vertex_ray.stages.fill import unpack_series
+from vertex_ray.stages.kernel import METRIC_NAMES
+from vertex_ray.stages.kernel_epoch import epoch_kernel
 from vertex_ray.state.checkpoint import (
-    MANIFEST,
-    finalize_stage,
-    read_manifest,
-    stage_done,
+    committed,
+    open_parts,
+    part_path,
+    read_manifest,  # noqa: F401 — callers read a store's manifest from here
+    seal,
     stage_files,
-    write_stage,
+    write_part,
 )
 from vertex_ray.state import fsio
 
@@ -170,36 +179,39 @@ def read_transcripts(path: str) -> "rd.Dataset":
     )
 
 
-def transcripts_end_ts(path: str) -> int:
-    """Max transcript timestamp in epoch seconds, from parquet footer
-    statistics only (no data read)."""
-    end = None
-    files = (
-        stage_files(path)
-        if os.path.isdir(path)
-        else [path]
-    )
-    for f in files:
+def transcripts_span_s(path: str) -> tuple[int, int]:
+    """(min, max) transcript timestamp in epoch seconds, from parquet
+    footer statistics only (no data read)."""
+    lo = hi = None
+
+    def secs(v):
+        return int(v.timestamp()) if hasattr(v, "timestamp") else int(v) // 1_000_000
+
+    for f in stage_files(path) if os.path.isdir(path) else [path]:
         md = pq.ParquetFile(f).metadata
         idx = {md.schema.column(i).name: i for i in range(md.num_columns)}["ts"]
         for rg in range(md.num_row_groups):
             st = md.row_group(rg).column(idx).statistics
-            if st is not None and st.max is not None:
-                v = st.max
-                v = int(v.timestamp()) if hasattr(v, "timestamp") else int(v) // 1_000_000
-                end = v if end is None else max(end, v)
-    if end is None:
+            if st is None or st.min is None:
+                continue
+            lo = secs(st.min) if lo is None else min(lo, secs(st.min))
+            hi = secs(st.max) if hi is None else max(hi, secs(st.max))
+    if lo is None:
         raise ValueError(f"no ts statistics in {path}")
-    return end
+    return lo, hi
+
+
+def transcripts_end_ts(path: str) -> int:
+    """Max transcript timestamp in epoch seconds (``transcripts_span_s``)."""
+    return transcripts_span_s(path)[1]
 
 
 def explode_runs(group: pa.Table) -> tuple[int, tuple]:
     """A bucket's rows of the RUN-PACKED projection
     (derive.project_for_rollup_packed) → (bucket id, flat per-turn
     conv_id, turn_idx, role_code, tool_code, ts_us): one np.repeat for
-    conv_id, one flatten per list column. The one-shot and epoch group
-    bodies share it; an empty run (an epoch's per-bucket sentinel)
-    explodes to nothing."""
+    conv_id, one flatten per list column. An empty run (an epoch's
+    per-bucket sentinel) explodes to nothing."""
     import numpy as np
 
     g = group.combine_chunks()
@@ -219,13 +231,45 @@ def explode_runs(group: pa.Table) -> tuple[int, tuple]:
     return bucket_id, (conv, *flat)
 
 
+def bucket_group(
+    group: pa.Table,
+    tiers,
+    epoch_start_s: int | None,
+    epoch_end_s: int | None,
+    fill_end_s: int,
+    salt: int,
+    state_in_dir: str | None,
+    state_parts_dir: str | None,
+    blocks_parts_dir: str,
+) -> pa.Table:
+    """THE group body, one bucket × one epoch: read the bucket's carried
+    state, run the bucket kernel, side-write its blocks part and its
+    next-epoch state part (state/checkpoint.write_part: skip-if-done,
+    atomic, encoded only when missing) and return its sparse agg rows
+    (one row per stored point + fill_runs/window_seconds, expanded back to
+    the dense tier rows by read_stage_files). A one-shot run is the
+    unbounded epoch: no epoch bounds, no state in, no state parts dir."""
+    bucket_id, cols = explode_runs(group)
+    state_in = None
+    if state_in_dir is not None:
+        p = part_path(state_in_dir, bucket_id)
+        if fsio.exists(p):
+            state_in = fsio.read_parquet(p)
+    packed, state_out = epoch_kernel(*cols, state_in, tiers, epoch_start_s,
+                                     epoch_end_s, fill_end_s, bucket_id, salt)
+    if packed.num_rows:
+        write_part(blocks_parts_dir, bucket_id, lambda: GorillaEncode()(packed))
+    if state_parts_dir is not None:
+        write_part(state_parts_dir, bucket_id, lambda: state_out)
+    return unpack_series(packed, dict_encode=True, sparse_fills=True)
+
+
 def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,
                                salt: int) -> pa.Table:
-    """One-shot map_groups body: the bucket's runs, exploded, through the
-    bucket kernel over the unbounded epoch (no carry in or out, fills up
-    to ``global_end_s``)."""
-    from vertex_ray.stages.kernel_epoch import epoch_kernel
-
+    """The one-shot group body's kernel step alone, with no side-write:
+    the bucket's runs, exploded, through the bucket kernel over the
+    unbounded epoch (the benchmark's in-process replay and the kernel
+    tests call it)."""
     bucket_id, cols = explode_runs(group)
     return epoch_kernel(*cols, None, tiers, None, None, global_end_s,
                         bucket_id, salt)[0]
@@ -235,10 +279,10 @@ def rollup_dataset(transcripts_path: str, global_end_s: int, n_buckets: int,
                    blocks_parts_dir: str, salt: int = 1,
                    tiers=TIERS) -> "rd.Dataset":
     """THE flagship plan: scan → run-packed projection → groupby(bucket)
-    → fused bucket group, which side-writes each bucket's blocks under
-    ``blocks_parts_dir`` and returns its sparse agg rows. ``run_pipeline``
-    writes it as the agg stage; ``vertex stats`` materializes it for its
-    operator stats."""
+    → ``bucket_group`` over the unbounded epoch, which side-writes each
+    bucket's blocks under ``blocks_parts_dir`` and returns its sparse agg
+    rows. ``run_pipeline`` writes it as the agg stage; ``vertex stats``
+    materializes it for its operator stats."""
     from vertex_ray.stages.derive import project_for_rollup_packed
 
     projected = read_transcripts(transcripts_path).map_batches(
@@ -247,10 +291,14 @@ def rollup_dataset(transcripts_path: str, global_end_s: int, n_buckets: int,
     )
     return projected.groupby("bucket").map_groups(
         functools.partial(
-            fused_bucket_group,
+            bucket_group,
             tiers=tiers,
-            global_end_s=global_end_s,
+            epoch_start_s=None,
+            epoch_end_s=None,
+            fill_end_s=global_end_s,
             salt=salt,
+            state_in_dir=None,
+            state_parts_dir=None,
             blocks_parts_dir=blocks_parts_dir,
         ),
         batch_format="pyarrow",
@@ -375,34 +423,6 @@ def undict_table(t: pa.Table) -> pa.Table:
     return t
 
 
-def fused_bucket_group(
-    group: pa.Table, tiers, global_end_s: int, salt: int, blocks_parts_dir: str
-) -> pa.Table:
-    """Fused bucket body: kernel → (side-write Gorilla blocks for this
-    bucket, atomically, skip-if-done) → return the tier agg rows.
-
-    One Ray execution computes everything: the packed per-series arrays
-    never round-trip through parquet, and a retried/speculative task is
-    idempotent (tmp-file + atomic rename, deterministic file name). Each
-    bucket's committed blocks file doubles as a per-partition checkpoint:
-    on a rerun after failure the encode for finished buckets is skipped."""
-    packed = bucket_kernel_group_packed(group, tiers, global_end_s, salt)
-    if packed.num_rows:
-        bucket_id = int(group["bucket"][0].as_py())
-        final = posixpath.join(blocks_parts_dir, f"part-{bucket_id:05d}.parquet")
-        # fsio (pyarrow.fs) so this works when blocks_parts_dir is a shared
-        # filesystem / object-store URI on a multi-node cluster; reuse is
-        # safe because run_pipeline wipes the parts dir on any lineage
-        # change (input, n_buckets, salt, tiers, global_end)
-        if not fsio.exists(final):
-            enc = GorillaEncode()(packed)
-            fsio.write_parquet_atomic(enc, final, token=str(os.getpid()))
-    # sparse agg sink: REAL rows only + fill_runs/window_seconds columns
-    # (~58% fewer rows written); read_stage expands back to the dense
-    # tier rows bit-for-bit (stages/fill.expand_agg_table)
-    return unpack_series(packed, dict_encode=True, sparse_fills=True)
-
-
 def run_pipeline(
     transcripts_path: str,
     out_dir: str,
@@ -414,17 +434,13 @@ def run_pipeline(
 
     Outputs: ``agg/`` (flat tier rows, the Dataset sink) and ``blocks/``
     (Gorilla blocks, side-written per bucket inside the group tasks, then
-    sealed with a manifest). Both must validate for the run to be
-    considered done; per-bucket block files survive a crash and are
-    reused on rerun."""
+    sealed with a manifest). The two commit as one set (state/checkpoint):
+    a set committed under this run's lineage is returned as it is, and
+    per-bucket block parts survive a crash and are reused on rerun."""
     if n_buckets is None:
         n_buckets = auto_n_buckets(transcripts_path)
-    paths = pipeline_paths(out_dir)
-    manifests: dict[str, dict] = {}
     end = transcripts_end_ts(transcripts_path)
-    from vertex_ray.stages.kernel import METRIC_NAMES
-
-    lineage_stamp = {
+    lineage = {
         "input": transcripts_path,
         "n_buckets": n_buckets,
         "salt": salt,
@@ -434,53 +450,12 @@ def run_pipeline(
         # computed by an older engine (different metric list) must never
         # be resumed into
         "metrics": list(METRIC_NAMES),
-        # on-disk Gorilla block layout version — bump on codec format
-        # changes so blocks from an older layout are recomputed, not reused
-        "block_format": "gorilla-columnar-v3-virtual-fills",
+        "block_format": BLOCK_FORMAT,
     }
-
-    def _lineage_matches(manifest: dict) -> bool:
-        lin = {k: v for k, v in manifest.get("lineage", {}).items()
-               if k != "wall_seconds"}
-        return lin == lineage_stamp
-
-    if stage_done(paths["agg"]) and stage_done(paths["blocks"]):
-        manifests["agg"] = read_manifest(paths["agg"])
-        manifests["blocks"] = read_manifest(paths["blocks"])
-        if _lineage_matches(manifests["agg"]) and _lineage_matches(
-            manifests["blocks"]
-        ):
-            return manifests
-        # same out_dir, different run parameters/input: the committed
-        # stages belong to another lineage — recompute, never reuse
-        fsio.rmtree(paths["agg"])
-        fsio.rmtree(paths["blocks"])
-        manifests = {}
-
-    blocks_parts = paths["blocks"] + ".__parts__"
-    # per-bucket part files are only reusable under the SAME lineage: a
-    # rerun with different input/bucketing/tiers must not silently commit
-    # stale parts (round-1 judge finding) — stamp and wipe on mismatch
-    stamp_path = posixpath.join(blocks_parts, "__lineage__.json")
-    if fsio.exists(blocks_parts):
-        old = fsio.read_json(stamp_path) if fsio.exists(stamp_path) else None
-        if old != lineage_stamp:
-            fsio.rmtree(blocks_parts)
-    fsio.makedirs(blocks_parts)
-    if not fsio.exists(stamp_path):
-        fsio.write_json(stamp_path, lineage_stamp)
-    agg_ds = rollup_dataset(transcripts_path, end, n_buckets, blocks_parts,
-                            salt, tiers)
-    lineage = dict(lineage_stamp)
-    # force recompute of a stale agg stage (blocks incomplete implies the
-    # previous run died mid-execution)
-    if fsio.exists(posixpath.join(paths["agg"], MANIFEST)) and not stage_done(
-        paths["blocks"]
-    ):
-        fsio.rmtree(paths["agg"])
-    manifests["agg"] = write_stage(agg_ds, paths["agg"], lineage)
-    if not stage_done(paths["blocks"]):
-        manifests["blocks"] = finalize_stage(blocks_parts, paths["blocks"], lineage)
-    else:
-        manifests["blocks"] = read_manifest(paths["blocks"])
-    return manifests
+    paths = {s: pipeline_paths(out_dir)[s] for s in ("agg", "blocks")}
+    manifests = committed(paths, lineage)
+    if manifests is not None:
+        return manifests
+    agg_ds = rollup_dataset(transcripts_path, end, n_buckets,
+                            open_parts(paths["blocks"], lineage), salt, tiers)
+    return seal(agg_ds, paths, lineage)

@@ -3,9 +3,13 @@ increments to ONE store, carrying per-series normalize state between
 runs — the resumable form of pipelines/scrape_pipeline, mirroring the
 flagship's epoch pipeline (pipelines/epoch_pipeline):
 
-- each run commits ``epoch-<seq>/{agg,blocks,state}`` stages; blocks
-  and state are side-written per bucket (atomic rename, idempotent —
-  a retried/killed run reuses finished buckets);
+- each run commits ``epoch-<seq>/{agg,blocks,state}`` as one stage set
+  through the flagship's commit protocol (state/checkpoint); blocks and
+  state are side-written per bucket (atomic rename, idempotent — a
+  retried task reuses finished buckets). A run killed before its set
+  committed leaves an uncommitted epoch, which the next append wipes and
+  rebuilds from its own input: the killed run's input is a Dataset no
+  lineage names, so none of its parts is reused;
 - the carried state is the reference's ``MetricNormalizer`` memory
   (/root/reference lib/framework/src/sink/buffer/metrics.rs:100-146)
   persisted in its RAWEST form: each series' LAST raw scrape instant
@@ -37,15 +41,22 @@ it with ``stages/compact``, GC it with ``stages/retention``.
 
 from __future__ import annotations
 
-import os
 import posixpath
 
 import numpy as np
 import pyarrow as pa
 
 from vertex_ray.schema import AGG_FIELDS, BUCKET_COLS
+from vertex_ray.stages.encode import BLOCK_FORMAT
 from vertex_ray.state import fsio
-from vertex_ray.state.checkpoint import finalize_stage, write_stage
+from vertex_ray.state.checkpoint import (
+    committed,
+    open_parts,
+    part_path,
+    read_manifest,
+    seal,
+    write_part,
+)
 
 __all__ = ["scrape_append", "scrape_finalize", "read_scrape_epochs"]
 
@@ -89,7 +100,7 @@ def _sentinels(n_buckets: int, with_hist: bool) -> pa.Table:
 def _read_state(state_in_dir: str | None, name: str, bucket_id: int):
     if state_in_dir is None:
         return None
-    p = posixpath.join(state_in_dir, f"{name}-{bucket_id:05d}.parquet")
+    p = part_path(state_in_dir, bucket_id, name)
     if not fsio.exists(p):
         return None
     t = fsio.read_parquet(p)
@@ -174,23 +185,15 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
     new_refs = combined.filter(pa.array(ts == _latest_per_series(code, ts)))
 
     if emit.num_rows:
-        final = posixpath.join(blocks_parts_dir,
-                               f"part-{bucket_id:05d}.parquet")
-        if not fsio.exists(final):
-            fsio.write_parquet_atomic(encode_agg_rows(emit, tier=tier), final,
-                                      str(os.getpid()))
-    for name, table in (("refs", new_refs), ("open", opens)):
-        f = posixpath.join(state_parts_dir,
-                           f"{name}-{bucket_id:05d}.parquet")
-        if not fsio.exists(f):
-            fsio.write_parquet_atomic(table, f, str(os.getpid()))
+        write_part(blocks_parts_dir, bucket_id,
+                   lambda: encode_agg_rows(emit, tier=tier))
+    write_part(state_parts_dir, bucket_id, lambda: new_refs, "refs")
+    write_part(state_parts_dir, bucket_id, lambda: opens, "open")
     return emit
 
 
-def _epoch_seq_dirs(out_dir: str) -> list[str]:
-    from vertex_ray.pipelines.epoch_pipeline import epoch_dirs
-
-    return epoch_dirs(out_dir)
+def _stage_paths(edir: str) -> dict[str, str]:
+    return {s: posixpath.join(edir, s) for s in ("agg", "blocks", "state")}
 
 
 def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
@@ -209,7 +212,7 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
 
     import ray.data as rd
 
-    from vertex_ray.pipelines.epoch_pipeline import _prepare_parts_dir
+    from vertex_ray.pipelines.epoch_pipeline import epoch_dirs
     from vertex_ray.pipelines.scrape_pipeline import (
         _KIND_CODE,
         _scrape_parse_ds,
@@ -218,10 +221,12 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
     bad = {m: k for m, k in kinds.items() if k not in _KIND_CODE}
     if bad:
         raise ValueError(f"unknown family kinds: {bad}")
-    prev = _epoch_seq_dirs(out_dir)
+    prev = epoch_dirs(out_dir)
+    if prev and committed(_stage_paths(prev[-1])) is None:
+        # a killed append: its parts came from an input no lineage names,
+        # so the whole epoch is rebuilt from this run's input
+        fsio.rmtree(prev.pop())
     if prev:
-        from vertex_ray.state.checkpoint import read_manifest
-
         plin = read_manifest(posixpath.join(prev[-1], "state"))["lineage"]
         if plin.get("finalize"):
             raise ValueError(
@@ -241,19 +246,12 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
                              "across a store's runs")
     seq = len(prev)
     state_in = posixpath.join(prev[-1], "state") if prev else None
-    edir = posixpath.join(out_dir, f"epoch-{seq}")
-    paths = {s: posixpath.join(edir, s) for s in ("agg", "blocks", "state")}
+    paths = _stage_paths(posixpath.join(out_dir, f"epoch-{seq}"))
     lineage = {"kinds": dict(sorted(kinds.items())), "tier": tier,
                "window_s": window_s, "n_buckets": n_buckets, "seq": seq,
-               "finalize": _emit_all,
-               # BLOCK_SCHEMA grew the 'runs' column — never resume a
-               # pre-runs-column epoch store into a mixed-schema stage
-               # (same rationale as epoch_pipeline)
-               "block_format": "gorilla-columnar-v3-schema-dense-fills"}
-    blocks_parts = paths["blocks"] + ".__parts__"
-    state_parts = paths["state"] + ".__parts__"
-    _prepare_parts_dir(blocks_parts, lineage)
-    _prepare_parts_dir(state_parts, lineage)
+               "finalize": _emit_all, "block_format": BLOCK_FORMAT}
+    blocks_parts = open_parts(paths["blocks"], lineage)
+    state_parts = open_parts(paths["state"], lineage)
 
     parsed = _scrape_parse_ds(lines_ds, kinds=kinds, n_buckets=n_buckets,
                               default_ts_ms=default_ts_ms)
@@ -266,12 +264,7 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
             state_parts_dir=state_parts, blocks_parts_dir=blocks_parts,
             emit_all=_emit_all),
         batch_format="pyarrow")
-    manifests = {"agg": write_stage(agg_ds, paths["agg"], lineage)}
-    manifests["blocks"] = finalize_stage(blocks_parts, paths["blocks"],
-                                         lineage)
-    manifests["state"] = finalize_stage(state_parts, paths["state"],
-                                        lineage)
-    return manifests
+    return seal(agg_ds, paths, lineage)
 
 
 def scrape_finalize(out_dir: str, *, kinds: dict, window_s: int = 60,

@@ -17,9 +17,9 @@ the per-kind normalize + rollup kernels VECTORIZED across the bucket's
 series — integer-lexsort segments into the array kernel's AggArrays
 (stages/kernel, its string-keyed adapter: series keys factorized once,
 names rendered once per unique series; no per-series Python loop, no
-pandas) — packs, and Gorilla-encodes in the same task (the flagship
-fused_bucket_group pattern) — read → parse → one exchange → block
-rows. The readable pandas spec of these merges lives in
+pandas) — packs, and Gorilla-encodes in the same task (as the
+flagship's group body, rollup_pipeline.bucket_group) — read → parse →
+one exchange → block rows. The readable pandas spec of these merges lives in
 tests/rollup_spec.py.
 
 Kind semantics (MetricValue::merge, lib/event/src/metric/mod.rs:42-64):

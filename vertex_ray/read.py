@@ -162,7 +162,7 @@ def _candidate_parts(out_dir: str, layout: str, conv_id: str | None):
     import posixpath
 
     from vertex_ray.state import fsio
-    from vertex_ray.state.checkpoint import read_manifest, stage_files
+    from vertex_ray.state.checkpoint import part_path, read_manifest, stage_files
 
     if layout == "oneshot":
         roots = [posixpath.join(out_dir, "blocks")]
@@ -185,9 +185,10 @@ def _candidate_parts(out_dir: str, layout: str, conv_id: str | None):
                 # of this conv can't be mapped to a file; full scan is
                 # the only correct read
                 break
-            fname = f"part-{h % int(nb):05d}.parquet"
+            path = part_path(root, h % int(nb))
+            fname = posixpath.basename(path)
             if fname in m["files"]:
-                files.append(posixpath.join(root, fname))
+                files.append(path)
                 sizes.append(int(m["files"][fname]["bytes"]))
         else:
             return files, sizes, True

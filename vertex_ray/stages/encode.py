@@ -61,6 +61,11 @@ from vertex_ray.schema import (
     STALE_NAN_BITS,
 )
 
+# The block layout's version, stamped into every ingest's lineage: a
+# store whose blocks were written in another layout is recomputed on
+# resume, never mixed into one stage. Bump it on any format change.
+BLOCK_FORMAT = "gorilla-columnar-v3-virtual-fills"
+
 # the on-disk value-stream order is schema.SCALAR_STREAMS — aliased here
 # only for brevity; never redefine it (format contract)
 _SCALARS = SCALAR_STREAMS

@@ -10,7 +10,7 @@ so a series' uid and its packed row position depend on which
 conversations a call sees, never on the order in which their rows
 arrive.
 
-A one-shot run (rollup_pipeline.bucket_kernel_group_packed) is the
+A one-shot run (rollup_pipeline.bucket_group with no epoch bounds) is the
 UNBOUNDED epoch, ``epoch_start_s = epoch_end_s = None``: it reads no
 carry, builds no state, and needs no ts-monotonic turns, because there
 is no epoch boundary for a decrease to cross. The epoch pipeline runs

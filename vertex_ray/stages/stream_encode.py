@@ -21,9 +21,15 @@ owns each series for the stream's lifetime. Points must arrive
 time-ordered per series (the ingest contract; epochs replaying out of
 order go through backfill_merge instead).
 
-Closed blocks use the same single-series codec as the store
-(gorilla.encode_timestamps/encode_values), so everything downstream
-(decode, compaction, retention) applies unchanged.
+Closed blocks are NOT store blocks. A stream block is one row per
+(series, block): ``series_key, block_start, block_end, n_points,
+ts_block, val_block``, its two streams written with the single-series
+codec (gorilla.encode_timestamps / encode_values) and read back with
+gorilla.decode_timestamps / decode_values. The store's layout is
+schema.BLOCK_SCHEMA with the columnar ``*_multi`` codec, written by
+stages/encode; a stream block has no ``kind``, ``tier`` or
+``val_blocks``, so decode_blocks_batch, compaction and retention cannot
+read it.
 """
 
 from __future__ import annotations
@@ -69,9 +75,9 @@ class StreamGorillaEncoder:
     the horizon — bounded by horizon/tier-width values per series), it
     is a GENUINELY LATE sample and lands in a per-series OOO buffer,
     emitted as its own block rows at flush. Because duplicates are
-    rejected against that memory, the store invariant "each (series,
-    tier, window) appears exactly once" holds with no downstream dedup —
-    reads, compaction and retention apply to OOO blocks unchanged.
+    rejected against that memory, the invariant "each (series, tier,
+    window) appears exactly once" holds with no downstream dedup: an OOO
+    block decodes like any other stream block.
     Redelivered replays (same ts, already ingested) still drop silently;
     points older than the horizon still drop (too-old, as in
     Prometheus)."""

@@ -9,6 +9,17 @@ directory, is renamed into place atomically, and records a manifest
 manifest validates, so a killed run resumes where it stopped and
 retried write tasks can never double-commit into a finalized stage.
 
+The ingests (one-shot, epoch, incremental scrape) commit a stage SET —
+one Dataset sink plus stages side-written per bucket — through four
+steps, each one function here:
+
+- ``committed``: the set's manifests when every stage validates under
+  the run's lineage; otherwise the set's stage dirs are removed;
+- ``open_parts``: a lineage-stamped parts dir per side-written stage,
+  whose parts survive a killed run of the same lineage;
+- ``write_part``: skip-if-done atomic write of one bucket's part;
+- ``seal``: write the sink, then seal every parts dir.
+
 All paths go through ``state/fsio`` (pyarrow.fs), so stages work on local
 disk and on shared-filesystem / object-store URIs alike — on a multi-node
 cluster the driver's finalize sees the same store the workers wrote to.
@@ -16,12 +27,15 @@ cluster the driver's finalize sees the same store the workers wrote to.
 
 from __future__ import annotations
 
+import os
 import posixpath
 
 from vertex_ray.state import fsio
 
 MANIFEST = "manifest.json"
 SUCCESS = "_SUCCESS"
+PARTS = ".__parts__"
+LINEAGE_STAMP = "__lineage__.json"
 
 
 def _footer_rows(paths: list[str]) -> list[int]:
@@ -165,3 +179,69 @@ def write_stage(ds, final_path: str, lineage: dict | None = None) -> dict:
     lineage = dict(lineage or {})
     lineage["wall_seconds"] = round(time.time() - t0, 3)
     return finalize_stage(tmp, final_path, lineage)
+
+
+def committed(paths: dict[str, str], lineage: dict | None = None
+              ) -> dict[str, dict] | None:
+    """The manifests of a stage set whose every stage validates and
+    carries ``lineage`` (any lineage when None). Otherwise None, after
+    removing the set's stage dirs: a set commits whole, so a run that
+    finds it partial or of another lineage rewrites all of it. Parts
+    dirs are left to ``open_parts``."""
+    if all(stage_done(p) for p in paths.values()):
+        manifests = {s: read_manifest(p) for s, p in paths.items()}
+        if lineage is None or all(
+                {k: v for k, v in m.get("lineage", {}).items()
+                 if k != "wall_seconds"} == lineage
+                for m in manifests.values()):
+            return manifests
+    for p in paths.values():
+        if fsio.exists(p):
+            fsio.rmtree(p)
+    return None
+
+
+def open_parts(stage_path: str, lineage: dict) -> str:
+    """The parts dir of the stage at ``stage_path``, stamped with
+    ``lineage``. Parts a killed run left under the same lineage stay for
+    reuse; a parts dir of any other lineage is wiped first, so a rerun
+    with other input or parameters never commits stale parts."""
+    parts = stage_path.rstrip("/") + PARTS
+    stamp = posixpath.join(parts, LINEAGE_STAMP)
+    if fsio.exists(parts):
+        old = fsio.read_json(stamp) if fsio.exists(stamp) else None
+        if old != lineage:
+            fsio.rmtree(parts)
+    fsio.makedirs(parts)
+    if not fsio.exists(stamp):
+        fsio.write_json(stamp, lineage)
+    return parts
+
+
+def part_path(stage_dir: str, bucket_id: int, prefix: str = "part") -> str:
+    """One bucket's part file in a stage (or parts) dir."""
+    return posixpath.join(stage_dir, f"{prefix}-{bucket_id:05d}.parquet")
+
+
+def write_part(parts_dir: str, bucket_id: int, build, prefix: str = "part"
+               ) -> None:
+    """Write one bucket's part unless it is already there. ``build()``
+    makes the table only when the part is missing, so a part reused
+    after a killed run is never re-encoded. The write is atomic (a temp
+    name per writer, renamed to the deterministic final name), so a
+    retried or speculative task is idempotent."""
+    final = part_path(parts_dir, bucket_id, prefix)
+    if not fsio.exists(final):
+        fsio.write_parquet_atomic(build(), final, str(os.getpid()))
+
+
+def seal(ds, paths: dict[str, str], lineage: dict) -> dict[str, dict]:
+    """Commit a stage set: write ``ds`` as its first stage (the sink,
+    whose execution side-writes the other stages' parts), then seal each
+    other stage's parts dir into place. Returns the set's manifests."""
+    sink, *sealed = paths
+    manifests = {sink: write_stage(ds, paths[sink], lineage)}
+    for s in sealed:
+        manifests[s] = finalize_stage(paths[s].rstrip("/") + PARTS, paths[s],
+                                      lineage)
+    return manifests
