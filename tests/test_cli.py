@@ -117,13 +117,14 @@ def test_rollup_cli_default_width_follows_api(ray_session, tmp_path,
     """`rollup` without --buckets gets the API's width rule (16 buckets in
     a 1-CPU session), not a fixed 64."""
     import vertex_ray.pipelines.rollup_pipeline as rp
+    from vertex_ray.state.checkpoint import read_manifest
     from vertex_ray.synth import ensure_transcripts
 
     monkeypatch.setattr(rp, "session_cpus", lambda: 1)
     trans = ensure_transcripts(0.001, base="/tmp/vertex_ray_testdata")
     out = str(tmp_path / "tiers")
     assert main(["rollup", trans, out]) == 0
-    lineage = rp.read_manifest(os.path.join(out, "blocks"))["lineage"]
+    lineage = read_manifest(os.path.join(out, "blocks"))["lineage"]
     assert lineage["n_buckets"] == 16
 
 

@@ -1,9 +1,11 @@
 """The read façade's two executors (vertex_ray/read.py): a read whose
 candidate part files are small runs in the driver on one table, a larger
 one as a Ray Data execution. Both must return the same rows; the module
-constant ``DRIVER_READ_MAX_BYTES`` is the only thing that picks the path,
-so each test forces a path by patching it (0: Ray Data for every read
-that has a part to read; huge: the driver for every read)."""
+constant ``DRIVER_READ_MAX_BYTES`` picks the path, so each test forces a
+path by patching it (0: Ray Data for every read that has a part to read;
+huge: the driver for every read). The memory guard
+``DRIVER_DECODE_MAX_POINTS`` = 0 adds a third path for range reads: the
+driver reads and prunes, Ray Data decodes."""
 
 import hashlib
 import os
@@ -192,3 +194,95 @@ def test_point_read_of_absent_bucket_reads_no_part(ray_session, tmp_path,
         monkeypatch.setattr(read, "DRIVER_READ_MAX_BYTES", limit)
         assert absent_read() == 0
     assert opened == []
+
+
+# the cases of ``_cases`` that decode nothing; every other one reads
+# through ``query_range``
+METADATA_CASES = ("tsdb_status", "series_metadata", "label_values",
+                  "label_cardinality")
+
+
+def test_driver_read_with_ray_decode_returns_the_same_rows(stores,
+                                                           monkeypatch):
+    """Memory guard 0 with the read gate huge: every range read is read
+    and pruned in the driver and decoded on Ray Data, and returns the
+    rows of the other two paths."""
+    decodes, reads = [], []
+    real_decode = rp.decode_tier_blocks
+    monkeypatch.setattr(rp, "decode_tier_blocks",
+                        lambda ds: decodes.append(ds) or real_decode(ds))
+    real_read = rd.read_parquet
+
+    def counting_read(*args, **kwargs):
+        reads.append(args)
+        return real_read(*args, **kwargs)
+
+    default = read.DRIVER_DECODE_MAX_POINTS
+    for name, query in _cases(stores).items():
+        if name in METADATA_CASES:
+            continue
+        monkeypatch.setattr(rd, "read_parquet", counting_read)
+        monkeypatch.setattr(read, "DRIVER_DECODE_MAX_POINTS", default)
+        ray_d, drv_d, _, _ = _both_paths(monkeypatch, query)
+        monkeypatch.setattr(read, "DRIVER_READ_MAX_BYTES", DRIVER)
+        monkeypatch.setattr(read, "DRIVER_DECODE_MAX_POINTS", 0)
+        n_decodes, n_reads = len(decodes), len(reads)
+        mixed_d = _digest(_rows(query()))
+        assert mixed_d == ray_d == drv_d, name
+        assert len(decodes) > n_decodes, name  # Ray Data decoded
+        assert len(reads) == n_reads, name  # the driver read
+
+
+# the cases of ``_cases`` that the ``dashboard`` benchmark's scans run
+DASHBOARD_SCANS = ("range", "instant", "tsdb_status", "stitched", "promql")
+
+
+@pytest.fixture(scope="module")
+def dashboard_store(ray_session, tmp_path_factory):
+    """A one-shot store of every sf0.001 conversation. Its blocks stage
+    (about 2.5 MB, like the ``dashboard`` benchmark's) is above 1 MB,
+    where a price of read and decode per stage byte sent every scan to
+    Ray Data, and below the read gate."""
+    from vertex_ray.pipelines.rollup_pipeline import run_pipeline
+
+    out = str(tmp_path_factory.mktemp("dashboard") / "store")
+    run_pipeline(ensure_transcripts(0.001, base="/tmp/vertex_ray_testdata"),
+                 out, n_buckets=4)
+    return out
+
+
+def test_dashboard_scans_read_in_the_driver(dashboard_store, monkeypatch):
+    """Under the default constants the dashboard scans of a store between
+    1 MB and the read gate start no Ray Data read."""
+    from vertex_ray.state.checkpoint import stage_files
+
+    size = sum(os.path.getsize(f) for f in
+               stage_files(os.path.join(dashboard_store, "blocks")))
+    assert size > 1_000_000
+    cases = _cases({"oneshot": dashboard_store, "epochs": None,
+                    "convs": [None] * 4})
+    calls = []
+    real = rd.read_parquet
+    monkeypatch.setattr(rd, "read_parquet",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    for name in DASHBOARD_SCANS:
+        assert _rows(cases[name]()).num_rows > 0, name
+        assert calls == [], name
+
+
+def test_metadata_verbs_read_only_index_columns(stores, monkeypatch):
+    """series_metadata, label_values and label_cardinality read only the
+    block index columns, on both paths."""
+    cases = _cases(stores)
+    cols = []
+    real_pq, real_rd = rp.pq.read_table, rd.read_parquet
+    monkeypatch.setattr(rp.pq, "read_table", lambda *a, **k: cols.append(
+        k.get("columns")) or real_pq(*a, **k))
+    monkeypatch.setattr(rd, "read_parquet", lambda *a, **k: cols.append(
+        k.get("columns")) or real_rd(*a, **k))
+    for limit in (RAY, DRIVER):
+        monkeypatch.setattr(read, "DRIVER_READ_MAX_BYTES", limit)
+        for name in ("series_metadata", "label_values", "label_cardinality"):
+            assert _rows(cases[name]()).num_rows > 0, name
+    assert cols and all(c == ["name", "series_key", "block_start",
+                              "block_end"] for c in cols)

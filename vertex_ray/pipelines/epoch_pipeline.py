@@ -57,6 +57,7 @@ from vertex_ray.pipelines.rollup_pipeline import (
     _target_blocks,
     auto_n_buckets,
     bucket_group,
+    read_block_table,
     read_stage_files,
     transcripts_span_s,
 )
@@ -209,16 +210,15 @@ def run_pipeline_epochs(
 
 
 def read_epochs_stage(out_dir: str, stage: str, tier: str | None = None,
-                      metric: str | None = None) -> "rd.Dataset":
+                      metric: str | None = None,
+                      columns: list[str] | None = None) -> "rd.Dataset":
     """Read one stage across all committed epochs as a single Dataset
-    (rollup_pipeline.read_stage_files: tier / metric-name pushdown, flat
-    strings, sparse agg rows expanded)."""
+    (rollup_pipeline.read_stage_files: tier / metric-name pushdown,
+    column selection, flat strings, sparse agg rows expanded)."""
     files: list[str] = []
     for edir in epoch_dirs(out_dir):
         files.extend(stage_files(posixpath.join(edir, stage)))
     if not files:
         # every committed epoch was empty (e.g. ingest of an empty source)
-        from vertex_ray.schema import BLOCK_SCHEMA
-
-        return rd.from_arrow(BLOCK_SCHEMA.empty_table())
-    return read_stage_files(files, tier, metric, _target_blocks())
+        return rd.from_arrow(read_block_table([], columns=columns))
+    return read_stage_files(files, tier, metric, _target_blocks(), columns)

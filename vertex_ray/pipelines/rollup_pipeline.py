@@ -62,7 +62,6 @@ from vertex_ray.state.checkpoint import (
     committed,
     open_parts,
     part_path,
-    read_manifest,  # noqa: F401 — callers read a store's manifest from here
     seal,
     stage_files,
     write_part,
@@ -305,14 +304,18 @@ def rollup_dataset(transcripts_path: str, global_end_s: int, n_buckets: int,
     )
 
 
+# The vectorized columnar-v2 decoder is flat in batch size, so size
+# batches by OUTPUT volume: each block row explodes to ~n_points rows
+# x ~140 B (strings replicated per point). 1024 rows = ~0.4M points =
+# ~60 MB per task, well under the object-store block target; 32k rows
+# (~2 GB/task) measured 17x slower end-to-end from spill pressure.
+DECODE_BATCH_ROWS = 1024
+
+
 def decode_tier_blocks(blocks: "rd.Dataset") -> "rd.Dataset":
-    # The vectorized columnar-v2 decoder is flat in batch size, so size
-    # batches by OUTPUT volume: each block row explodes to ~n_points rows
-    # x ~140 B (strings replicated per point). 1024 rows = ~0.4M points =
-    # ~60 MB per task, well under the object-store block target; 32k rows
-    # (~2 GB/task) measured 17x slower end-to-end from spill pressure.
     return blocks.map_batches(
-        decode_blocks_batch, batch_format="pyarrow", batch_size=1024
+        decode_blocks_batch, batch_format="pyarrow",
+        batch_size=DECODE_BATCH_ROWS
     )
 
 
@@ -325,7 +328,8 @@ def pipeline_paths(out_dir: str) -> dict[str, str]:
 
 
 def read_stage(out_dir: str, stage: str, tier: str | None = None,
-               metric: str | None = None) -> "rd.Dataset":
+               metric: str | None = None,
+               columns: list[str] | None = None) -> "rd.Dataset":
     """Read a committed stage (see read_stage_files)."""
     path = pipeline_paths(out_dir)[stage]
     # 4 blocks/CPU keeps the decode stage busy on small stores; a store
@@ -333,17 +337,19 @@ def read_stage(out_dir: str, stage: str, tier: str | None = None,
     # committed-stage scan task balloons at 100× data
     by_bytes = -(-input_bytes(path) // TARGET_READ_TASK_BYTES)
     return read_stage_files(stage_files(path), tier, metric,
-                            max(_target_blocks(), by_bytes))
+                            max(_target_blocks(), by_bytes), columns)
 
 
 def read_stage_files(files: list[str], tier: str | None = None,
                      metric: str | None = None,
-                     num_blocks: int | None = None) -> "rd.Dataset":
+                     num_blocks: int | None = None,
+                     columns: list[str] | None = None) -> "rd.Dataset":
     """Committed stage parts → Dataset, the one stage reader of the
     one-shot, epoch and point-read paths. Optional tier / metric-name
     filters are pushed down to the parquet scan (row-group pruning + late
     materialization — non-matching rows never load their heavy
-    ``val_blocks`` payload column). Agg stages are written
+    ``val_blocks`` payload column); ``columns`` (every column when None)
+    limits what is read at all. Agg stages are written
     dictionary-encoded and sparse (unpack_series dict_encode /
     sparse_fills); their batches are decoded back to flat strings and
     their LOCF/stale rows rebuilt, so consumers keep seeing the FIXTURES
@@ -352,6 +358,8 @@ def read_stage_files(files: list[str], tier: str | None = None,
     expr = _stage_filter(tier, metric)
     if expr is not None:
         kwargs["filter"] = expr
+    if columns is not None:
+        kwargs["columns"] = columns
     ds = rd.read_parquet(files, **kwargs)
     schema = ds.schema().base_schema
     if ("fill_runs" in schema.names
@@ -361,21 +369,24 @@ def read_stage_files(files: list[str], tier: str | None = None,
 
 
 def read_block_table(files: list[str], tier: str | None = None,
-                     metric: str | None = None) -> pa.Table:
+                     metric: str | None = None,
+                     columns: list[str] | None = None) -> pa.Table:
     """Block-stage parts → one ``pa.Table`` in the calling process, with
-    ``read_stage_files``' tier / metric-name pushdown (the read façade's
-    small-read path). Parts are read one by one and concatenated with
-    missing columns null, so a store that mixes block layouts reads as
-    Ray Data's per-file blocks do."""
+    ``read_stage_files``' tier / metric-name pushdown and column
+    selection (the read façade's small-read path). Parts are read one by
+    one and concatenated with missing columns null, so a store that mixes
+    block layouts reads as Ray Data's per-file blocks do."""
     from vertex_ray.schema import BLOCK_SCHEMA
 
     expr = _stage_filter(tier, metric)
     tables = []
     for f in files:
         fs, path = fsio.fs_path(f)
-        tables.append(pq.read_table(path, filesystem=fs, filters=expr))
+        tables.append(pq.read_table(path, filesystem=fs, filters=expr,
+                                    columns=columns))
     if not tables:
-        return BLOCK_SCHEMA.empty_table()
+        empty = BLOCK_SCHEMA.empty_table()
+        return empty if columns is None else empty.select(columns)
     return pa.concat_tables(tables, promote_options="default")
 
 

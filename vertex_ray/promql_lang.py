@@ -1365,7 +1365,8 @@ def explain_promql(store, expr: str, **kw) -> str:
     """EXPLAIN for a PromQL expression: run the REAL lowering (the
     evaluator is lazy — it builds the Dataset graph without executing a
     single block, except that a selector whose candidate parts are
-    small is read and decoded eagerly in the driver; see ``read``) and
+    small is read, and its selection decoded when that is small too,
+    eagerly in the driver; see ``read``) and
     render the plan notes it emitted — which tier each selector scans,
     what got pushed into the block scan (metric / key regex / start-end
     pruning / pinned frames), and every exchange

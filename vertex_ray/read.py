@@ -21,21 +21,46 @@ Two executors, one set of logic. A verb is a read of candidate part
 files, per-batch steps (prune, decode, shape) and at most one exchange
 (``merge``). A point read's candidates are the one part per store (per
 epoch) its conversation hashes to; a range or metadata read's are every
-part of the stage. When the candidates hold fewer than
-``DRIVER_READ_MAX_BYTES`` bytes, the driver reads them with the same
-tier / metric pushdown as Ray Data's scan, runs the same steps on one
-``pa.Table`` and a single ``merge`` over the whole of it, and returns
-``ray.data.from_arrow`` of the result. Larger reads run the steps as a
-Ray Data plan. The threshold is Ray's fixed CPU cost of one execution
-divided by the driver's read + decode CPU per stage byte; on a 100k-turn
-``perfbench`` store (seed 960, 16 parts, 2.50 MB, Ray pinned to 1 CPU)
-an empty-selection ``query_range`` on Ray Data cost 0.51 s of
-process-tree CPU and the driver read and decoded every tier at 503 ns
-per stage byte, so 0.51 s / 503 ns ≈ 1.0 MB. The driver's peak RSS for
-the largest read at that size (the whole 1m tier with fills of a 1.06 MB
-store, 306k rows) was 350 MB, 160 MB above its resting 190 MB. A
-small read is therefore eager: it reads and decodes when the verb is
-called, not when the Dataset is consumed; a large read stays lazy.
+part of the stage. Two constants pick where the work runs:
+
+- Read gate. When the candidates hold fewer than
+  ``DRIVER_READ_MAX_BYTES`` bytes, the driver reads them with the same
+  tier / metric pushdown and column selection as Ray Data's scan, runs
+  the same steps on one ``pa.Table`` and a single ``merge`` over the
+  whole of it, and returns ``ray.data.from_arrow`` of the result. Larger
+  reads run the steps as a Ray Data plan. The gate is Ray's fixed CPU
+  cost of one execution over the driver's read price per stage byte.
+- Memory guard. A range read the driver has read and pruned decodes in
+  the driver only while its kept block rows hold at most
+  ``DRIVER_DECODE_MAX_POINTS`` points; above that, those rows go to Ray
+  Data for decode and shape, one block per decode batch. A metadata
+  verb decodes nothing, so only the read gate applies to it.
+
+The read gate's prices, from four runs of ``scripts/read_prices.py`` on
+a 100k-turn ``perfbench`` store (seed 960, 16 parts, 2.50 MB), Ray
+pinned to 1 CPU, process-tree CPU: an empty-selection ``query_range`` on
+Ray Data costs 0.52-0.63 s, and the driver reads the stage at 28-32 ns
+per byte, so 18.6-22.5 MB, taken as 20 MB. A tier- or metric-filtered
+scan reads the bytes of every candidate part but decodes only its slice;
+one price for both (503 ns per byte, read and decode of every tier with
+fills) kept every dashboard scan of that store on Ray. The parquet
+footers cannot price the slice instead: each block part is one row group
+holding all four tiers.
+
+The memory guard comes from the driver's peak RSS, not from CPU: at 1
+Ray CPU a decode on Ray Data costs more CPU than the same decode in the
+driver (the 2.5M-point read below: 3.5 s against 2.0 s of process-tree
+CPU, and 4.1 s with the read on Ray Data too). On a 760k-turn store of
+18.1 MB, just under the read gate, at 184 MB resting RSS, a driver
+decode peaked about 445 B per point above rest: 1,306 MB for a
+2.5M-point 1m range read with fills, 2,725 MB for the whole 1m tier
+(5.8M points). 350k points keep the peak near 160 MB above rest, what
+the whole 1m tier with fills of a 1.06 MB store costs the driver;
+measured, a 346k-point 5m read peaked at 326 MB. Above the guard
+the two reads above peaked at 212 and 265 MB, and ``tsdb_status`` over
+the whole 1m tier (read, no decode) at 247 MB. A small read is eager: it
+reads (and, under the memory guard, decodes) when the verb is called,
+not when the Dataset is consumed; a large read stays lazy.
 """
 
 from __future__ import annotations
@@ -59,13 +84,18 @@ __all__ = ["query_range", "instant_query", "series_metadata",
 _SCALAR_COLS = ["series_key", "window_start", "sum", "count", "min",
                 "max", "last"]
 
-# A read whose candidate part files hold fewer bytes than this runs in
-# the driver: Ray's fixed CPU cost of one execution (0.51 s, an
-# empty-selection query_range) over the driver's read + decode CPU per
-# stage byte (503 ns), measured at 1 Ray CPU (module docstring). Below
-# it the driver is done before a Ray execution has paid its fixed cost,
-# whatever the CPU count.
-DRIVER_READ_MAX_BYTES = 1_000_000
+# Read gate: a read whose candidate part files hold fewer bytes than
+# this runs in the driver. Ray's fixed CPU cost of one execution (about
+# 0.55 s, an empty-selection query_range) over the driver's read price
+# (about 28 ns per stage byte), measured at 1 Ray CPU (module docstring).
+DRIVER_READ_MAX_BYTES = 20_000_000
+# Memory guard: a driver-read range selection holding more points than
+# this decodes on Ray Data, so a driver decode peaks at about 160 MB
+# above the driver's resting RSS (about 445 B per decoded point; module
+# docstring).
+DRIVER_DECODE_MAX_POINTS = 350_000
+# what a metadata verb reads of a block row: identity and footer interval
+_META_COLS = ["name", "series_key", "block_start", "block_end"]
 
 _EMPTY = pa.table({})
 
@@ -121,12 +151,14 @@ def _union(parts: list):
 
 
 def _read_blocks(out_dir: str, tier: str | None, layout: str,
-                 conv_id: str | None = None, metric: str | None = None):
-    """The block rows a read starts from: a ``pa.Table`` read in the
-    driver when its candidate part files hold fewer than
-    ``DRIVER_READ_MAX_BYTES`` (or there are none), else a Ray Data scan.
-    Sizes are summed only until they reach the threshold, so a large
-    store costs a few size lookups, not one per part."""
+                 conv_id: str | None = None, metric: str | None = None,
+                 columns: list[str] | None = None):
+    """The block rows a read starts from (``columns`` of them, every
+    column when None): a ``pa.Table`` read in the driver when its
+    candidate part files hold fewer than ``DRIVER_READ_MAX_BYTES`` (or
+    there are none), else a Ray Data scan. Sizes are summed only until
+    they reach the threshold, so a large store costs a few size lookups,
+    not one per part."""
     from vertex_ray.pipelines.epoch_pipeline import read_epochs_stage
     from vertex_ray.pipelines.rollup_pipeline import (
         read_stage,
@@ -136,12 +168,12 @@ def _read_blocks(out_dir: str, tier: str | None, layout: str,
 
     files, sizes, point = _candidate_parts(out_dir, layout, conv_id)
     if all(n < DRIVER_READ_MAX_BYTES for n in itertools.accumulate(sizes)):
-        return read_block_table(files, tier, metric)
+        return read_block_table(files, tier, metric, columns)
     if point:
-        return read_stage_files(files, tier, metric)
+        return read_stage_files(files, tier, metric, columns=columns)
     if layout == "oneshot":
-        return read_stage(out_dir, "blocks", tier, metric=metric)
-    return read_epochs_stage(out_dir, "blocks", tier, metric=metric)
+        return read_stage(out_dir, "blocks", tier, metric, columns)
+    return read_epochs_stage(out_dir, "blocks", tier, metric, columns)
 
 
 def _candidate_parts(out_dir: str, layout: str, conv_id: str | None):
@@ -231,7 +263,10 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
     returned ``window_start`` forward into the caller's frame (so
     ``offset=86400`` under a start/end range yields yesterday's values
     carrying today's timestamps, ready for day-over-day ``binary_op``)."""
-    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
+    from vertex_ray.pipelines.rollup_pipeline import (
+        DECODE_BATCH_ROWS,
+        decode_tier_blocks,
+    )
     from vertex_ray.stages.encode import decode_blocks_batch
     from vertex_ray.state.tombstones import (
         block_keep_mask,
@@ -270,6 +305,13 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
 
     sel = _map(_read_blocks(out_dir, tier, layout, conv_id=conv_id,
                             metric=metric), prune)
+    # the memory guard: a large selection decodes on Ray Data, one block
+    # per decode batch so the decode can spread over the session's CPUs
+    if (isinstance(sel, pa.Table) and sel.num_rows
+            and pc.sum(sel["n_points"]).as_py() > DRIVER_DECODE_MAX_POINTS):
+        n = DECODE_BATCH_ROWS
+        sel = rd.from_arrow([sel.slice(i, n)
+                             for i in range(0, sel.num_rows, n)])
 
     def shape(t: pa.Table) -> pa.Table:
         keep = pa.array(np.ones(len(t), dtype=bool))
@@ -337,9 +379,11 @@ def series_metadata(out_dir: str, tier: str, metric: str | None = None,
     selector, WITHOUT decoding a single block — series identity and the
     footer interval live on the block rows themselves, so this is a
     prune + distinct over block metadata (columns
-    ``name, series_key, first_seen, last_seen``). At 100 TB the read
-    touches only the block index columns of the parquet footers."""
-    ds = _read_blocks(out_dir, tier, layout, metric=metric)
+    ``name, series_key, first_seen, last_seen``). The read loads only
+    the block index columns (``name, series_key, block_start,
+    block_end``), never a payload column."""
+    ds = _read_blocks(out_dir, tier, layout, metric=metric,
+                      columns=_META_COLS)
 
     def prune(t: pa.Table) -> pa.Table:
         m = pa.array(np.ones(len(t), dtype=bool))
@@ -352,8 +396,7 @@ def series_metadata(out_dir: str, tier: str, metric: str | None = None,
             m = pc.and_(m, pc.greater_equal(t["block_end"], start))
         if end is not None:
             m = pc.and_(m, pc.less_equal(t["block_start"], end))
-        t = t.filter(m).select(["name", "series_key", "block_start",
-                                "block_end"])
+        t = t.filter(m)
         # per-batch partial distinct BEFORE the exchange
         df = t.to_pandas()
         g = (df.groupby(["name", "series_key"], sort=False)
@@ -378,7 +421,8 @@ def label_values(out_dir: str, tier: str, label: str,
     one tiny exchange."""
     from vertex_ray.stages.promql import extract_label
 
-    ds = _read_blocks(out_dir, tier, layout, metric=metric)
+    ds = _read_blocks(out_dir, tier, layout, metric=metric,
+                      columns=_META_COLS)
 
     def prune(t: pa.Table) -> pa.Table:
         if metric is not None:
@@ -475,7 +519,8 @@ def label_cardinality(out_dir: str, tier: str, labels: list[str],
     series count explodes (which label blew up?)."""
     from vertex_ray.stages.promql import extract_label
 
-    ds = _read_blocks(out_dir, tier, layout, metric=metric)
+    ds = _read_blocks(out_dir, tier, layout, metric=metric,
+                      columns=_META_COLS)
 
     def partial(t: pa.Table) -> pa.Table:
         if metric is not None:
