@@ -8,7 +8,13 @@ Builds, in a temporary directory, one store per ingest path:
 - ``scrape_incremental``: the ``scrape_incremental_1m_events`` oracle
   fixture's store — ``<sf dir>/events.parquet`` as cumulative counter
   exposition text, appended in three ``scrape_append`` runs (8 buckets)
-  plus ``scrape_finalize``.
+  plus ``scrape_finalize``;
+
+and the one-shot and epoch stores once more on each ingest executor,
+the gate (``rollup_pipeline.ingest_in_driver``) patched to force it:
+``oneshot@ray``, ``oneshot@driver``, ``epochs@ray``, ``epochs@driver``.
+At 1 CPU the gate sends every sf input to the driver, so the forced Ray
+stores keep the Ray executor under the digest.
 
 Then prints one JSON line:
 
@@ -21,7 +27,9 @@ Then prints one JSON line:
   each sorted by every column.
 
 Byte-equal parts show an unchanged writer; equal ``rows`` digests show
-the same stored content when only row order may differ.
+the same stored content when only row order may differ. Equal
+``rows`` for ``oneshot@ray`` and ``oneshot@driver`` (and for the epoch
+pair) show that the executors store the same content.
 
     python scripts/store_digest.py <sf dir>
 
@@ -33,6 +41,7 @@ machines.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -103,6 +112,19 @@ def store_digests(root: str, stage_dirs: list[str], state_dirs: list[str],
     return parts, h.hexdigest()
 
 
+@contextlib.contextmanager
+def forced(executor: str):
+    """Every ingest inside runs on ``executor`` ("ray" or "driver")."""
+    import vertex_ray.pipelines.rollup_pipeline as rp
+
+    saved = getattr(rp, "DRIVER_INGEST_MAX_BYTES", None)
+    rp.DRIVER_INGEST_MAX_BYTES = {"ray": 0, "driver": 2**62}[executor]
+    try:
+        yield
+    finally:
+        rp.DRIVER_INGEST_MAX_BYTES = saved
+
+
 def build_scrape_incremental(sf_dir: str, out: str) -> None:
     """The ``scrape_incremental_1m_events`` fixture's store at ``out``."""
     import pyarrow.compute as pc
@@ -153,17 +175,24 @@ def main() -> int:
            "parts": {}, "rows": {}}
     try:
         with tempfile.TemporaryDirectory(prefix="store_digest_") as tmp:
-            one = os.path.join(tmp, "oneshot")
-            epo = os.path.join(tmp, "epochs")
+            stores, epoch_stores = [], []
+            for suffix, gate in (("", contextlib.nullcontext()),
+                                 ("@ray", forced("ray")),
+                                 ("@driver", forced("driver"))):
+                one = os.path.join(tmp, "oneshot" + suffix)
+                epo = os.path.join(tmp, "epochs" + suffix)
+                with gate:
+                    run_pipeline(trans, one)
+                    run_pipeline_epochs(trans, epo, epoch_seconds=86_400)
+                stores.append(("oneshot" + suffix, one,
+                               [posixpath.join(one, "blocks")], [], {}))
+                epoch_stores.append(("epochs" + suffix, epo,
+                                     {"part": STATE_KEYS}))
             scr = os.path.join(tmp, "scrape_incremental")
-            run_pipeline(trans, one)
-            run_pipeline_epochs(trans, epo, epoch_seconds=86_400)
             build_scrape_incremental(args.sf_dir, scr)
-            stores = [("oneshot", one, [posixpath.join(one, "blocks")], [], {})]
-            for name, root, keys in (
-                ("epochs", epo, {"part": STATE_KEYS}),
-                ("scrape_incremental", scr, {"refs": None, "open": None}),
-            ):
+            epoch_stores.append(
+                ("scrape_incremental", scr, {"refs": None, "open": None}))
+            for name, root, keys in epoch_stores:
                 edirs = epoch_dirs(root)
                 stores.append((name, root,
                                [posixpath.join(e, "blocks") for e in edirs],

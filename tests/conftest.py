@@ -24,3 +24,23 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def force_ingest(monkeypatch):
+    """``force_ingest("ray" | "driver")`` patches the ingest gate
+    (rollup_pipeline.DRIVER_INGEST_MAX_BYTES) so that every later ingest
+    in the test runs on that executor; "driver" also reports the 1-CPU
+    session the gate needs (``session_cpus``, as tests/test_cli.py
+    patches it)."""
+    import vertex_ray.pipelines.rollup_pipeline as rp
+
+    real_cpus = rp.session_cpus
+
+    def force(executor: str) -> None:
+        driver = executor == "driver"
+        monkeypatch.setattr(rp, "DRIVER_INGEST_MAX_BYTES", 2**62 if driver else 0)
+        monkeypatch.setattr(rp, "session_cpus",
+                            (lambda: 1) if driver else real_cpus)
+
+    return force

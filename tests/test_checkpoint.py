@@ -81,3 +81,23 @@ def test_parts_reused_only_under_same_lineage(tmp_path):
     assert len(built) == 1  # a reused part is never rebuilt
     open_parts(stage, {"k": 2})
     assert not os.path.exists(os.path.join(parts, "part-00003.parquet"))
+
+
+def test_seal_records_the_run_on_every_stage(tmp_path):
+    """With no Dataset (the driver executor) every stage is sealed from
+    its parts dir, and every manifest records the run's wall time and
+    executor, which ``committed`` does not compare."""
+    import time
+
+    from vertex_ray.state.checkpoint import committed, open_parts, seal, write_part
+
+    paths = {s: str(tmp_path / s) for s in ("agg", "blocks")}
+    t0 = time.time()
+    for p in paths.values():
+        write_part(open_parts(p, {"k": 1}), 0, lambda: pa.table({"x": [1]}))
+    manifests = seal(None, paths, {"k": 1}, t0)
+    for m in manifests.values():
+        assert m["rows"] == 1
+        assert m["lineage"]["executor"] == "driver"
+        assert m["lineage"]["wall_seconds"] >= 0
+    assert committed(paths, {"k": 1}) == manifests

@@ -97,20 +97,24 @@ def _run_both(trans, tmp, tiers, epoch_seconds, n_buckets=4):
     )
 
 
-def test_micro_epoch_equals_oneshot(ray_session, micro_transcripts, tmp_path):
-    a, b, _, _ = _run_both(
-        micro_transcripts, str(tmp_path), TIERS_SMALL, epoch_seconds=3600
-    )
-    # sanity on the scenario itself: cross-boundary latency for conv b
-    lat_b = b[(b.series_key == "inter_turn_latency_seconds{conv_id=b}")
-              & (b.tier == "1m") & ~b.filled & ~b.stale]
-    assert lat_b["sum"].sum() == pytest.approx(15.0 + 55.0)
-    # conv a has two idle-past-staleness gaps (after epoch 0, and again
-    # after its epoch-2 resume): one stale marker per gap at 1m
-    st_a = b[(b.series_key == "inter_turn_latency_seconds{conv_id=a}")
-             & (b.tier == "1m") & b.stale]
-    assert sorted(st_a["window_start"] - E0) == [360, 7680]
-    _assert_bitwise_equal(a, b)
+def test_micro_epoch_equals_oneshot(ray_session, micro_transcripts, tmp_path,
+                                   force_ingest):
+    for executor in ("ray", "driver"):
+        force_ingest(executor)
+        a, b, _, _ = _run_both(
+            micro_transcripts, str(tmp_path / executor), TIERS_SMALL,
+            epoch_seconds=3600
+        )
+        # sanity on the scenario itself: cross-boundary latency for conv b
+        lat_b = b[(b.series_key == "inter_turn_latency_seconds{conv_id=b}")
+                  & (b.tier == "1m") & ~b.filled & ~b.stale]
+        assert lat_b["sum"].sum() == pytest.approx(15.0 + 55.0)
+        # conv a has two idle-past-staleness gaps (after epoch 0, and again
+        # after its epoch-2 resume): one stale marker per gap at 1m
+        st_a = b[(b.series_key == "inter_turn_latency_seconds{conv_id=a}")
+                 & (b.tier == "1m") & b.stale]
+        assert sorted(st_a["window_start"] - E0) == [360, 7680]
+        _assert_bitwise_equal(a, b)
 
 
 def test_micro_epoch_sink_stores_real_plus_carried(ray_session,
@@ -153,22 +157,25 @@ def test_micro_epoch_sink_stores_real_plus_carried(ray_session,
     assert int(((run_len - 4) // 2).sum()) == sink.num_rows
 
 
-def test_sf0001_epoch_equals_oneshot(ray_session, tmp_path):
+def test_sf0001_epoch_equals_oneshot(ray_session, tmp_path, force_ingest):
+    from vertex_ray.pipelines.epoch_pipeline import read_epochs_stage
+    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks, read_stage
     from vertex_ray.synth import ensure_transcripts
 
     trans = ensure_transcripts("/root/testdata/sf0.001")
-    a, b, one, epo = _run_both(
-        trans, str(tmp_path), TIERS_SMALL, epoch_seconds=86_400, n_buckets=8
-    )
-    _assert_bitwise_equal(a, b)
+    for executor in ("ray", "driver"):
+        force_ingest(executor)
+        a, b, one, epo = _run_both(
+            trans, str(tmp_path / executor), TIERS_SMALL,
+            epoch_seconds=86_400, n_buckets=8
+        )
+        _assert_bitwise_equal(a, b)
 
-    # Gorilla blocks: epoch blocks decode to the same points as one-shot
-    from vertex_ray.pipelines.epoch_pipeline import read_epochs_stage
-    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks, read_stage
-
-    da = _decoded_frame(decode_tier_blocks(read_stage(one, "blocks", "1m")))
-    db = _decoded_frame(decode_tier_blocks(read_epochs_stage(epo, "blocks", "1m")))
-    _assert_bitwise_equal(da, db)
+        # Gorilla blocks: epoch blocks decode to the same points as one-shot
+        da = _decoded_frame(decode_tier_blocks(read_stage(one, "blocks", "1m")))
+        db = _decoded_frame(decode_tier_blocks(
+            read_epochs_stage(epo, "blocks", "1m")))
+        _assert_bitwise_equal(da, db)
 
 
 def _decoded_frame(ds) -> pd.DataFrame:

@@ -1,26 +1,37 @@
 """The flagship pipeline: transcripts → 1m/5m/1h/1d Gorilla-compressed
 retention tiers (SURVEY.md §3.3).
 
-ONE all-to-all exchange and ONE Ray execution for the whole run:
+ONE exchange and ONE group body for the whole run, on one of two
+executors that ``ingest_in_driver`` picks from the input's bytes and
+the session's CPUs:
 
-    read_parquet(transcripts)                     # fragments = input shards
-      → map_batches(project_for_rollup_packed)    # one row per conv run;
-                                                  # int codes, text never shuffles
-      → groupby("bucket").map_groups(             # THE shuffle
-            bucket_group: explode runs → bucket kernel over the
+    scan(transcripts)                             # PROJECT_COLUMNS only
+      → project_for_rollup_packed                 # one row per conv run;
+                                                  # int codes, text never moves
+      → split by bucket                           # THE exchange
+      → bucket_group per bucket: explode runs → bucket kernel over the
             unbounded epoch (kernel_epoch.epoch_kernel): rollup 1m →
             cascade 5m/1h/1d → gap-fill run codes → pack
-            → Gorilla-encode + side-write this bucket's blocks part
-            → return the sparse tier agg rows)
-      → write agg stage (commit protocol)
-    blocks stage = the per-bucket side-written parts, sealed with a manifest
+            → Gorilla-encode + write this bucket's blocks part
+            → return the sparse tier agg rows
+      → agg stage, then both stages sealed (commit protocol)
 
-``rollup_dataset`` builds this plan for ``run_pipeline`` and for
-``vertex stats``. ``bucket_group`` is the one group body of the one-shot
-and epoch ingests (pipelines/epoch_pipeline): a one-shot run is the
-epoch with nothing carried — no epoch bounds, no state in, no state out.
+- Ray: ONE Ray Data execution — ``read_parquet`` → ``map_batches`` →
+  ``groupby("bucket").map_groups(bucket_group)``, the agg rows written
+  by the Dataset sink. ``rollup_dataset`` builds this plan for
+  ``run_pipeline`` and for ``vertex stats``.
+- Driver (a small input in a 1-CPU session): ``run_groups`` —
+  ``read_slice`` (``pq.read_table`` with the same columns) → the same
+  projection over the whole slice → one stable argsort by bucket, then
+  ``bucket_group`` per bucket in the calling process, each bucket's agg
+  rows written as its own part. No Ray execution at all.
 
-Everything after the bucket groupby is embarrassingly parallel because the
+The stored blocks are the same bytes on both. ``bucket_group`` is also
+the one group body of the epoch ingest (pipelines/epoch_pipeline): a
+one-shot run is the epoch with nothing carried — no epoch bounds, no
+state in, no state out.
+
+Everything after the bucket split is embarrassingly parallel because the
 conversation-hash bucket co-locates every series of a conversation: the
 continuous-aggregate cascade (coarser windows of the same series), the
 gap-fill walk, and the per-series Gorilla blocks all stay inside the
@@ -33,15 +44,17 @@ data read.
 
 The agg and blocks stages commit as one set through state/checkpoint
 (``committed`` → ``open_parts`` → ``write_part`` per bucket → ``seal``):
-a rerun skips a set committed under the same lineage, and a killed run
-resumes reusing its finished per-bucket parts.
+a rerun skips a set committed under the same lineage, on either
+executor, and a killed run resumes reusing its finished per-bucket parts.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -49,7 +62,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from vertex_ray.schema import TIERS
-from vertex_ray.stages.derive import PROJECT_COLUMNS
+from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup_packed
 from vertex_ray.stages.encode import (
     BLOCK_FORMAT,
     GorillaEncode,
@@ -82,6 +95,23 @@ TARGET_READ_TASK_BYTES = 128 * 2**20
 # per-series arrays in heap, so the reduce width must grow with data).
 TARGET_BUCKET_INPUT_BYTES = 512 * 2**20
 
+# Ingest gate: in a 1-CPU Ray session, a one-shot run or an epoch whose
+# input file(s) hold fewer bytes than this runs in the driver
+# (``ingest_in_driver``). The input's size bounds any epoch's slice (a
+# row group's statistics cannot size it). At 1 CPU Ray runs the same
+# body plus a fixed cost per execution (``scripts/ingest_prices.py``,
+# nproc = 1, Ray at 1 CPU, 5.3 MB 200k-turn input: 0.89-1.21 s of
+# process-tree CPU per one-shot, 0.79-0.89 s per daily epoch), so the
+# driver never costs more CPU and the gate only bounds the driver's peak
+# RSS: about 10-11.8 B per input byte above rest (60 MB for the 5.3 MB
+# input, 255 MB for a 25.5 MB 1M-turn one), so 48 MB keeps it near
+# 512 MiB. The 10M-turn headline input (hundreds of MB) stays on Ray.
+# At c > 1 CPUs Ray runs the body c-wide, so the driver wins only while
+# its serial CPU for the slice stays under Ray's fixed cost plus that
+# CPU over c. That rule is not measured at c > 1, so wider sessions
+# keep every ingest on Ray.
+DRIVER_INGEST_MAX_BYTES = 48_000_000
+
 
 def session_cpus() -> int:
     """CPUs of the live Ray session (8 when none is up yet)."""
@@ -97,13 +127,18 @@ def _target_blocks() -> int:
     return 4 * session_cpus()
 
 
+def input_files(path: str) -> list[str]:
+    """The transcript input's parquet files: a directory's parts, or the
+    one file."""
+    return stage_files(path) if os.path.isdir(path) else [path]
+
+
 def input_bytes(path: str) -> int:
     """Total compressed bytes of the transcript input (file sizes only,
     no data read); 0 when the path cannot be listed (remote glob etc.) so
     callers fall back to the small-input floor."""
     try:
-        files = stage_files(path) if os.path.isdir(path) else [path]
-        return sum(fsio.file_size(f) for f in files)
+        return sum(fsio.file_size(f) for f in input_files(path))
     except Exception:
         return 0
 
@@ -171,11 +206,30 @@ def auto_n_buckets(path: str, *, nbytes: int | None = None,
     return max(min(DEFAULT_N_BUCKETS, 16 * cpus), 2 * cpus, by_bytes)
 
 
+def ingest_in_driver(nbytes: int) -> bool:
+    """Whether an ingest of ``nbytes`` input bytes (``input_bytes``; 0,
+    unknown, goes to Ray) runs in the driver rather than as a Ray
+    execution: in a 1-CPU session, below ``DRIVER_INGEST_MAX_BYTES``."""
+    return session_cpus() == 1 and 0 < nbytes < DRIVER_INGEST_MAX_BYTES
+
+
 def read_transcripts(path: str) -> "rd.Dataset":
     return rd.read_parquet(
         path, columns=PROJECT_COLUMNS,
         override_num_blocks=read_num_blocks(path)
     )
+
+
+def read_slice(path: str, filters=None) -> pa.Table:
+    """The driver executor's scan: ``PROJECT_COLUMNS`` of every input
+    file as one table, ``filters`` pushed into the parquet read as Ray
+    Data's scan pushes its ``filter``."""
+    tables = []
+    for f in input_files(path):
+        fs, p = fsio.fs_path(f)
+        tables.append(pq.read_table(p, filesystem=fs, columns=PROJECT_COLUMNS,
+                                    filters=filters))
+    return pa.concat_tables(tables)
 
 
 def transcripts_span_s(path: str) -> tuple[int, int]:
@@ -186,7 +240,7 @@ def transcripts_span_s(path: str) -> tuple[int, int]:
     def secs(v):
         return int(v.timestamp()) if hasattr(v, "timestamp") else int(v) // 1_000_000
 
-    for f in stage_files(path) if os.path.isdir(path) else [path]:
+    for f in input_files(path):
         md = pq.ParquetFile(f).metadata
         idx = {md.schema.column(i).name: i for i in range(md.num_columns)}["ts"]
         for rg in range(md.num_row_groups):
@@ -211,8 +265,6 @@ def explode_runs(group: pa.Table) -> tuple[int, tuple]:
     conv_id, turn_idx, role_code, tool_code, ts_us): one np.repeat for
     conv_id, one flatten per list column. An empty run (an epoch's
     per-bucket sentinel) explodes to nothing."""
-    import numpy as np
-
     g = group.combine_chunks()
 
     def col(name):
@@ -274,32 +326,60 @@ def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,
                         bucket_id, salt)[0]
 
 
+def run_groups(transcripts_path: str, n_buckets: int, body,
+               agg_parts_dir: str, filters=None, extra: pa.Table | None = None
+               ) -> None:
+    """The driver executor: the scan (``read_slice`` with ``filters``),
+    the run-packed projection plus the ``extra`` runs, THE exchange (one
+    stable argsort by bucket, one slice per bucket) and ``body`` (a
+    bound ``bucket_group``) called on each non-empty bucket, its agg rows
+    written as the bucket's part under ``agg_parts_dir``. A bucket whose
+    agg part a killed run left is skipped: its blocks and state parts
+    were written before it."""
+    projected = project_for_rollup_packed(
+        read_slice(transcripts_path, filters), n_buckets)
+    if extra is not None:
+        projected = pa.concat_tables([projected, extra])
+    b = projected["bucket"].to_numpy()
+    order = np.argsort(b, kind="stable")
+    groups = projected.take(order)
+    edges = np.searchsorted(b[order], np.arange(n_buckets + 1))
+    for bucket_id, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi > lo:
+            write_part(agg_parts_dir, bucket_id,
+                       functools.partial(body, groups.slice(lo, hi - lo)))
+
+
+def _oneshot_body(global_end_s: int, blocks_parts_dir: str, salt: int,
+                  tiers):
+    """``bucket_group`` over the unbounded epoch."""
+    return functools.partial(
+        bucket_group,
+        tiers=tiers,
+        epoch_start_s=None,
+        epoch_end_s=None,
+        fill_end_s=global_end_s,
+        salt=salt,
+        state_in_dir=None,
+        state_parts_dir=None,
+        blocks_parts_dir=blocks_parts_dir,
+    )
+
+
 def rollup_dataset(transcripts_path: str, global_end_s: int, n_buckets: int,
                    blocks_parts_dir: str, salt: int = 1,
                    tiers=TIERS) -> "rd.Dataset":
-    """THE flagship plan: scan → run-packed projection → groupby(bucket)
-    → ``bucket_group`` over the unbounded epoch, which side-writes each
-    bucket's blocks under ``blocks_parts_dir`` and returns its sparse agg
-    rows. ``run_pipeline`` writes it as the agg stage; ``vertex stats``
-    materializes it for its operator stats."""
-    from vertex_ray.stages.derive import project_for_rollup_packed
-
+    """THE flagship plan on Ray: scan → run-packed projection →
+    groupby(bucket) → ``bucket_group`` over the unbounded epoch, which
+    side-writes each bucket's blocks under ``blocks_parts_dir`` and
+    returns its sparse agg rows. ``run_pipeline`` writes it as the agg
+    stage; ``vertex stats`` materializes it for its operator stats."""
     projected = read_transcripts(transcripts_path).map_batches(
         functools.partial(project_for_rollup_packed, n_buckets=n_buckets),
         batch_format="pyarrow",
     )
     return projected.groupby("bucket").map_groups(
-        functools.partial(
-            bucket_group,
-            tiers=tiers,
-            epoch_start_s=None,
-            epoch_end_s=None,
-            fill_end_s=global_end_s,
-            salt=salt,
-            state_in_dir=None,
-            state_parts_dir=None,
-            blocks_parts_dir=blocks_parts_dir,
-        ),
+        _oneshot_body(global_end_s, blocks_parts_dir, salt, tiers),
         batch_format="pyarrow",
     )
 
@@ -410,7 +490,6 @@ def agg_expanded_rows(out_dir: str) -> int:
     """Logical (dense) tier-point count of a committed agg stage — real
     rows plus virtual LOCF/stale rows — from the ``fill_runs`` column
     alone (no payload read). Dense stores just count rows."""
-    import numpy as np
     import pyarrow.dataset as pads
 
     from vertex_ray.stages.fill import RUN_FILL_MASK, RUN_STALE_SHIFT
@@ -441,15 +520,21 @@ def run_pipeline(
     salt: int = 1,
     tiers=TIERS,
 ) -> dict:
-    """Run (or resume) the full tier cascade in ONE Ray execution.
+    """Run (or resume) the full tier cascade: ``bucket_group`` over the
+    unbounded epoch, once per bucket.
 
-    Outputs: ``agg/`` (flat tier rows, the Dataset sink) and ``blocks/``
-    (Gorilla blocks, side-written per bucket inside the group tasks, then
-    sealed with a manifest). The two commit as one set (state/checkpoint):
-    a set committed under this run's lineage is returned as it is, and
-    per-bucket block parts survive a crash and are reused on rerun."""
+    Outputs: ``agg/`` (sparse tier rows) and ``blocks/`` (Gorilla
+    blocks), one part per bucket, committed as one set
+    (state/checkpoint): a set committed under this run's lineage is
+    returned as it is, and the per-bucket parts of a killed run are
+    reused on rerun. ``ingest_in_driver`` picks the executor: a small
+    input in a 1-CPU session runs bucket by bucket in the driver, any
+    other as ONE Ray execution whose group tasks write the blocks
+    parts and whose Dataset sink is the agg stage. Both store the same
+    blocks."""
+    nbytes = input_bytes(transcripts_path)
     if n_buckets is None:
-        n_buckets = auto_n_buckets(transcripts_path)
+        n_buckets = auto_n_buckets(transcripts_path, nbytes=nbytes)
     end = transcripts_end_ts(transcripts_path)
     lineage = {
         "input": transcripts_path,
@@ -467,6 +552,13 @@ def run_pipeline(
     manifests = committed(paths, lineage)
     if manifests is not None:
         return manifests
-    agg_ds = rollup_dataset(transcripts_path, end, n_buckets,
-                            open_parts(paths["blocks"], lineage), salt, tiers)
-    return seal(agg_ds, paths, lineage)
+    t0 = time.time()
+    blocks_parts = open_parts(paths["blocks"], lineage)
+    if not ingest_in_driver(nbytes):
+        return seal(rollup_dataset(transcripts_path, end, n_buckets,
+                                   blocks_parts, salt, tiers),
+                    paths, lineage, t0)
+    run_groups(transcripts_path, n_buckets,
+               _oneshot_body(end, blocks_parts, salt, tiers),
+               open_parts(paths["agg"], lineage))
+    return seal(None, paths, lineage, t0)

@@ -42,6 +42,7 @@ it with ``stages/compact``, GC it with ``stages/retention``.
 from __future__ import annotations
 
 import posixpath
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -250,6 +251,7 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
     lineage = {"kinds": dict(sorted(kinds.items())), "tier": tier,
                "window_s": window_s, "n_buckets": n_buckets, "seq": seq,
                "finalize": _emit_all, "block_format": BLOCK_FORMAT}
+    t0 = time.time()
     blocks_parts = open_parts(paths["blocks"], lineage)
     state_parts = open_parts(paths["state"], lineage)
 
@@ -264,7 +266,7 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
             state_parts_dir=state_parts, blocks_parts_dir=blocks_parts,
             emit_all=_emit_all),
         batch_format="pyarrow")
-    return seal(agg_ds, paths, lineage)
+    return seal(agg_ds, paths, lineage, t0)
 
 
 def scrape_finalize(out_dir: str, *, kinds: dict, window_s: int = 60,

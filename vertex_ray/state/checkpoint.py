@@ -10,15 +10,25 @@ manifest validates, so a killed run resumes where it stopped and
 retried write tasks can never double-commit into a finalized stage.
 
 The ingests (one-shot, epoch, incremental scrape) commit a stage SET —
-one Dataset sink plus stages side-written per bucket — through four
-steps, each one function here:
+one part per bucket in every stage — through four steps, each one
+function here:
 
 - ``committed``: the set's manifests when every stage validates under
   the run's lineage; otherwise the set's stage dirs are removed;
-- ``open_parts``: a lineage-stamped parts dir per side-written stage,
-  whose parts survive a killed run of the same lineage;
+- ``open_parts``: a lineage-stamped parts dir per stage, whose parts
+  survive a killed run of the same lineage;
 - ``write_part``: skip-if-done atomic write of one bucket's part;
-- ``seal``: write the sink, then seal every parts dir.
+- ``seal``: seal every parts dir into place.
+
+A set is written by one of two executors. On Ray, the first stage is a
+Dataset sink whose group tasks side-write the other stages' parts;
+``seal`` writes the sink, whole, before sealing. In the driver, the
+ingest calls the same group body bucket by bucket and writes every
+stage's part, the first stage's too, with ``write_part``, so a killed
+driver run resumes bucket by bucket; ``seal`` gets no Dataset. Either
+way every manifest records the run's ``wall_seconds`` and ``executor``
+(``RUN_KEYS``), which a resume does not compare: a set committed on one
+executor is reused by a run on the other.
 
 All paths go through ``state/fsio`` (pyarrow.fs), so stages work on local
 disk and on shared-filesystem / object-store URIs alike — on a multi-node
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import os
 import posixpath
+import time
 
 from vertex_ray.state import fsio
 
@@ -36,6 +47,8 @@ MANIFEST = "manifest.json"
 SUCCESS = "_SUCCESS"
 PARTS = ".__parts__"
 LINEAGE_STAMP = "__lineage__.json"
+# lineage keys that say how a run went, not what it computed
+RUN_KEYS = ("wall_seconds", "executor")
 
 
 def _footer_rows(paths: list[str]) -> list[int]:
@@ -157,25 +170,28 @@ def pipeline_counters(out_dir: str):
     )
 
 
+def _write_sink(ds, dir_path: str) -> None:
+    """Write a Dataset whole into ``dir_path``, never onto a killed
+    run's files."""
+    fsio.rmtree(dir_path)
+    ds.write_parquet(dir_path)
+    # an EMPTY dataset writes zero files and never creates the dir —
+    # the stage must still commit (manifest with rows=0), e.g. a scrape
+    # of a payload with no matching family
+    fsio.makedirs(dir_path)
+
+
 def write_stage(ds, final_path: str, lineage: dict | None = None) -> dict:
     """Write a Dataset to a stage directory with commit semantics.
 
     If the stage already validates, it is skipped (resume path) and its
     existing manifest returned. Stage wall time is recorded in the
     manifest lineage (per-stage counters, SURVEY.md §3.4)."""
-    import time
-
     if stage_done(final_path):
         return read_manifest(final_path)
     tmp = final_path.rstrip("/") + ".__tmp__"
-    if fsio.exists(tmp):
-        fsio.rmtree(tmp)
     t0 = time.time()
-    ds.write_parquet(tmp)
-    # an EMPTY dataset writes zero files and never creates the dir —
-    # the stage must still commit (manifest with rows=0), e.g. a scrape
-    # of a payload with no matching family
-    fsio.makedirs(tmp)
+    _write_sink(ds, tmp)
     lineage = dict(lineage or {})
     lineage["wall_seconds"] = round(time.time() - t0, 3)
     return finalize_stage(tmp, final_path, lineage)
@@ -192,7 +208,7 @@ def committed(paths: dict[str, str], lineage: dict | None = None
         manifests = {s: read_manifest(p) for s, p in paths.items()}
         if lineage is None or all(
                 {k: v for k, v in m.get("lineage", {}).items()
-                 if k != "wall_seconds"} == lineage
+                 if k not in RUN_KEYS} == lineage
                 for m in manifests.values()):
             return manifests
     for p in paths.values():
@@ -235,13 +251,20 @@ def write_part(parts_dir: str, bucket_id: int, build, prefix: str = "part"
         fsio.write_parquet_atomic(build(), final, str(os.getpid()))
 
 
-def seal(ds, paths: dict[str, str], lineage: dict) -> dict[str, dict]:
-    """Commit a stage set: write ``ds`` as its first stage (the sink,
-    whose execution side-writes the other stages' parts), then seal each
-    other stage's parts dir into place. Returns the set's manifests."""
-    sink, *sealed = paths
-    manifests = {sink: write_stage(ds, paths[sink], lineage)}
-    for s in sealed:
-        manifests[s] = finalize_stage(paths[s].rstrip("/") + PARTS, paths[s],
-                                      lineage)
-    return manifests
+def seal(ds, paths: dict[str, str], lineage: dict, t0: float
+         ) -> dict[str, dict]:
+    """Commit a stage set whose run started at ``t0`` (``time.time()``).
+    ``ds`` is the Ray executor's sink: it is written as the first
+    stage's parts, and its execution side-writes the other stages'
+    parts. The driver executor has written every stage's parts already
+    and passes None. Then each parts dir is sealed into place with
+    ``lineage`` plus the run's ``RUN_KEYS``. Returns the set's
+    manifests."""
+    executor = "driver"
+    if ds is not None:
+        _write_sink(ds, next(iter(paths.values())).rstrip("/") + PARTS)
+        executor = "ray"
+    run = {**lineage, "wall_seconds": round(time.time() - t0, 3),
+           "executor": executor}
+    return {s: finalize_stage(p.rstrip("/") + PARTS, p, run)
+            for s, p in paths.items()}
