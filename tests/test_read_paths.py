@@ -19,7 +19,7 @@ import ray.data as rd
 
 import vertex_ray.pipelines.rollup_pipeline as rp
 import vertex_ray.read as read
-from vertex_ray.promql_lang import eval_promql
+from vertex_ray.promql_lang import eval_promql, explain_promql, render_series
 from vertex_ray.synth import ensure_transcripts
 
 COLS = ["series_key", "window_start", "count"]
@@ -107,6 +107,21 @@ def _cases(s):
             "start": None, "end": None, "tiers": None}
     qr = read.query_range
     kw = dict(metric="turns_total", columns=COLS)
+
+    def pq_(expr: str, **k):
+        return lambda: eval_promql(one, expr, **k)
+
+    inc = "increase(turns_total[1h])"
+
+    def rule_vector():
+        """A recorded rule vector (a Dataset, so its side of the match
+        is Ray Data on both paths) matched with a store selector."""
+        rec = render_series(eval_promql(one, f"sum by (role) ({inc})"),
+                            ["role"], "role_turns").materialize()
+        return eval_promql(
+            one, f"role_turns / on(role) sum by (role) ({inc})",
+            vectors={"role_turns": (rec, 3600)})
+
     return {
         "range": lambda: qr(one, "1h", **kw),
         "range_filled": lambda: qr(one, "1m", include_filled=True, **kw),
@@ -130,6 +145,21 @@ def _cases(s):
             one, "1d", "1h", hi // 86_400 * 86_400, **kw),
         "promql": lambda: eval_promql(
             one, "sum by (role) (increase(turns_total[1h]))"),
+        "promql_rate_2h": pq_("rate(turns_total[2h])"),
+        "promql_sum_without": pq_(f"sum without (role) ({inc})"),
+        "promql_sum_by_two": pq_(f"sum by (role, conv_id) ({inc})"),
+        "promql_topk": pq_(f"topk(3, {inc})"),
+        "promql_count_values": pq_(f'count_values("n", {inc})'),
+        "promql_div_on": pq_(
+            f'increase(turns_total{{role="user"}}[1h]) / on(conv_id) '
+            f"sum by (conv_id) ({inc})"),
+        "promql_and": pq_(
+            f'{inc} and increase(turns_total{{role="user"}}[1h])'),
+        "promql_or": pq_('increase(turns_total{role="user"}[1h]) or '
+                         'increase(turns_total{role="assistant"}[1h])'),
+        "promql_at": pq_(f"sum by (role) ({inc}) / on(role) sum by (role) "
+                         f"(increase(turns_total[1h] @ {hi}))"),
+        "promql_rule_vector": rule_vector,
         "series_metadata": lambda: read.series_metadata(
             one, "1h", metric="turns_total"),
         "label_values": lambda: read.label_values(one, "1h", "role"),
@@ -253,7 +283,9 @@ def dashboard_store(ray_session, tmp_path_factory):
 
 def test_dashboard_scans_read_in_the_driver(dashboard_store, monkeypatch):
     """Under the default constants the dashboard scans of a store between
-    1 MB and the read gate start no Ray Data read."""
+    1 MB and the read gate start no Ray Data read, and build no Ray Data
+    step or exchange: the promql scan's operators run on the driver's
+    table too."""
     from vertex_ray.state.checkpoint import stage_files
 
     size = sum(os.path.getsize(f) for f in
@@ -265,9 +297,17 @@ def test_dashboard_scans_read_in_the_driver(dashboard_store, monkeypatch):
     real = rd.read_parquet
     monkeypatch.setattr(rd, "read_parquet",
                         lambda *a, **k: calls.append(a) or real(*a, **k))
+    plans = []
+    for verb in ("groupby", "map_batches"):
+        real_verb = getattr(rd.Dataset, verb)
+        monkeypatch.setattr(
+            rd.Dataset, verb,
+            lambda self, *a, _v=verb, _f=real_verb, **k:
+                plans.append(_v) or _f(self, *a, **k))
     for name in DASHBOARD_SCANS:
         assert _rows(cases[name]()).num_rows > 0, name
         assert calls == [], name
+        assert plans == [], name
 
 
 def test_metadata_verbs_read_only_index_columns(stores, monkeypatch):
@@ -286,3 +326,129 @@ def test_metadata_verbs_read_only_index_columns(stores, monkeypatch):
             assert _rows(cases[name]()).num_rows > 0, name
     assert cols and all(c == ["name", "series_key", "block_start",
                               "block_end"] for c in cols)
+
+
+# (expression, the columns of its result)
+EMPTY_SELECTIONS = [
+    ('increase(turns_total{role="nobody"}[1h])',
+     ["series_key", "window_start", "value"]),
+    ('rate(turns_total{role="nobody"}[2h])',
+     ["series_key", "window_start", "value"]),
+    ('sum by (role) (increase(turns_total{role="nobody"}[1h]))',
+     ["role", "window_start", "value"]),
+    ('sum by (role, conv_id) (increase(turns_total{role="nobody"}[1h]))',
+     ["role", "conv_id", "window_start", "value"]),
+    ('sum without (role) (increase(turns_total{role="nobody"}[1h]))',
+     ["series_key", "window_start", "value"]),
+    ('topk(2, increase(turns_total{role="nobody"}[1h]))',
+     ["series_key", "window_start", "value"]),
+    ('count_values("n", increase(turns_total{role="nobody"}[1h]))',
+     ["n", "window_start", "value"]),
+    ('holt_winters(turns_total{role="nobody"}[1h], 0.5, 0.5)',
+     ["series_key", "window_start", "value"]),
+    ('delta(turns_total{role="nobody"}[1h])',
+     ["series_key", "window_start", "value"]),
+]
+
+
+def test_empty_selection_keeps_its_columns(stores, monkeypatch):
+    """A matcher that selects no series returns zero rows on both
+    executors. The driver's result carries the expression's columns
+    (id_cols + window_start + value). Ray Data 2.49 emits a zero-column
+    block for a map step whose input block is empty, so a Ray result
+    carries those columns or none."""
+    for expr, cols in EMPTY_SELECTIONS:
+        for limit in (RAY, DRIVER):
+            monkeypatch.setattr(read, "DRIVER_READ_MAX_BYTES", limit)
+            blocks = ray.get(eval_promql(stores["oneshot"],
+                                         expr).to_arrow_refs())
+            assert sum(b.num_rows for b in blocks) == 0, expr
+            names = [b.schema.names for b in blocks]
+            if limit == DRIVER:
+                assert names == [cols], expr
+            else:
+                assert all(n in ([], cols) for n in names), expr
+
+
+def test_explain_names_the_executor(stores, monkeypatch):
+    """Each selector and exchange note of explain_promql ends in the
+    executor it runs on: the driver's table under the default constants
+    for a small store, Ray Data with the read gate at 0."""
+    expr = "sum by (role) (increase(turns_total[1h]))"
+    for limit, tag in ((read.DRIVER_READ_MAX_BYTES, "[driver table]"),
+                       (RAY, "[Ray Data]")):
+        monkeypatch.setattr(read, "DRIVER_READ_MAX_BYTES", limit)
+        lines = explain_promql(stores["oneshot"], expr).splitlines()
+        notes = [ln for ln in lines if ln.startswith("  ")]
+        assert len(notes) == 2, lines
+        assert notes[0].startswith("  1. scan 1h tier"), lines
+        assert "agg sum by(role)" in notes[1], lines
+        assert all(ln.endswith(tag) for ln in notes), lines
+
+
+def test_promql_operators_build_no_ray_step_of_their_own():
+    """promql_lang.py and stages/promql.py build every per-batch step
+    and exchange through stages/executor, the one seam that follows the
+    input's executor: neither calls ``.map_batches(``, ``.map_groups(``
+    or a Ray Data ``.groupby("<column>")`` itself. (Their pandas
+    groupbys pass a list, an array or keywords, never one column name
+    alone.)"""
+    import ast
+    import pathlib
+
+    import vertex_ray
+
+    root = pathlib.Path(vertex_ray.__file__).parent
+    hits = []
+    for rel in ("promql_lang.py", "stages/promql.py"):
+        path = root / rel
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            name = node.func.attr
+            one_column = (len(node.args) == 1 and not node.keywords
+                          and isinstance(node.args[0], ast.Constant)
+                          and isinstance(node.args[0].value, str))
+            if name in ("map_batches", "map_groups") or (
+                    name == "groupby" and one_column):
+                hits.append(f"{rel}:{node.lineno} .{name}(")
+    assert not hits, hits
+
+
+def test_stage_operators_agree_on_both_executors(stores):
+    """The stages/promql operators no promql case above reaches give the
+    same rows over a driver table as over the same rows as a Dataset
+    (the Ray Data plan)."""
+    import vertex_ray.stages.promql as P
+
+    one = stores["oneshot"]
+    t = read.query_range.__wrapped__(one, "1h", metric="turns_total",
+                                      columns=COLS + ["last"],
+                                      tombstones=False)
+    assert isinstance(t, pa.Table) and t.num_rows
+    key = ("series_key", "window_start")
+    ops = {
+        "group_sum": lambda x: P.group_sum(x, ["window_start"], ["count"]),
+        "zscore": lambda x: P.zscore_over_time(x, *key, "count", 3),
+        "lttb": lambda x: P.lttb_downsample(x, *key, "count", 4),
+        "predict_linear": lambda x: P.predict_linear(
+            x, *key, "count", 3, 2, 3600),
+        "alert_state": lambda x: P.alert_state(x, *key, "count", 2, 2, 3600,
+                                               keep_firing_windows=1),
+        "burn_rate": lambda x: P.burn_rate(x, *key, "count", "count", 2, 4,
+                                           0.5, 1.0),
+        "math_op": lambda x: P.math_op(x, "count", "sqrt", scalar=2.0),
+        "label_join": lambda x: P.label_join(x, "cr", "-",
+                                             ["conv_id", "role"]),
+        "limit_ratio": lambda x: P.limit_ratio(x, "series_key", 0.5),
+        "offset": lambda x: P.offset_modifier(x, "window_start", 3600),
+        "resample": lambda x: P.resample_windows(
+            x, 4 * 3600, 3600, {"count": "sum", "last": "last"}),
+        "limitk": lambda x: P.limitk(x, "series_key", 3),
+        "absent": lambda x: P.absent_over_time(x, tier_seconds=3600),
+    }
+    for name, op in ops.items():
+        drv = op(t)
+        assert isinstance(drv, pa.Table), name
+        assert _digest(drv) == _digest(_rows(op(rd.from_arrow(t)))), name

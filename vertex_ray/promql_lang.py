@@ -76,6 +76,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from vertex_ray.stages.executor import lift, per_batch, schema
+
 # --------------------------------------------------------------------------
 # AST
 # --------------------------------------------------------------------------
@@ -465,37 +467,66 @@ def _pick_tier(range_s: int) -> tuple[str, int, int]:
 
 @dataclass
 class _Vector:
-    """An instant vector mid-evaluation: a Dataset whose schema is
-    id_cols + [window_start, value]. ``pinned`` is the window_start a
-    selector's ``@`` modifier fixed evaluation at — a pinned vector is
-    window-FREE in vector matching (it represents one instant, so a
-    binary/set op joins on the labels alone and the unpinned side's
-    window_start survives)."""
+    """An instant vector mid-evaluation: a driver ``pa.Table`` (every
+    selector under it was read in the driver, see ``read``) or a
+    Dataset, with columns id_cols + [window_start, value]. ``pinned`` is
+    the window_start a selector's ``@`` modifier fixed evaluation at — a
+    pinned vector is window-FREE in vector matching (it represents one
+    instant, so a binary/set op joins on the labels alone and the
+    unpinned side's window_start survives)."""
     ds: object
     id_cols: list[str]
     step_s: int
     pinned: int | None = None
 
 
+@dataclass
 class _Ctx:
-    def __init__(self, store: str, value_col: str, step_s: int,
-                 start: int | None, end: int | None, layout: str,
-                 n_buckets: int, vectors: dict | None = None):
-        self.store = store
-        self.value_col = value_col
-        self.step_s = step_s
-        self.start = start
-        self.end = end
-        self.layout = layout
-        self.n_buckets = n_buckets
-        # Prometheus rule-group chaining: name -> (rendered Dataset with
-        # series_key/window_start/value, step_s). Selectors resolve here
-        # FIRST, then fall back to the block store.
-        self.vectors = vectors or {}
-        # EXPLAIN notes appended during lowering (explain_promql) — the
-        # evaluator is lazy (it only builds the Dataset graph), so these
-        # describe the REAL plan, not a simulation.
-        self.plan: list[str] = []
+    store: object
+    value_col: str
+    step_s: int
+    start: int | None
+    end: int | None
+    layout: str
+    n_buckets: int
+    # Prometheus rule-group chaining: name -> (rendered Dataset with
+    # series_key/window_start/value, step_s). Selectors resolve here
+    # FIRST, then fall back to the block store.
+    vectors: dict
+    # explain_promql: every driver read is lifted into a Dataset, so no
+    # operator executes
+    lazy: bool = False
+    # EXPLAIN notes appended during lowering — the REAL lowering, so
+    # these describe the real plan, not a simulation
+    plan: list = field(default_factory=list)
+    # per selector node: whether its read came back as a driver table
+    driver: dict = field(default_factory=dict)
+
+    def read(self, sel: Sel, x):
+        """A selector's rows, as read (or lifted when lazy)."""
+        self.driver[id(sel)] = isinstance(x, pa.Table)
+        return lift(x) if self.lazy else x
+
+    def note(self, text: str, *nodes) -> None:
+        """An EXPLAIN note for a selector or an exchange over the
+        operand ``nodes``, tagged with the executor ``eval_promql`` runs
+        it on: the driver's table when every selector under ``nodes``
+        was read in the driver (each step keeps its input's executor)."""
+        drv = all(self.driver[id(s)] for s in _selectors(nodes))
+        self.plan.append(f"{text} [{'driver table' if drv else 'Ray Data'}]")
+
+
+def _selectors(nodes):
+    """The selector nodes of the AST under ``nodes``."""
+    for n in nodes:
+        if isinstance(n, Sel):
+            yield n
+        elif isinstance(n, (Subquery, Agg)):
+            yield from _selectors([n.expr])
+        elif isinstance(n, Call):
+            yield from _selectors(n.args)
+        elif isinstance(n, Bin):
+            yield from _selectors([n.lhs, n.rhs])
 
 
 def _reshape(ds, id_cols: list[str], src: str):
@@ -505,19 +536,19 @@ def _reshape(ds, id_cols: list[str], src: str):
     def fn(t: pa.Table) -> pa.Table:
         return t.select(cols + [src]).rename_columns(cols + ["value"])
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return per_batch(ds, fn)
 
 
 def _qr(ctx: "_Ctx", tier: str, **kw):
     """Store read — one block store, or a FEDERATED FLEET when the
     evaluation context's store is a list of shard stores (each shard
     prunes independently; union adds no exchange —
-    read.query_range_multi)."""
+    read.query_range_multi). The verbs' bodies keep a driver table."""
     from vertex_ray.read import query_range, query_range_multi
 
     if isinstance(ctx.store, (list, tuple)):
-        return query_range_multi(list(ctx.store), tier, **kw)
-    return query_range(ctx.store, tier, **kw)
+        return query_range_multi.__wrapped__(list(ctx.store), tier, **kw)
+    return query_range.__wrapped__(ctx.store, tier, **kw)
 
 
 def _matcher_filter(matchers):
@@ -560,12 +591,13 @@ def _eval_selector(sel: Sel, ctx: _Ctx, tier_w: int | None = None
             matchers.append(m)
 
     if sel.name in ctx.vectors:
-        ctx.plan.append(f"select rule vector {sel.name!r} (in-memory, "
-                        f"no store read)")
         if sel.at_s is not None:
             raise ValueError("promql: @ modifier on a rule vector is "
                              "unsupported — pin the underlying selector")
         ds0, vstep = ctx.vectors[sel.name]
+        ds0 = ctx.read(sel, ds0)
+        ctx.note(f"select rule vector {sel.name!r} (in-memory, no store "
+                 f"read)", sel)
         if sel.range_s is not None:
             if sel.range_s % vstep:
                 raise ValueError(
@@ -583,10 +615,9 @@ def _eval_selector(sel: Sel, ctx: _Ctx, tier_w: int | None = None
                 return t.set_column(i, "window_start",
                                     pc.add(t["window_start"], off))
 
-            ds = ds.map_batches(restamp, batch_format="pyarrow")
+            ds = per_batch(ds, restamp)
         if matchers:
-            ds = ds.map_batches(_matcher_filter(matchers),
-                                batch_format="pyarrow")
+            ds = per_batch(ds, _matcher_filter(matchers))
         return _Vector(ds, ["series_key"], vstep), n
 
     if tier_w is not None:
@@ -626,14 +657,13 @@ def _eval_selector(sel: Sel, ctx: _Ctx, tier_w: int | None = None
             + (f" offset={offset}s" if offset else "")
             + (f" PINNED@{pinned}" if pinned is not None else "")
             + f" -> decode; trailing frame n={n}")
-    ctx.plan.append(note)
-    ds = _qr(ctx, tier, metric=sel.name, key_regex=push,
-             columns=["series_key", "window_start", vcol],
-             start=start, end=end, layout=ctx.layout,
-             offset=offset)
+    ds = ctx.read(sel, _qr(ctx, tier, metric=sel.name, key_regex=push,
+                           columns=["series_key", "window_start", vcol],
+                           start=start, end=end, layout=ctx.layout,
+                           offset=offset))
+    ctx.note(note, sel)
     if matchers:
-        ds = ds.map_batches(_matcher_filter(matchers),
-                            batch_format="pyarrow")
+        ds = per_batch(ds, _matcher_filter(matchers))
     ds = _reshape(ds, ["series_key"], vcol)
     return _Vector(ds, ["series_key"], w, pinned=pinned), n
 
@@ -675,7 +705,11 @@ def _key_col(v: _Vector) -> str:
     return v.id_cols[0]
 
 
-def _scalar_arith(v: _Vector, s: float, op: str, reverse: bool) -> _Vector:
+def _scalar_arith(v: _Vector, s: float, op: str, reverse: bool,
+                  bool_mode: bool = False) -> _Vector:
+    """``v <op> s`` (``s <op> v`` when ``reverse``), per batch. A
+    comparison keeps the samples where it holds, or gives 0/1 under
+    ``bool``."""
     ops = {"add": pc.add, "sub": pc.subtract, "mul": pc.multiply,
            "div": pc.divide}
     cmps = {"gt": pc.greater, "ge": pc.greater_equal, "lt": pc.less,
@@ -684,25 +718,16 @@ def _scalar_arith(v: _Vector, s: float, op: str, reverse: bool) -> _Vector:
     def fn(t: pa.Table) -> pa.Table:
         x = pc.cast(t["value"], pa.float64())
         a, b = (s, x) if reverse else (x, s)
-        i = t.schema.get_field_index("value")
-        return t.set_column(i, "value", ops[op](a, b))
+        if op in ops:
+            r = ops[op](a, b)
+        elif bool_mode:
+            r = pc.cast(cmps[op](a, b), pa.float64())
+        else:
+            return t.filter(cmps[op](a, b))
+        return t.set_column(t.schema.get_field_index("value"), "value", r)
 
-    def cmp_fn(bool_mode):
-        def fn(t: pa.Table) -> pa.Table:
-            x = pc.cast(t["value"], pa.float64())
-            a, b = (s, x) if reverse else (x, s)
-            m = cmps[op](a, b)
-            if bool_mode:
-                i = t.schema.get_field_index("value")
-                return t.set_column(i, "value",
-                                    pc.cast(m, pa.float64()))
-            return t.filter(m)
-        return fn
-
-    if op in ops:
-        return _Vector(v.ds.map_batches(fn, batch_format="pyarrow"),
-                       v.id_cols, v.step_s, pinned=v.pinned)
-    return op, cmp_fn  # handled by caller (needs bool_mode)
+    return _Vector(per_batch(v.ds, fn), v.id_cols, v.step_s,
+                   pinned=v.pinned)
 
 
 def _pin(v: _Vector, pinned: int | None) -> _Vector:
@@ -712,9 +737,8 @@ def _pin(v: _Vector, pinned: int | None) -> _Vector:
     is the @-expression's value."""
     if pinned is None:
         return v
-    out = v.ds.map_batches(
-        lambda t: t.filter(pc.equal(t["window_start"], pinned)),
-        batch_format="pyarrow")
+    out = per_batch(v.ds, lambda t: t.filter(
+        pc.equal(t["window_start"], pinned)))
     return _Vector(out, v.id_cols, v.step_s, pinned=pinned)
 
 
@@ -736,8 +760,7 @@ def _materialize_labels(v: _Vector, labels: list[str]) -> _Vector:
             t = extract_label(t, l, out_col=l)
         return t
 
-    return _Vector(v.ds.map_batches(fn, batch_format="pyarrow"),
-                   v.id_cols + missing, v.step_s)
+    return _Vector(per_batch(v.ds, fn), v.id_cols + missing, v.step_s)
 
 
 def _ignoring_key(v: _Vector, labels: list[str],
@@ -769,8 +792,7 @@ def _ignoring_key(v: _Vector, labels: list[str],
         return strip_labels(t, labels, key_col=out_col)
 
     ids = v.id_cols if out_col in v.id_cols else v.id_cols + [out_col]
-    return _Vector(v.ds.map_batches(fn, batch_format="pyarrow"),
-                   ids, v.step_s)
+    return _Vector(per_batch(v.ds, fn), ids, v.step_s)
 
 
 def _eval_bin(node: Bin, ctx: _Ctx):
@@ -790,14 +812,8 @@ def _eval_bin(node: Bin, ctx: _Ctx):
         ctx.plan.append(f"scalar {node.op} (batch-local)")
         v = lhs if isinstance(lhs, _Vector) else rhs
         s = rhs if isinstance(rhs, float) else lhs
-        reverse = isinstance(lhs, float)
-        r = _scalar_arith(v, s, node.op, reverse)
-        if isinstance(r, _Vector):
-            return r
-        _, cmp_fn = r
-        return _Vector(v.ds.map_batches(cmp_fn(node.bool_mode),
-                                        batch_format="pyarrow"),
-                       v.id_cols, v.step_s, pinned=v.pinned)
+        return _scalar_arith(v, s, node.op, isinstance(lhs, float),
+                             node.bool_mode)
 
     l, r = lhs, rhs
     if l.step_s != r.step_s:
@@ -820,14 +836,12 @@ def _eval_bin(node: Bin, ctx: _Ctx):
             # (set ops select left samples — identity must survive)
             li = _ignoring_key(l, node.ignoring, out_col="__ik")
             ri = _ignoring_key(r, node.ignoring, out_col="__ik")
-            ctx.plan.append(f"set {node.op} ignoring{tuple(node.ignoring)}"
-                            f" — complement-key strip + join exchange")
+            ctx.note(f"set {node.op} ignoring{tuple(node.ignoring)} — "
+                     f"complement-key strip + join exchange", node)
             out = set_op(li.ds, ri.ds, ["__ik"] + wcols,
                          op=node.op, n_buckets=ctx.n_buckets)
-            out = out.map_batches(
-                lambda t: t.select(
-                    [c for c in t.schema.names if c != "__ik"]),
-                batch_format="pyarrow")
+            out = per_batch(out, lambda t: t.select(
+                [c for c in t.schema.names if c != "__ik"]))
             return _Vector(out, l.id_cols, l.step_s, pinned=l.pinned)
         on = node.on or sorted(set(l.id_cols) & set(r.id_cols))
         if not on:
@@ -835,12 +849,12 @@ def _eval_bin(node: Bin, ctx: _Ctx):
                              "identity columns")
         l = _materialize_labels(l, on)
         r = _materialize_labels(r, on)
-        if node.op == "or" and set(l.ds.schema().names) != \
-                set(r.ds.schema().names):
+        if node.op == "or" and set(schema(l.ds).names) != \
+                set(schema(r.ds).names):
             raise ValueError("promql: 'or' operands must share a schema")
-        ctx.plan.append(f"set {node.op} on {on + wcols} — "
-                        f"{'semi' if node.op == 'and' else 'anti' if node.op == 'unless' else 'anti+union'}"
-                        f"-join exchange ({ctx.n_buckets} buckets)")
+        kind = {"and": "semi", "unless": "anti"}.get(node.op, "anti+union")
+        ctx.note(f"set {node.op} on {on + wcols} — {kind}-join exchange "
+                 f"({ctx.n_buckets} buckets)", node)
         out = set_op(l.ds, r.ds, on + wcols, op=node.op,
                      n_buckets=ctx.n_buckets)
         return _Vector(out, l.id_cols, l.step_s, pinned=l.pinned)
@@ -878,15 +892,14 @@ def _eval_bin(node: Bin, ctx: _Ctx):
         carry = node.group_right or []
         carry_all = (["window_start"] if win_free else []) + \
             [c for c in carry if c not in keys]
-        lds = l.ds.map_batches(
-            lambda t: t.rename_columns(
-                [c if c != "value" else "__lv" for c in t.schema.names]),
-            batch_format="pyarrow")
-        ctx.plan.append(
+        lds = per_batch(l.ds, lambda t: t.rename_columns(
+            [c if c != "value" else "__lv" for c in t.schema.names]))
+        ctx.note(
             f"match {node.op} on={on} keys={keys} carry={carry} "
             f"(sides swapped: many side is RIGHT"
             + (", left pinned" if l.pinned is not None else "")
-            + f") — one hash-join exchange ({ctx.n_buckets} buckets)")
+            + f") — one hash-join exchange ({ctx.n_buckets} buckets)",
+            node)
         out = binary_op(r.ds, lds, keys, "value", "__lv",
                         op=node.op, out_col="__out",
                         n_buckets=ctx.n_buckets, carry_left=carry_all,
@@ -901,14 +914,12 @@ def _eval_bin(node: Bin, ctx: _Ctx):
         [c for c in carry if c not in keys]
 
     # distinct value-column names through the join
-    rds = r.ds.map_batches(
-        lambda t: t.rename_columns(
-            [c if c != "value" else "__rv" for c in t.schema.names]),
-        batch_format="pyarrow")
-    ctx.plan.append(
+    rds = per_batch(r.ds, lambda t: t.rename_columns(
+        [c if c != "value" else "__rv" for c in t.schema.names]))
+    ctx.note(
         f"match {node.op} on={on} keys={keys} carry={carry}"
         + (" (window-free: pinned operand)" if win_free else "")
-        + f" — one hash-join exchange ({ctx.n_buckets} buckets)")
+        + f" — one hash-join exchange ({ctx.n_buckets} buckets)", node)
     out = binary_op(l.ds, rds, keys, "value", "__rv",
                     op=node.op, out_col="__out", n_buckets=ctx.n_buckets,
                     carry_left=carry_all, bool_mode=node.bool_mode)
@@ -933,9 +944,9 @@ def _eval_agg(node: Agg, ctx: _Ctx) -> _Vector:
     if node.op in ("topk", "bottomk"):
         if node.without:
             raise ValueError("promql: topk/bottomk without() unsupported")
-        ctx.plan.append(f"{node.op} k={int(node.param)}"
-                        + (f" by{tuple(node.by)}" if node.by else "")
-                        + " — block-local trim combiner + one exchange")
+        ctx.note(f"{node.op} k={int(node.param)}"
+                 + (f" by{tuple(node.by)}" if node.by else "")
+                 + " — block-local trim combiner + one exchange", node)
         key = _key_col(v)
         if node.by:
             # topk by (labels): rank within each (labels, window) group
@@ -951,7 +962,7 @@ def _eval_agg(node: Agg, ctx: _Ctx) -> _Vector:
                         "\x1f")
                 return t.append_column("__grp", k)
 
-            gds = vm.ds.map_batches(grp, batch_format="pyarrow")
+            gds = per_batch(vm.ds, grp)
             out = topk_per_group(gds, "__grp", "value", int(node.param),
                                  key,
                                  keep_cols=[key, "window_start"],
@@ -970,18 +981,16 @@ def _eval_agg(node: Agg, ctx: _Ctx) -> _Vector:
         lbl = str(node.param)
         out = count_values(v.ds, "value", out_col="__n",
                            n_buckets=ctx.n_buckets)
-        out = out.map_batches(
-            lambda t: t.select(["value", "window_start", "__n"])
-            .rename_columns([lbl, "window_start", "value"]),
-            batch_format="pyarrow")
+        out = per_batch(out, lambda t: t.select(
+            ["value", "window_start", "__n"]).rename_columns(
+            [lbl, "window_start", "value"]))
         return _Vector(out, [lbl], v.step_s, pinned=v.pinned)
 
     if node.without is not None:
         if node.op in ("quantile", "group"):
             raise ValueError(f"promql: {node.op} without() unsupported")
-        ctx.plan.append(f"agg {node.op} without({node.without}) — "
-                        f"key strip + combiner partials + one bucket "
-                        f"exchange")
+        ctx.note(f"agg {node.op} without({node.without}) — key strip + "
+                 f"combiner partials + one bucket exchange", node)
         out = aggregate_without(v.ds, node.without, "value",
                                 agg=node.op, n_buckets=ctx.n_buckets)
         return _Vector(out, ["series_key"], v.step_s, pinned=v.pinned)
@@ -992,8 +1001,8 @@ def _eval_agg(node: Agg, ctx: _Ctx) -> _Vector:
                          "without(...)")
     if len(by) == 1:
         q = 0.5 if node.param is None else float(node.param)
-        ctx.plan.append(f"agg {node.op} by({by[0]}) — combiner "
-                        f"partials + one bucket exchange")
+        ctx.note(f"agg {node.op} by({by[0]}) — combiner partials + one "
+                 f"bucket exchange", node)
         out = label_aggregate(v.ds, by[0], "value", out_col="value",
                               agg=node.op, q=q)
         return _Vector(out, [by[0]], v.step_s, pinned=v.pinned)
@@ -1015,16 +1024,17 @@ def _eval_agg(node: Agg, ctx: _Ctx) -> _Vector:
         for i, l in enumerate(labels):
             sep = "" if i == 0 else ","
             k = pc.binary_join_element_wise(
-                k, pa.array([f"{sep}{l}="] * len(t)),
+                k, pa.array([f"{sep}{l}="] * len(t), type=pa.string()),
                 pc.fill_null(pc.cast(t[l], pa.string()), ""), "")
-        k = pc.binary_join_element_wise(k, pa.array(["}"] * len(t)), "")
+        k = pc.binary_join_element_wise(
+            k, pa.array(["}"] * len(t), type=pa.string()), "")
         return pa.table({"series_key": k,
                          "window_start": t["window_start"],
                          "value": t["value"]})
 
-    ctx.plan.append(f"agg {node.op} by{tuple(labels)} — identity "
-                    f"rewrite to by-labels key + one bucket exchange")
-    rds = vm.ds.map_batches(rebuild, batch_format="pyarrow")
+    ctx.note(f"agg {node.op} by{tuple(labels)} — identity rewrite to "
+             f"by-labels key + one bucket exchange", node)
+    rds = per_batch(vm.ds, rebuild)
     out = aggregate_without(rds, [], "value", agg=node.op,
                             n_buckets=ctx.n_buckets)
 
@@ -1033,8 +1043,8 @@ def _eval_agg(node: Agg, ctx: _Ctx) -> _Vector:
             t = extract_label(t, l, out_col=l)
         return t.select(list(by) + ["window_start", "value"])
 
-    return _Vector(out.map_batches(split, batch_format="pyarrow"),
-                   list(by), v.step_s, pinned=v.pinned)
+    return _Vector(per_batch(out, split), list(by), v.step_s,
+                   pinned=v.pinned)
 
 
 def _to_float(v: _Vector) -> _Vector:
@@ -1042,8 +1052,8 @@ def _to_float(v: _Vector) -> _Vector:
         i = t.schema.get_field_index("value")
         return t.set_column(i, "value", pc.cast(t["value"], pa.float64()))
 
-    return _Vector(v.ds.map_batches(fn, batch_format="pyarrow"),
-                   v.id_cols, v.step_s, pinned=v.pinned)
+    return _Vector(per_batch(v.ds, fn), v.id_cols, v.step_s,
+                   pinned=v.pinned)
 
 
 def _eval_call(node: Call, ctx: _Ctx):
@@ -1063,8 +1073,8 @@ def _eval_call(node: Call, ctx: _Ctx):
                              pc.cast(t["__t"], pa.float64()))
             return t.drop_columns(["__t"])
 
-        return _Vector(v.ds.map_batches(fn, batch_format="pyarrow"),
-                       v.id_cols, v.step_s, pinned=v.pinned)
+        return _Vector(per_batch(v.ds, fn), v.id_cols, v.step_s,
+                       pinned=v.pinned)
 
     if f == "timestamp":
         # value := the sample's timestamp (window_start, epoch seconds)
@@ -1075,8 +1085,8 @@ def _eval_call(node: Call, ctx: _Ctx):
             return t.set_column(
                 i, "value", pc.cast(t["window_start"], pa.float64()))
 
-        return _Vector(v.ds.map_batches(ts_fn, batch_format="pyarrow"),
-                       v.id_cols, v.step_s, pinned=v.pinned)
+        return _Vector(per_batch(v.ds, ts_fn), v.id_cols, v.step_s,
+                       pinned=v.pinned)
 
     if f in ("abs", "ceil", "floor", "round", "sqrt", "sgn"):
         v = _need_vector(_eval(node.args[0], ctx), f)
@@ -1100,8 +1110,11 @@ def _eval_call(node: Call, ctx: _Ctx):
 
     if f in ("sort", "sort_desc"):
         v = _need_vector(_eval(node.args[0], ctx), f)
-        return _Vector(v.ds.sort("value", descending=f == "sort_desc"),
-                       v.id_cols, v.step_s, pinned=v.pinned)
+        desc = f == "sort_desc"
+        ds = (v.ds.sort_by([("value", "descending" if desc else "ascending")])
+              if isinstance(v.ds, pa.Table)
+              else v.ds.sort("value", descending=desc))
+        return _Vector(ds, v.id_cols, v.step_s, pinned=v.pinned)
 
     if f == "label_replace":
         v = _need_vector(_eval(node.args[0], ctx), f)
@@ -1121,7 +1134,7 @@ def _eval_call(node: Call, ctx: _Ctx):
         key = _key_col(v)
         range_s = n * v.step_s
         if n > 1:
-            ctx.plan.append(f"over_time sum n={n} — one bucket exchange")
+            ctx.note(f"over_time sum n={n} — one bucket exchange", node)
             out = P.over_time(v.ds, key, "window_start", "value", n,
                               agg="sum", out_col="value",
                               n_buckets=ctx.n_buckets)
@@ -1220,12 +1233,11 @@ def _eval_call(node: Call, ctx: _Ctx):
                 push = rf"[{{,]{re.escape(lbl)}={re.escape(val)}[,}}]"
                 break
         cols = ["series_key", "window_start", "count"] + list(BUCKET_COLS)
-        ds = _qr(ctx, tier, metric=sel.name, key_regex=push,
-                 columns=cols, start=ctx.start, end=ctx.end,
-                 layout=ctx.layout, offset=sel.offset_s)
+        ds = ctx.read(sel, _qr(ctx, tier, metric=sel.name, key_regex=push,
+                               columns=cols, start=ctx.start, end=ctx.end,
+                               layout=ctx.layout, offset=sel.offset_s))
         if sel.matchers:
-            ds = ds.map_batches(_matcher_filter(sel.matchers),
-                                batch_format="pyarrow")
+            ds = per_batch(ds, _matcher_filter(sel.matchers))
 
         def shape(t: pa.Table) -> pa.Table:
             if f == "histogram_quantile":
@@ -1235,8 +1247,7 @@ def _eval_call(node: Call, ctx: _Ctx):
                                              out_col="value")
             return t.select(["series_key", "window_start", "value"])
 
-        return _Vector(ds.map_batches(shape, batch_format="pyarrow"),
-                       ["series_key"], w)
+        return _Vector(per_batch(ds, shape), ["series_key"], w)
 
     m = re.fullmatch(r"(avg|sum|min|max|count|stddev|stdvar|quantile|"
                      r"last|first|mad|present)_over_time", f)
@@ -1252,7 +1263,7 @@ def _eval_call(node: Call, ctx: _Ctx):
         v, n = _range_arg(node.args[arg_ix], ctx, allow_pin=True)
         q = _eval(node.args[0], ctx) if agg == "quantile" else 0.5
         key = _key_col(v)
-        ctx.plan.append(f"over_time {agg} n={n} — one bucket exchange")
+        ctx.note(f"over_time {agg} n={n} — one bucket exchange", node)
         out = P.over_time(v.ds, key, "window_start", "value", n, agg=agg,
                           out_col="__v", q=q, n_buckets=ctx.n_buckets)
         res = _Vector(_reshape(out, [key], "__v"), [key], v.step_s,
@@ -1266,8 +1277,8 @@ def _eval_call(node: Call, ctx: _Ctx):
                 return t.set_column(
                     i, "value",
                     pa.array(np.ones(len(t)), type=pa.float64()))
-            res = _Vector(res.ds.map_batches(one, batch_format="pyarrow"),
-                          res.id_cols, res.step_s, pinned=res.pinned)
+            res = _Vector(per_batch(res.ds, one), res.id_cols, res.step_s,
+                          pinned=res.pinned)
         return res
 
     raise ValueError(f"promql: unsupported function {f!r}")
@@ -1309,10 +1320,10 @@ def render_series(ds, id_cols: list[str], name: str):
             for i, l in enumerate(labels):
                 sep = "" if i == 0 else ","
                 k = pc.binary_join_element_wise(
-                    k, pa.array([f"{sep}{l}="] * len(t)),
+                    k, pa.array([f"{sep}{l}="] * len(t), type=pa.string()),
                     pc.cast(t[l], pa.string()), "")
             k = pc.binary_join_element_wise(
-                k, pa.array(["}"] * len(t)), "")
+                k, pa.array(["}"] * len(t), type=pa.string()), "")
         else:
             # already series-keyed: re-name the metric part only
             k = pc.replace_substring_regex(
@@ -1323,7 +1334,7 @@ def render_series(ds, id_cols: list[str], name: str):
             "value": pc.cast(t["value"], pa.float64()),
         })
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return per_batch(ds, fn)
 
 
 def eval_promql(store, expr: str, value_col: str = "count",
@@ -1336,6 +1347,11 @@ def eval_promql(store, expr: str, value_col: str = "count",
     Returns a ray.data.Dataset with columns ``id_cols... window_start
     value`` where id_cols is ``series_key`` (or the by()-labels /
     on()-match labels after aggregation / vector matching).
+
+    Each operator runs on its input's executor (stages/executor): an
+    expression whose selectors were all read in the driver (``read``)
+    is evaluated eagerly on one ``pa.Table`` and lifted here; a Ray Data
+    input (a large selector, a Dataset rule vector) keeps its lazy plan.
 
     ``value_col`` names the tier column a selector reads (``count`` —
     the exact-int64 default every structured query uses — or ``sum``/
@@ -1352,29 +1368,30 @@ def eval_promql(store, expr: str, value_col: str = "count",
     step_s = step if isinstance(step, int) else \
         dict(_TIERS)[step] if step in dict(_TIERS) else _parse_duration(step)
     ctx = _Ctx(store, value_col, step_s, start, end, layout, n_buckets,
-               vectors=vectors)
+               vectors or {})
     out = _eval(parse(expr), ctx)
     if not isinstance(out, _Vector):
         raise ValueError("promql: expression is a scalar, not a vector")
     if _want_ids:
-        return out.ds, out.id_cols, out.step_s
-    return out.ds
+        return lift(out.ds), out.id_cols, out.step_s
+    return lift(out.ds)
 
 
 def explain_promql(store, expr: str, **kw) -> str:
-    """EXPLAIN for a PromQL expression: run the REAL lowering (the
-    evaluator is lazy — it builds the Dataset graph without executing a
-    single block, except that a selector whose candidate parts are
-    small is read, and its selection decoded when that is small too,
-    eagerly in the driver; see ``read``) and
-    render the plan notes it emitted — which tier each selector scans,
-    what got pushed into the block scan (metric / key regex / start-end
-    pruning / pinned frames), and every exchange
-    (combiner aggregations, over_time frames, hash-join vector matches)
-    with its shape. The analogue of the reference's dry-build
-    diagnostics (`vertex validate`, src/validate.rs:18-21) and VTL
-    compile output, on the read side. Same keyword surface as
-    ``eval_promql``."""
+    """EXPLAIN for a PromQL expression: run the REAL lowering and render
+    the plan notes it emitted — which tier each selector scans, what got
+    pushed into the block scan (metric / key regex / start-end pruning /
+    pinned frames), and every exchange (combiner aggregations, over_time
+    frames, hash-join vector matches) with its shape. Each selector and
+    exchange note ends in the executor ``eval_promql`` runs it on:
+    ``[driver table]`` when every selector under it was read in the
+    driver, ``[Ray Data]`` otherwise. The lowering is lazy here: the
+    selectors are read (a small read eagerly, in the driver; see
+    ``read``), but each driver read is lifted into a Dataset, so no
+    operator executes — the plan is described, not run. The
+    analogue of the reference's dry-build diagnostics (`vertex
+    validate`, src/validate.rs:18-21) and VTL compile output, on the
+    read side. Same keyword surface as ``eval_promql``."""
     kw.pop("_want_ids", None)
     step = kw.pop("step", "1h")
     step_s = step if isinstance(step, int) else \
@@ -1382,7 +1399,7 @@ def explain_promql(store, expr: str, **kw) -> str:
     ctx = _Ctx(store, kw.pop("value_col", "count"), step_s,
                kw.pop("start", None), kw.pop("end", None),
                kw.pop("layout", "oneshot"), kw.pop("n_buckets", 64),
-               vectors=kw.pop("vectors", None))
+               kw.pop("vectors", None) or {}, lazy=True)
     if kw:
         raise TypeError(f"explain_promql: unknown kwargs {sorted(kw)}")
     out = _eval(parse(expr), ctx)

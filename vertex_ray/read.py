@@ -14,8 +14,11 @@ staleness materialized as the filled/stale flags the fill stage wrote).
   within a ``lookback`` window (PromQL instant-vector semantics: a
   series with no sample inside the lookback is absent).
 
-Every verb returns a Dataset, so every `stages.promql` function composes
-on top (``over_time(query_range(...), ...)``).
+Every verb returns a Dataset; its body (``verb.__wrapped__``) returns
+the driver's ``pa.Table`` for a small read. Every `stages.promql`
+operator composes on either (``over_time(query_range.__wrapped__(...),
+...)``), through the verbs' executor seam (``stages/executor``), so a
+driver table stays a table from selector to result (``promql_lang``).
 
 Two executors, one set of logic. A verb is a read of candidate part
 files, per-batch steps (prune, decode, shape) and at most one exchange
@@ -75,6 +78,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from vertex_ray.schema import TIER_SECONDS
+from vertex_ray.stages.executor import exchange, lift, per_batch, union
 
 __all__ = ["query_range", "instant_query", "series_metadata",
            "label_values", "pick_tier", "query_range_auto", "tsdb_status",
@@ -97,57 +101,17 @@ DRIVER_DECODE_MAX_POINTS = 350_000
 # what a metadata verb reads of a block row: identity and footer interval
 _META_COLS = ["name", "series_key", "block_start", "block_end"]
 
-_EMPTY = pa.table({})
-
 
 def _verb(fn):
     """A read verb returns a Dataset. Its body returns the driver's
     ``pa.Table`` for a small read; ``verb.__wrapped__`` keeps that
-    table for the verbs that compose reads in the driver."""
+    table for the callers that compose reads in the driver
+    (``promql_lang``, the verbs below)."""
     @functools.wraps(fn)
     def verb(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        return rd.from_arrow(out) if isinstance(out, pa.Table) else out
+        return lift(fn(*args, **kwargs))
 
     return verb
-
-
-def _map(x, fn):
-    """One per-batch step over the driver's table or as ``map_batches``.
-    Like Ray Data, the driver never calls ``fn`` on zero rows."""
-    if isinstance(x, pa.Table):
-        return fn(x) if x.num_rows else _EMPTY
-    return x.map_batches(fn, batch_format="pyarrow")
-
-
-def _one_bucket(t: pa.Table) -> pa.Table:
-    return t.append_column("__bucket",
-                           pa.array(np.zeros(len(t), dtype=np.int64)))
-
-
-def _exchange(x, merge, key: str | None = None, n_buckets: int = 1):
-    """A verb's one exchange: ``merge`` (pandas) per hash bucket of
-    ``key`` (one bucket when None). In the driver the whole table is one
-    bucket, so ``merge`` runs once."""
-    if isinstance(x, pa.Table):
-        return _map(x, lambda t: pa.Table.from_pandas(
-            merge(_one_bucket(t).to_pandas()), preserve_index=False))
-    from vertex_ray.stages.promql import _add_series_bucket
-
-    bucket = _one_bucket if key is None else (
-        lambda t: _add_series_bucket(t, key, n_buckets))
-    return (x.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(merge, batch_format="pandas"))
-
-
-def _union(parts: list):
-    """Concatenation of read results: in the driver when every part is a
-    table, else a zero-shuffle ``Dataset.union``."""
-    if all(isinstance(p, pa.Table) for p in parts):
-        full = [p for p in parts if p.num_rows]
-        return pa.concat_tables(full) if full else _EMPTY
-    ds = [rd.from_arrow(p) if isinstance(p, pa.Table) else p for p in parts]
-    return ds[0].union(*ds[1:]) if len(ds) > 1 else ds[0]
 
 
 def _read_blocks(out_dir: str, tier: str | None, layout: str,
@@ -303,8 +267,8 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
             m = pc.and_(m, block_keep_mask(t, stones, tier))
         return t.filter(m)
 
-    sel = _map(_read_blocks(out_dir, tier, layout, conv_id=conv_id,
-                            metric=metric), prune)
+    sel = per_batch(_read_blocks(out_dir, tier, layout, conv_id=conv_id,
+                                 metric=metric), prune)
     # the memory guard: a large selection decodes on Ray Data, one block
     # per decode batch so the decode can spread over the session's CPUs
     if (isinstance(sel, pa.Table) and sel.num_rows
@@ -334,9 +298,9 @@ def query_range(out_dir: str, tier: str, metric: str | None = None,
                              pc.add(t["window_start"], offset))
         return t
 
-    rows = (_map(sel, decode_blocks_batch) if isinstance(sel, pa.Table)
-            else decode_tier_blocks(sel))
-    return _map(rows, shape)
+    rows = (per_batch(sel, decode_blocks_batch)
+            if isinstance(sel, pa.Table) else decode_tier_blocks(sel))
+    return per_batch(rows, shape)
 
 
 @_verb
@@ -367,7 +331,7 @@ def instant_query(out_dir: str, tier: str, at: int, lookback: int,
         keep[:-1] = k[:-1] != k[1:]  # last row of each series run
         return g.loc[keep, cols]
 
-    return _exchange(rng, newest, "series_key", n_buckets)
+    return exchange(rng, newest, "series_key", n_buckets)
 
 
 @_verb
@@ -409,7 +373,7 @@ def series_metadata(out_dir: str, tier: str, metric: str | None = None,
                 .agg(first_seen=("first_seen", "min"),
                      last_seen=("last_seen", "max")).reset_index())
 
-    return _exchange(_map(ds, prune), merge, "series_key", 64)
+    return exchange(per_batch(ds, prune), merge, "series_key", 64)
 
 
 @_verb
@@ -435,7 +399,7 @@ def label_values(out_dir: str, tier: str, label: str,
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g[[label]].drop_duplicates()
 
-    return _exchange(_map(ds, prune), merge)
+    return exchange(per_batch(ds, prune), merge)
 
 
 def pick_tier(step_seconds: int,
@@ -505,7 +469,7 @@ def tsdb_status(out_dir: str, tier: str, metric: str | None = None,
                     bytes=("bytes", "sum")).reset_index())
         return out
 
-    return _exchange(_map(ds, per_series), merge, "name", 8)
+    return exchange(per_batch(ds, per_series), merge, "name", 8)
 
 
 @_verb
@@ -541,7 +505,7 @@ def label_cardinality(out_dir: str, tier: str, labels: list[str],
                 .groupby("label", sort=False).size()
                 .rename("n_values").reset_index())
 
-    return _exchange(_map(ds, partial), merge)
+    return exchange(per_batch(ds, partial), merge)
 
 
 @_verb
@@ -564,13 +528,13 @@ def query_range_multi(out_dirs: list[str], tier: str,
     if not parts:
         raise ValueError("query_range_multi needs at least one store")
     if not dedupe:
-        return _union(parts)
+        return union(parts)
 
     def stamp(i):
         return lambda t: t.append_column(
             "__store", pa.array(np.full(len(t), i, dtype=np.int8)))
 
-    u = _union([_map(p, stamp(i)) for i, p in enumerate(parts)])
+    u = union([per_batch(p, stamp(i)) for i, p in enumerate(parts)])
 
     def first(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["series_key", "window_start", "__store"],
@@ -578,7 +542,7 @@ def query_range_multi(out_dirs: list[str], tier: str,
         keep = ~g.duplicated(["series_key", "window_start"])
         return g.loc[keep].drop(columns=["__store", "__bucket"])
 
-    return _exchange(u, first, "series_key", n_buckets)
+    return exchange(u, first, "series_key", n_buckets)
 
 
 @_verb
@@ -626,5 +590,5 @@ def query_range_stitched(out_dir: str, coarse_tier: str, fine_tier: str,
 
         return fn
 
-    return _union([_map(coarse, stamp(coarse_tier)),
-                   _map(fine, stamp(fine_tier))])
+    return union([per_batch(coarse, stamp(coarse_tier)),
+                  per_batch(fine, stamp(fine_tier))])

@@ -515,12 +515,7 @@ def decode_blocks_points(batch: pa.Table) -> pa.Table:
 
 def _decoded_table(batch: pa.Table, source: bool) -> pa.Table:
     n_rows = batch.num_rows
-    if n_rows == 0:
-        return pa.table({})
     counts, streams = decode_blocks_flat(batch)
-    total = int(counts.sum())
-    if total == 0:
-        return pa.table({})
     batch = batch.combine_chunks()
     row_ix = pa.array(np.repeat(np.arange(n_rows, dtype=np.int64), counts))
     out = {"bucket": batch["bucket"].take(row_ix)} if source else {}

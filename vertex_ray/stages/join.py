@@ -24,6 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from vertex_ray.stages.executor import exchange, per_batch, schema, union
+
 
 def _arrow_type(t) -> pa.DataType:
     """Normalize a Dataset schema type (arrow type for arrow-backed blocks,
@@ -51,7 +53,9 @@ def hash_join(
     how: str = "inner",
     rsuffix: str = "_r",
 ):
-    """Hash-partitioned equi-join of two Datasets (ONE shuffle).
+    """Hash-partitioned equi-join of two Datasets (ONE shuffle), or, when
+    both sides are driver tables, the same merge over one table in the
+    driver (stages/executor); a table joined with a Dataset is lifted.
 
     Returns a Dataset with the left key column (named ``left_on``), all
     left payload columns, and all right payload columns (collisions get
@@ -66,7 +70,7 @@ def hash_join(
         raise ValueError(
             f"how must be 'inner', 'left', 'semi' or 'anti', got {how!r}")
     right_on = right_on or left_on
-    ls, rs = left.schema(), right.schema()
+    ls, rs = schema(left), schema(right)
     if ls is None or rs is None:
         raise ValueError(
             "hash_join needs typed schemas on both sides; Ray could not "
@@ -124,9 +128,7 @@ def hash_join(
             cols[name] = t[src].cast(typ)
         return pa.table(cols)
 
-    tagged = left.map_batches(prep_left, batch_format="pyarrow").union(
-        right.map_batches(prep_right, batch_format="pyarrow")
-    )
+    tagged = union([per_batch(left, prep_left), per_batch(right, prep_right)])
 
     semi_like = how in ("semi", "anti")
     out_fields = [(left_on, key_type)] + [(n, t) for n, t in l_payload]
@@ -196,7 +198,7 @@ def hash_join(
                 t = pa.concat_tables([t, pa.table(extra).cast(out_schema)])
         return t
 
-    return tagged.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return exchange(tagged, merge, "__bucket", batch_format="pyarrow")
 
 
 def hash_join_skewed(left, right, left_on, right_on=None, *, how="inner",

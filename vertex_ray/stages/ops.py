@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from vertex_ray.stages.executor import exchange, per_batch
+
 Predicate = Callable[[pa.Table], "pa.ChunkedArray | pa.Array"]
 
 
@@ -435,11 +437,8 @@ def topk_per_group(ds, group_col: str, value_col: str, k: int,
     def _finalize(g: pa.Table) -> pa.Table:
         return _rank_trim(g)
 
-    return (
-        ds.map_batches(_rank_trim, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(_finalize, batch_format="pyarrow")
-    )
+    return exchange(per_batch(ds, _rank_trim), _finalize, group_col,
+                    batch_format="pyarrow")
 
 
 def mix_proportions(ds, group_col: str, id_col: str,

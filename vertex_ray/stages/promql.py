@@ -20,6 +20,10 @@ pattern), so exchange volume is bounded by distinct (label, window) pairs
 per batch, not rows. ``over_time`` hash-buckets series so each bucket is
 ONE vectorized kernel call (no per-series task), mirroring
 stages.windows.series_delta.
+
+Every operator takes a Dataset or a driver ``pa.Table`` and builds its
+steps through ``stages/executor``: the Ray Data plan its docstring
+describes, or the same steps in the driver, each exchange one call.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from vertex_ray.stages.executor import exchange, lift, per_batch, union
 
 __all__ = ["extract_label", "label_aggregate", "group_sum", "over_time",
            "binary_op", "zscore_over_time", "lttb_downsample",
@@ -60,19 +66,6 @@ def _composite_key(t: pa.Table, on_cols: list[str], sep: str):
     for c in on_cols[1:]:
         k = pc.binary_join_element_wise(k, t[c].cast(pa.string()), sep)
     return k
-
-
-def _add_series_bucket(t: pa.Table, key_col: str, n_buckets: int) -> pa.Table:
-    """Append the series hash bucket used by every per-series window
-    kernel in this module: series are hash-bucketed so each groupby
-    group is ONE vectorized kernel call over many whole series (never a
-    per-series task). \x1f-free string hash via pandas (see
-    pandas-hash-nul note: bucket inputs are single columns here, no
-    composite separator needed)."""
-    k = t[key_col].to_numpy(zero_copy_only=False)
-    b = (pd.util.hash_array(np.ascontiguousarray(k))
-         % np.uint64(n_buckets)).astype(np.int64)
-    return t.append_column("__bucket", pa.array(b))
 
 
 def label_aggregate(ds, label: str, value_col: str,
@@ -197,11 +190,7 @@ def label_aggregate(ds, label: str, value_col: str,
         r.columns = [label, window_col, out]
         return r
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__lbl")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(per_batch(ds, partial), final, "__lbl")
 
 
 def strip_labels(t: pa.Table, labels: list[str],
@@ -295,11 +284,7 @@ def aggregate_without(ds, drop_labels: list[str], value_col: str,
         r.columns = keys + [out]
         return r
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(per_batch(ds, prep), final, "__bucket")
 
 
 def group_sum(ds, group_cols: list[str], value_cols: list[str],
@@ -329,11 +314,7 @@ def group_sum(ds, group_cols: list[str], value_cols: list[str],
         return (g.groupby(list(group_cols), sort=False, dropna=False)
                 [list(value_cols)].sum().reset_index())
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(per_batch(ds, partial), final, "__bucket")
 
 
 def binary_op(left, right, on_cols: list[str], left_val: str,
@@ -390,11 +371,9 @@ def binary_op(left, right, on_cols: list[str], left_val: str,
                             ).append_column("__k", k)
         return fn
 
-    l = left.map_batches(with_key(left_val, carry), batch_format="pyarrow")
-    r = right.map_batches(
-        lambda t: t.select([right_val]).append_column(
-            "__k", with_key(right_val)(t)["__k"]),
-        batch_format="pyarrow")
+    l = per_batch(left, with_key(left_val, carry))
+    r = per_batch(right, lambda t: t.select([right_val]).append_column(
+        "__k", with_key(right_val)(t)["__k"]))
     joined = hash_join(l, r, "__k", n_buckets=n_buckets, how="inner")
 
     def finish(t: pa.Table) -> pa.Table:
@@ -418,7 +397,7 @@ def binary_op(left, right, on_cols: list[str], left_val: str,
             return t.filter(m).select(keep_cols)
         return t.select(keep_cols).append_column(out_col, ops[op](lv, rv))
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return per_batch(joined, finish)
 
 
 def set_op(left, right, on_cols: list[str], op: str = "and",
@@ -450,15 +429,15 @@ def set_op(left, right, on_cols: list[str], op: str = "and",
         return t.select([c for c in t.schema.names if c != "__k"])
 
     if op in ("and", "unless"):
-        j = hash_join(left.map_batches(with_key, batch_format="pyarrow"),
-                      right.map_batches(keys_only, batch_format="pyarrow"),
-                      "__k", n_buckets=n_buckets,
+        j = hash_join(per_batch(left, with_key),
+                      per_batch(right, keys_only), "__k",
+                      n_buckets=n_buckets,
                       how="semi" if op == "and" else "anti")
-        return j.map_batches(drop_key, batch_format="pyarrow")
-    extra = hash_join(right.map_batches(with_key, batch_format="pyarrow"),
-                      left.map_batches(keys_only, batch_format="pyarrow"),
-                      "__k", n_buckets=n_buckets, how="anti")
-    return left.union(extra.map_batches(drop_key, batch_format="pyarrow"))
+        return per_batch(j, drop_key)
+    extra = hash_join(per_batch(right, with_key),
+                      per_batch(left, keys_only), "__k",
+                      n_buckets=n_buckets, how="anti")
+    return union([left, per_batch(extra, drop_key)])
 
 
 def over_time(ds, key_col: str, order_col: str, value_col: str, n: int,
@@ -583,12 +562,7 @@ def over_time(ds, key_col: str, order_col: str, value_col: str, n: int,
         outdf[out] = res
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def zscore_over_time(ds, key_col: str, order_col: str, value_col: str,
@@ -652,12 +626,7 @@ def zscore_over_time(ds, key_col: str, order_col: str, value_col: str,
         outdf[out] = z
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def lttb_downsample(ds, key_col: str, order_col: str, value_col: str,
@@ -718,12 +687,7 @@ def lttb_downsample(ds, key_col: str, order_col: str, value_col: str,
             return g[out_cols].iloc[:0]
         return g.iloc[np.concatenate(keep_idx)][out_cols]
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def holt_winters(ds, key_col: str, order_col: str, value_col: str,
@@ -781,12 +745,7 @@ def holt_winters(ds, key_col: str, order_col: str, value_col: str,
         outdf[out_col] = val
         return outdf[keep_series[seg]]
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def _linreg_stage(ds, key_col: str, order_col: str, value_col: str,
@@ -845,12 +804,7 @@ def _linreg_stage(ds, key_col: str, order_col: str, value_col: str,
         outdf[out_col] = p
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def predict_linear(ds, key_col: str, order_col: str, value_col: str,
@@ -932,12 +886,7 @@ def irate_idelta(ds, key_col: str, order_col: str, value_col: str,
         outdf["irate"] = np.where(same, irate, np.nan)
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def resets_changes(ds, key_col: str, order_col: str, value_col: str,
@@ -987,12 +936,7 @@ def resets_changes(ds, key_col: str, order_col: str, value_col: str,
         outdf["changes"] = rc
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def _splice_label(key: pa.ChunkedArray, dst: str,
@@ -1039,7 +983,7 @@ def label_replace(ds, dst: str, replacement: str, src: str, regex: str,
         return t.set_column(t.schema.get_field_index(key_col), key_col,
                             newkey)
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return per_batch(ds, fn)
 
 
 def label_join(ds, dst: str, sep: str, srcs: list[str],
@@ -1059,7 +1003,7 @@ def label_join(ds, dst: str, sep: str, srcs: list[str],
         return t.set_column(t.schema.get_field_index(key_col), key_col,
                             _splice_label(t[key_col], dst, dstval))
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return per_batch(ds, fn)
 
 
 def clamp(ds, value_col: str, lo: float | None = None,
@@ -1081,7 +1025,7 @@ def clamp(ds, value_col: str, lo: float | None = None,
             return t.set_column(t.schema.get_field_index(out), out, v)
         return t.append_column(out, v)
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return per_batch(ds, fn)
 
 
 def alert_state(ds, key_col: str, order_col: str, value_col: str,
@@ -1145,12 +1089,7 @@ def alert_state(ds, key_col: str, order_col: str, value_col: str,
         outdf["state"] = state
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def burn_rate(ds, key_col: str, order_col: str, bad_col: str,
@@ -1202,12 +1141,7 @@ def burn_rate(ds, key_col: str, order_col: str, bad_col: str,
         outdf["firing"] = (bf > factor) & (bs > factor)
         return outdf
 
-    return (
-        ds.map_batches(lambda t: _add_series_bucket(t, key_col, n_buckets),
-                       batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
 
 
 def math_op(ds, value_col: str, fn: str, out_col: str | None = None,
@@ -1241,7 +1175,7 @@ def math_op(ds, value_col: str, fn: str, out_col: str | None = None,
             v = sops[scalar_op or "mul"](v, scalar)
         return t.append_column(out, pc.cast(v, pa.float64()))
 
-    return ds.map_batches(body, batch_format="pyarrow")
+    return per_batch(ds, body)
 
 
 def limit_ratio(ds, key_col: str, ratio: float):
@@ -1273,7 +1207,7 @@ def limit_ratio(ds, key_col: str, ratio: float):
         return t.filter(pc.is_in(col, value_set=pa.array(
             sorted(kept), type=pa.string())))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return per_batch(ds, keep)
 
 
 def window_time(t: pa.Table, window_col: str = "window_start",
@@ -1351,7 +1285,7 @@ def offset_modifier(ds, order_col: str, offset_seconds: int,
                 [rename.get(c, c) for c in t.schema.names])
         return t
 
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return per_batch(ds, fn)
 
 
 def absent_over_time(ds, window_col: str = "window_start",
@@ -1370,20 +1304,23 @@ def absent_over_time(ds, window_col: str = "window_start",
     anti-join then runs over the evaluation GRID, whose size is
     range/step — bounded by the dashboard's time axis, independent of
     series count or sample volume. ``start``/``end`` default to the
-    observed window range (then only interior gaps report)."""
-    import ray.data as rd
-
-    present = np.asarray(sorted(ds.unique(window_col)), dtype=np.int64)
+    observed window range (then only interior gaps report). A driver
+    table's distinct windows come from ``pc.unique``, and the result is
+    a table."""
+    drv = isinstance(ds, pa.Table)
+    # Ray's ``unique`` of an empty Dataset is None
+    present = np.asarray(sorted(pc.unique(ds[window_col]).to_pylist() if drv
+                                else ds.unique(window_col) or []),
+                         dtype=np.int64)
     lo = int(start if start is not None
              else (present[0] if len(present) else 0))
     hi = int(end if end is not None
              else (present[-1] if len(present) else -1))
     spine = np.arange(lo, hi + 1, tier_seconds, dtype=np.int64)
     gaps = spine[~np.isin(spine, present)]
-    return rd.from_arrow(pa.table({
-        window_col: gaps,
-        out_col: np.ones(len(gaps), dtype=np.int64),
-    }))
+    out = pa.table({window_col: gaps,
+                    out_col: np.ones(len(gaps), dtype=np.int64)})
+    return out if drv else lift(out)
 
 
 def count_values(ds, value_col: str, window_col: str = "window_start",
@@ -1414,11 +1351,7 @@ def count_values(ds, value_col: str, window_col: str = "window_start",
         r.columns = [value_col, window_col, out_col]
         return r
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(per_batch(ds, partial), final, "__bucket")
 
 
 def resample_windows(ds, step_seconds: int, tier_seconds: int,
@@ -1473,11 +1406,7 @@ def resample_windows(ds, step_seconds: int, tier_seconds: int,
     def final(g: pd.DataFrame) -> pd.DataFrame:
         return agg_frame(g).drop(columns="__src")
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(per_batch(ds, partial), final, "__bucket")
 
 
 def limitk(ds, key_col: str, k: int, n_buckets: int = 64):
@@ -1513,13 +1442,10 @@ def limitk(ds, key_col: str, k: int, n_buckets: int = 64):
                 .head(k)[[key_col]])
 
     winners = frozenset(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__one").map_groups(pick, batch_format="pandas")
-        .to_pandas()[key_col]
-    )
+        exchange(per_batch(ds, partial), pick, "__one").to_pandas()[key_col])
 
     def filt(t: pa.Table) -> pa.Table:
         return t.filter(pc.is_in(t[key_col],
                                  value_set=pa.array(sorted(winners))))
 
-    return ds.map_batches(filt, batch_format="pyarrow")
+    return per_batch(ds, filt)

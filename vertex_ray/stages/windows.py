@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 
 from vertex_ray.schema import US_PER_SECOND
+from vertex_ray.stages.executor import exchange
 
 
 def sliding_count(
@@ -137,14 +138,6 @@ def series_delta(ds, key_col: str, order_col: str, value_col: str,
     nothing, like ``lag`` being NULL). Series are hash-bucketed so ONE
     exchange co-locates each series and the kernel is a single vectorized
     sort + shifted subtraction per bucket — no per-series task."""
-    import pandas as pd
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        b = (pd.util.hash_array(np.ascontiguousarray(k))
-             % np.uint64(n_buckets)).astype(np.int64)
-        return t.append_column("__bucket", pa.array(b))
-
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, order_col], kind="stable")
         k = g[key_col].to_numpy()
@@ -157,8 +150,4 @@ def series_delta(ds, key_col: str, order_col: str, value_col: str,
         out[out_col] = d[same]
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return exchange(ds, kernel, key_col, n_buckets)
