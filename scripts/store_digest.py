@@ -8,13 +8,17 @@ Builds, in a temporary directory, one store per ingest path:
 - ``scrape_incremental``: the ``scrape_incremental_1m_events`` oracle
   fixture's store — ``<sf dir>/events.parquet`` as cumulative counter
   exposition text, appended in three ``scrape_append`` runs (8 buckets)
-  plus ``scrape_finalize``;
+  plus ``scrape_finalize``; each run's lines are written to a parquet
+  file and read back with ``rd.read_parquet``, an input the scrape gate
+  can size;
 
-and the one-shot and epoch stores once more on each ingest executor,
-the gate (``rollup_pipeline.ingest_in_driver``) patched to force it:
-``oneshot@ray``, ``oneshot@driver``, ``epochs@ray``, ``epochs@driver``.
-At 1 CPU the gate sends every sf input to the driver, so the forced Ray
-stores keep the Ray executor under the digest.
+and each store once more on each ingest executor, the gates
+(``rollup_pipeline.ingest_in_driver``) patched to force it:
+``oneshot@ray``, ``oneshot@driver``, ``epochs@ray``, ``epochs@driver``,
+``scrape_incremental@ray``, ``scrape_incremental@driver``. At 1 CPU the
+gates send every sf input to the driver, so the forced Ray stores keep
+the Ray executor under the digest. ``scrape_finalize`` has no input to
+size and runs on Ray in every scrape store.
 
 Then prints one JSON line:
 
@@ -29,7 +33,7 @@ Then prints one JSON line:
 Byte-equal parts show an unchanged writer; equal ``rows`` digests show
 the same stored content when only row order may differ. Equal
 ``rows`` for ``oneshot@ray`` and ``oneshot@driver`` (and for the epoch
-pair) show that the executors store the same content.
+and scrape pairs) show that the executors store the same content.
 
     python scripts/store_digest.py <sf dir>
 
@@ -80,6 +84,11 @@ def table_digest(t: pa.Table, keys=None) -> str:
         col = t[name].combine_chunks()
         h.update(f"{name}:{col.type}".encode())
         if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
+            if col.null_count:
+                # e.g. ``le`` of a non-histogram row in a scrape's refs
+                h.update(col.is_null().to_numpy(
+                    zero_copy_only=False).tobytes())
+                col = col.fill_null(0)
             # raw bytes keep NaN payloads (stale markers) apart
             h.update(np.ascontiguousarray(col.to_numpy()).tobytes())
         else:
@@ -117,38 +126,57 @@ def forced(executor: str):
     """Every ingest inside runs on ``executor`` ("ray" or "driver")."""
     import vertex_ray.pipelines.rollup_pipeline as rp
 
-    saved = getattr(rp, "DRIVER_INGEST_MAX_BYTES", None)
-    rp.DRIVER_INGEST_MAX_BYTES = {"ray": 0, "driver": 2**62}[executor]
+    gates = ("DRIVER_INGEST_MAX_BYTES", "DRIVER_SCRAPE_MAX_BYTES")
+    saved = {g: getattr(rp, g, None) for g in gates}
+    for g in gates:
+        setattr(rp, g, {"ray": 0, "driver": 2**62}[executor])
     try:
         yield
     finally:
-        rp.DRIVER_INGEST_MAX_BYTES = saved
+        for g, v in saved.items():
+            setattr(rp, g, v)
 
 
-def build_scrape_incremental(sf_dir: str, out: str) -> None:
-    """The ``scrape_incremental_1m_events`` fixture's store at ``out``."""
+def write_scrape_runs(sf_dir: str, runs_dir: str) -> list[str]:
+    """The ``scrape_incremental_1m_events`` fixture's three runs of
+    exposition lines, one parquet file each under ``runs_dir``."""
     import pyarrow.compute as pc
+    import ray
 
     from vertex_ray.pipelines.op_queries import _ev, _scrape_counter_lines
-    from vertex_ray.pipelines.scrape_incremental import (
-        scrape_append,
-        scrape_finalize,
-    )
 
     def to_lines_runs(g):
         lines = _scrape_counter_lines(g)
         lines["run"] = (np.arange(len(lines)) * 3) // max(len(lines), 1)
         return lines
 
-    kinds = {"events_total": "counter"}
-    lines = _ev(sf_dir).groupby("event_type").map_groups(
+    ds = _ev(sf_dir).groupby("event_type").map_groups(
         to_lines_runs, batch_format="pandas")
+    lines = pa.concat_tables(
+        [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows])
+    os.makedirs(runs_dir)
+    paths = []
     for r in range(3):
-        run = lines.map_batches(
-            lambda t, r=r: t.filter(pc.equal(t["run"], r)).select(["text"]),
-            batch_format="pyarrow")
-        scrape_append(run, out, kinds=kinds, window_s=60, tier="1m",
-                      n_buckets=8)
+        paths.append(os.path.join(runs_dir, f"run-{r}.parquet"))
+        pq.write_table(lines.filter(pc.equal(lines["run"], r))
+                       .select(["text"]), paths[-1])
+    return paths
+
+
+def build_scrape_incremental(runs: list[str], out: str) -> None:
+    """The ``scrape_incremental_1m_events`` fixture's store at ``out``,
+    from ``write_scrape_runs``' files."""
+    import ray.data as rd
+
+    from vertex_ray.pipelines.scrape_incremental import (
+        scrape_append,
+        scrape_finalize,
+    )
+
+    kinds = {"events_total": "counter"}
+    for run in runs:
+        scrape_append(rd.read_parquet(run), out, kinds=kinds, window_s=60,
+                      tier="1m", n_buckets=8)
     scrape_finalize(out, kinds=kinds, window_s=60, tier="1m", n_buckets=8)
 
 
@@ -176,22 +204,23 @@ def main() -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="store_digest_") as tmp:
             stores, epoch_stores = [], []
+            runs = write_scrape_runs(args.sf_dir, os.path.join(tmp, "runs"))
             for suffix, gate in (("", contextlib.nullcontext()),
                                  ("@ray", forced("ray")),
                                  ("@driver", forced("driver"))):
                 one = os.path.join(tmp, "oneshot" + suffix)
                 epo = os.path.join(tmp, "epochs" + suffix)
+                scr = os.path.join(tmp, "scrape_incremental" + suffix)
                 with gate:
                     run_pipeline(trans, one)
                     run_pipeline_epochs(trans, epo, epoch_seconds=86_400)
+                    build_scrape_incremental(runs, scr)
                 stores.append(("oneshot" + suffix, one,
                                [posixpath.join(one, "blocks")], [], {}))
-                epoch_stores.append(("epochs" + suffix, epo,
-                                     {"part": STATE_KEYS}))
-            scr = os.path.join(tmp, "scrape_incremental")
-            build_scrape_incremental(args.sf_dir, scr)
-            epoch_stores.append(
-                ("scrape_incremental", scr, {"refs": None, "open": None}))
+                epoch_stores += [
+                    ("epochs" + suffix, epo, {"part": STATE_KEYS}),
+                    ("scrape_incremental" + suffix, scr,
+                     {"refs": None, "open": None})]
             for name, root, keys in epoch_stores:
                 edirs = epoch_dirs(root)
                 stores.append((name, root,

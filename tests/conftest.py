@@ -29,17 +29,18 @@ def ray_session():
 @pytest.fixture
 def force_ingest(monkeypatch):
     """``force_ingest("ray" | "driver")`` patches the ingest gate
-    (rollup_pipeline.DRIVER_INGEST_MAX_BYTES) so that every later ingest
-    in the test runs on that executor; "driver" also reports the 1-CPU
-    session the gate needs (``session_cpus``, as tests/test_cli.py
-    patches it)."""
+    (rollup_pipeline.DRIVER_INGEST_MAX_BYTES and DRIVER_SCRAPE_MAX_BYTES)
+    so that every later ingest in the test, transcripts and scrape,
+    runs on that executor; "driver" also reports the 1-CPU session the
+    gate needs (``session_cpus``, as tests/test_cli.py patches it)."""
     import vertex_ray.pipelines.rollup_pipeline as rp
 
     real_cpus = rp.session_cpus
 
     def force(executor: str) -> None:
         driver = executor == "driver"
-        monkeypatch.setattr(rp, "DRIVER_INGEST_MAX_BYTES", 2**62 if driver else 0)
+        for gate in ("DRIVER_INGEST_MAX_BYTES", "DRIVER_SCRAPE_MAX_BYTES"):
+            monkeypatch.setattr(rp, gate, 2**62 if driver else 0)
         monkeypatch.setattr(rp, "session_cpus",
                             (lambda: 1) if driver else real_cpus)
 

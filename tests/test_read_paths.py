@@ -452,3 +452,64 @@ def test_stage_operators_agree_on_both_executors(stores):
         drv = op(t)
         assert isinstance(drv, pa.Table), name
         assert _digest(drv) == _digest(_rows(op(rd.from_arrow(t)))), name
+
+
+def test_sum_by_over_multi_window_ranges(stores, monkeypatch):
+    """``sum by`` composes with ``increase`` and ``rate`` over a range of
+    more than one window, whose moving sums are float64: a float sum
+    adds in one fixed order, so both executors give the same bits. The
+    increase sums equal a pandas mirror over the 1h tier rows."""
+    import numpy as np
+
+    one = stores["oneshot"]
+    base = _rows(read.query_range(one, "1h", metric="turns_total",
+                                  columns=COLS)).to_pandas()
+    base["role"] = base["series_key"].str.extract(r"role=([^,}]*)")[0]
+    base = base.sort_values(["series_key", "window_start"])
+    base["inc"] = (base.groupby("series_key")["count"]
+                   .rolling(2, min_periods=1).sum()
+                   .reset_index(level=0, drop=True))
+    want = base.groupby(["role", "window_start"])["inc"].sum()
+    exprs = {"increase": "sum by (role) (increase(turns_total[2h]))",
+             "rate": "sum by (role) (rate(turns_total[2h]))",
+             "user": 'sum by (role) (increase(turns_total{role="user"}[2h]))'}
+    for name, expr in exprs.items():
+        ray_d, drv_d, _, _ = _both_paths(
+            monkeypatch, lambda e=expr: eval_promql(one, e))
+        assert ray_d == drv_d and ray_d[0] > 0, name
+        got = _rows(eval_promql(one, expr)).to_pandas().set_index(
+            ["role", "window_start"])["value"]
+        if name == "user":
+            assert set(got.index.get_level_values("role")) == {"user"}
+        mirror = want.loc[got.index]
+        if name == "rate":
+            np.testing.assert_allclose(got, mirror / 7200, rtol=1e-12)
+        else:
+            assert (got == mirror).all(), name
+
+
+def test_two_input_ops_with_an_empty_side(stores, monkeypatch):
+    """An operand that selects no series is an empty vector on both
+    executors, Ray Data's schemaless one included: an arithmetic match
+    or ``and`` with it gives nothing, ``or`` gives the other side and
+    ``unless`` keeps the left side."""
+    one = stores["oneshot"]
+    none = 'increase(turns_total{role="nobody"}[1h])'
+    user = 'increase(turns_total{role="user"}[1h])'
+    by_conv = "sum by (conv_id) (increase(turns_total[1h]))"
+    n_user = _digest(_rows(eval_promql(one, user)))[0]
+    cases = {f"{none} / on(conv_id) {by_conv}": 0,
+             f"{by_conv} / on(conv_id) sum by (conv_id) ({none})": 0,
+             f"{none} or {user}": n_user,
+             f"{user} or {none}": n_user,
+             f"{none} or {none}": 0,
+             f"{user} and {none}": 0,
+             f"{none} and {user}": 0,
+             f"{user} unless {none}": n_user,
+             f"{none} unless {user}": 0}
+    for expr, n in cases.items():
+        ray_d, drv_d, _, _ = _both_paths(
+            monkeypatch, lambda e=expr: eval_promql(one, e))
+        assert ray_d[0] == n and drv_d[0] == n, expr
+        if n:
+            assert ray_d == drv_d, expr

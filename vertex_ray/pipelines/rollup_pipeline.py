@@ -111,6 +111,14 @@ TARGET_BUCKET_INPUT_BYTES = 512 * 2**20
 # CPU over c. That rule is not measured at c > 1, so wider sessions
 # keep every ingest on Ray.
 DRIVER_INGEST_MAX_BYTES = 48_000_000
+# The scrape ingests' gate, from the same 512 MiB budget: exposition
+# text costs about 60-76 B of driver peak RSS per input byte (170 MB
+# above rest for a 2.35 MB 200k-line parquet, 700 MB for an 11.6 MB
+# one; ``scripts/ingest_prices.py --scrape``, nproc = 1), so about 7 MB.
+# Ray's fixed cost per ``scrape_to_store`` is positive at 1 CPU (1.54 s
+# of process-tree CPU on that 2.35 MB input: 2.93 s on Ray, 1.39 s in
+# the driver), so here too the gate only bounds the driver's RSS.
+DRIVER_SCRAPE_MAX_BYTES = 7_000_000
 
 
 def session_cpus() -> int:
@@ -133,12 +141,14 @@ def input_files(path: str) -> list[str]:
     return stage_files(path) if os.path.isdir(path) else [path]
 
 
-def input_bytes(path: str) -> int:
-    """Total compressed bytes of the transcript input (file sizes only,
-    no data read); 0 when the path cannot be listed (remote glob etc.) so
-    callers fall back to the small-input floor."""
+def input_bytes(path: str | list[str]) -> int:
+    """Total compressed bytes of the transcript input, or of a list of
+    files (file sizes only, no data read); 0 when the path cannot be
+    listed or a file sized (remote glob etc.) so callers fall back to
+    the small-input floor."""
+    files = path if isinstance(path, list) else input_files(path)
     try:
-        return sum(fsio.file_size(f) for f in input_files(path))
+        return sum(fsio.file_size(f) for f in files)
     except Exception:
         return 0
 
@@ -206,11 +216,13 @@ def auto_n_buckets(path: str, *, nbytes: int | None = None,
     return max(min(DEFAULT_N_BUCKETS, 16 * cpus), 2 * cpus, by_bytes)
 
 
-def ingest_in_driver(nbytes: int) -> bool:
+def ingest_in_driver(nbytes: int, scrape: bool = False) -> bool:
     """Whether an ingest of ``nbytes`` input bytes (``input_bytes``; 0,
     unknown, goes to Ray) runs in the driver rather than as a Ray
-    execution: in a 1-CPU session, below ``DRIVER_INGEST_MAX_BYTES``."""
-    return session_cpus() == 1 and 0 < nbytes < DRIVER_INGEST_MAX_BYTES
+    execution: in a 1-CPU session, below ``DRIVER_INGEST_MAX_BYTES``
+    (transcripts) or ``DRIVER_SCRAPE_MAX_BYTES`` (exposition lines)."""
+    limit = DRIVER_SCRAPE_MAX_BYTES if scrape else DRIVER_INGEST_MAX_BYTES
+    return session_cpus() == 1 and 0 < nbytes < limit
 
 
 def read_transcripts(path: str) -> "rd.Dataset":
@@ -330,8 +342,8 @@ def run_groups(transcripts_path: str, n_buckets: int, body,
                agg_parts_dir: str, filters=None, extra: pa.Table | None = None
                ) -> None:
     """The driver executor: the scan (``read_slice`` with ``filters``),
-    the run-packed projection plus the ``extra`` runs, THE exchange (one
-    stable argsort by bucket, one slice per bucket) and ``body`` (a
+    the run-packed projection plus the ``extra`` runs, THE exchange
+    (``split_by_bucket``) and ``body`` (a
     bound ``bucket_group``) called on each non-empty bucket, its agg rows
     written as the bucket's part under ``agg_parts_dir``. A bucket whose
     agg part a killed run left is skipped: its blocks and state parts
@@ -340,14 +352,22 @@ def run_groups(transcripts_path: str, n_buckets: int, body,
         read_slice(transcripts_path, filters), n_buckets)
     if extra is not None:
         projected = pa.concat_tables([projected, extra])
-    b = projected["bucket"].to_numpy()
+    for bucket_id, group in split_by_bucket(projected, n_buckets):
+        write_part(agg_parts_dir, bucket_id, functools.partial(body, group))
+
+
+def split_by_bucket(t: pa.Table, n_buckets: int):
+    """The driver executor's exchange: ``(bucket id, rows)`` for each
+    non-empty value of ``t``'s ``bucket`` column in ``range(n_buckets)``,
+    in bucket order — one stable argsort, one slice per bucket, rows in
+    input order within a bucket."""
+    b = t["bucket"].to_numpy()
     order = np.argsort(b, kind="stable")
-    groups = projected.take(order)
+    groups = t.take(order)
     edges = np.searchsorted(b[order], np.arange(n_buckets + 1))
     for bucket_id, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         if hi > lo:
-            write_part(agg_parts_dir, bucket_id,
-                       functools.partial(body, groups.slice(lo, hi - lo)))
+            yield bucket_id, groups.slice(lo, hi - lo)
 
 
 def _oneshot_body(global_end_s: int, blocks_parts_dir: str, salt: int,

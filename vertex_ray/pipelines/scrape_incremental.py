@@ -6,10 +6,22 @@ flagship's epoch pipeline (pipelines/epoch_pipeline):
 - each run commits ``epoch-<seq>/{agg,blocks,state}`` as one stage set
   through the flagship's commit protocol (state/checkpoint); blocks and
   state are side-written per bucket (atomic rename, idempotent — a
-  retried task reuses finished buckets). A run killed before its set
-  committed leaves an uncommitted epoch, which the next append wipes and
-  rebuilds from its own input: the killed run's input is a Dataset no
-  lineage names, so none of its parts is reused;
+  retried task reuses finished buckets);
+- a run executes where the one-shot scrape would
+  (scrape_pipeline.driver_lines): a small sized input in a 1-CPU
+  session in the driver, bucket by bucket (rollup_pipeline
+  .split_by_bucket), every stage's part written with ``write_part``;
+  any other as one Ray execution whose sink is the agg stage. The
+  finalize run has no input to size and runs on Ray (the driver's
+  memory per byte of carried state is not priced);
+- a run killed before its set committed leaves an uncommitted epoch.
+  A driver run names its input in the lineage (a digest of the lines,
+  plus the ``default_ts_ms`` that stamps the lines without a
+  timestamp), so a rerun over the same lines at the same scrape time
+  resumes it bucket by bucket and any other rerun rebuilds it; a Ray
+  run's input is a Dataset no
+  lineage names, so the next append wipes that epoch and rebuilds it
+  from its own input;
 - the carried state is the reference's ``MetricNormalizer`` memory
   (/root/reference lib/framework/src/sink/buffer/metrics.rs:100-146)
   persisted in its RAWEST form: each series' LAST raw scrape instant
@@ -41,12 +53,24 @@ it with ``stages/compact``, GC it with ``stages/retention``.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import posixpath
 import time
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import ray.data as rd
 
+from vertex_ray.pipelines.epoch_pipeline import epoch_dirs
+from vertex_ray.pipelines.rollup_pipeline import split_by_bucket
+from vertex_ray.pipelines.scrape_pipeline import (
+    _KIND_CODE,
+    _normalize,
+    _scrape_parser,
+    driver_lines,
+)
 from vertex_ray.schema import AGG_FIELDS, BUCKET_COLS
 from vertex_ray.stages.encode import BLOCK_FORMAT
 from vertex_ray.state import fsio
@@ -134,8 +158,6 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
         take_agg,
     )
 
-    from vertex_ray.pipelines.scrape_pipeline import _normalize
-
     bucket_id = int(g["bucket"][0].as_py())
     kinds_col = g["kind"].to_numpy(zero_copy_only=False)
     data = g.filter(pa.array(kinds_col != _SENTINEL_KIND))
@@ -209,24 +231,13 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
     the previous epoch's lineage). Summary families follow the
     first-wins open-window carry (module docstring). Returns this
     epoch's stage manifests."""
-    import functools
-
-    import ray.data as rd
-
-    from vertex_ray.pipelines.epoch_pipeline import epoch_dirs
-    from vertex_ray.pipelines.scrape_pipeline import (
-        _KIND_CODE,
-        _scrape_parse_ds,
-    )
-
     bad = {m: k for m, k in kinds.items() if k not in _KIND_CODE}
     if bad:
         raise ValueError(f"unknown family kinds: {bad}")
     prev = epoch_dirs(out_dir)
-    if prev and committed(_stage_paths(prev[-1])) is None:
-        # a killed append: its parts came from an input no lineage names,
-        # so the whole epoch is rebuilt from this run's input
-        fsio.rmtree(prev.pop())
+    # a killed append: its stage set never committed
+    killed = (prev.pop() if prev and committed(_stage_paths(prev[-1])) is None
+              else None)
     if prev:
         plin = read_manifest(posixpath.join(prev[-1], "state"))["lineage"]
         if plin.get("finalize"):
@@ -245,39 +256,66 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
                                                              n_buckets):
             raise ValueError("window_s/n_buckets must stay identical "
                              "across a store's runs")
-    seq = len(prev)
     state_in = posixpath.join(prev[-1], "state") if prev else None
+    lines = driver_lines(lines_ds)
+    # a driver run knows its input's content, so a rerun over the same
+    # lines with the same default_ts_ms reuses the killed run's parts
+    # (open_parts compares the lineage); a Dataset's content is unknown
+    # until it runs, so its killed epoch is rebuilt whole
+    digest = _lines_digest(lines) if isinstance(lines, pa.Table) else None
+    if killed is not None and digest is None:
+        fsio.rmtree(killed)
+    seq = len(prev)
     paths = _stage_paths(posixpath.join(out_dir, f"epoch-{seq}"))
     lineage = {"kinds": dict(sorted(kinds.items())), "tier": tier,
                "window_s": window_s, "n_buckets": n_buckets, "seq": seq,
-               "finalize": _emit_all, "block_format": BLOCK_FORMAT}
+               "finalize": _emit_all, "block_format": BLOCK_FORMAT,
+               "input": digest, "default_ts_ms": default_ts_ms}
     t0 = time.time()
-    blocks_parts = open_parts(paths["blocks"], lineage)
-    state_parts = open_parts(paths["state"], lineage)
-
-    parsed = _scrape_parse_ds(lines_ds, kinds=kinds, n_buckets=n_buckets,
-                              default_ts_ms=default_ts_ms)
-    with_hist = any(k == "histogram" for k in kinds.values())
-    parsed = parsed.union(rd.from_arrow(_sentinels(n_buckets, with_hist)))
-    agg_ds = parsed.groupby("bucket").map_groups(
-        functools.partial(
-            _bucket_body, window_s=window_s, tier=tier,
-            n_buckets=n_buckets, state_in_dir=state_in,
-            state_parts_dir=state_parts, blocks_parts_dir=blocks_parts,
-            emit_all=_emit_all),
-        batch_format="pyarrow")
-    return seal(agg_ds, paths, lineage, t0)
+    body = functools.partial(
+        _bucket_body, window_s=window_s, tier=tier, n_buckets=n_buckets,
+        state_in_dir=state_in,
+        state_parts_dir=open_parts(paths["state"], lineage),
+        blocks_parts_dir=open_parts(paths["blocks"], lineage),
+        emit_all=_emit_all)
+    parse = _scrape_parser(kinds=kinds, n_buckets=n_buckets,
+                           default_ts_ms=default_ts_ms)
+    sentinels = _sentinels(n_buckets,
+                           any(k == "histogram" for k in kinds.values()))
+    if isinstance(lines, pa.Table):
+        # the driver executor: every bucket's body in this process, its
+        # emitted agg rows written as the bucket's part, so a killed run
+        # resumes bucket by bucket
+        parsed = pa.concat_tables([parse(lines), sentinels],
+                                  promote_options="default")
+        agg_parts = open_parts(paths["agg"], lineage)
+        for bucket_id, group in split_by_bucket(parsed, n_buckets):
+            write_part(agg_parts, bucket_id, functools.partial(body, group))
+        return seal(None, paths, lineage, t0)
+    parsed = lines.map_batches(parse, batch_format="pyarrow").union(
+        rd.from_arrow(sentinels))
+    return seal(parsed.groupby("bucket").map_groups(body,
+                                                    batch_format="pyarrow"),
+                paths, lineage, t0)
 
 
 def scrape_finalize(out_dir: str, *, kinds: dict, window_s: int = 60,
                     tier: str = "1m", n_buckets: int = 32) -> dict:
-    """Emit every still-open window as a final epoch (end of stream)."""
-    import ray.data as rd
-
+    """Emit every still-open window as a final epoch (end of stream).
+    Its input is an in-memory empty Dataset, which the scrape gate
+    cannot size, so it runs on Ray."""
     return scrape_append(
         rd.from_arrow(pa.table({"text": pa.array([], type=pa.string())})),
         out_dir, kinds=kinds, window_s=window_s, tier=tier,
         n_buckets=n_buckets, _emit_all=True)
+
+
+def _lines_digest(lines: pa.Table) -> str:
+    """sha256 over the lines' 64-bit pandas hashes
+    (``pd.util.hash_array`` of the ``text`` values, in order), whatever
+    their chunking."""
+    text = lines["text"].to_numpy(zero_copy_only=False)
+    return hashlib.sha256(pd.util.hash_array(text).tobytes()).hexdigest()
 
 
 def read_scrape_epochs(out_dir: str, metric: str | None = None):

@@ -10,17 +10,31 @@ into typed families (lib/prometheus/src/lib.rs:82-255),
 (lib/framework/src/sink/buffer/metrics.rs:100-146), and the exporter
 sink holds per-series aggregates (src/sinks/prometheus_exporter.rs).
 
-Shape: a vectorized line parse per batch (sources/prometheus_text; RE2
-line split + per-UNIQUE-label canonicalization), then ONE
-``groupby(bucket)`` exchange whose group body (pyarrow batches) runs
-the per-kind normalize + rollup kernels VECTORIZED across the bucket's
+Shape: a vectorized line parse (sources/prometheus_text; RE2 line
+split + per-UNIQUE-label canonicalization), a split of the samples by
+series-hash bucket, then one group body per bucket that runs the
+per-kind normalize + rollup kernels VECTORIZED across the bucket's
 series — integer-lexsort segments into the array kernel's AggArrays
 (stages/kernel, its string-keyed adapter: series keys factorized once,
 names rendered once per unique series; no per-series Python loop, no
-pandas) — packs, and Gorilla-encodes in the same task (as the
-flagship's group body, rollup_pipeline.bucket_group) — read → parse →
-one exchange → block rows. The readable pandas spec of these merges lives in
-tests/rollup_spec.py.
+pandas) — packs, and Gorilla-encodes (as the flagship's group body,
+rollup_pipeline.bucket_group) — read → parse → split → block rows. The
+readable pandas spec of these merges lives in tests/rollup_spec.py.
+
+Two executors run those steps, picked by the flagship's ingest gate
+(rollup_pipeline.ingest_in_driver, ``scrape=True``) from the bytes of
+the files the lines Dataset reads (``Dataset.input_files``; a
+transformed or in-memory Dataset is unknown, 0, and goes to Ray):
+
+- driver (a small input in a 1-CPU session, under
+  ``DRIVER_SCRAPE_MAX_BYTES``): the lines read through the Dataset's
+  own plan into one table, the parse over it, one stable argsort by
+  bucket (rollup_pipeline.split_by_bucket), the body per bucket in the
+  calling process; the block rows come back as a one-block Dataset;
+- Ray: the parse per batch (``map_batches``), then ONE
+  ``groupby(bucket)`` exchange whose group tasks run the body.
+
+Both store the same block rows (tests/test_scrape_executors.py).
 
 Kind semantics (MetricValue::merge, lib/event/src/metric/mod.rs:42-64):
 
@@ -55,7 +69,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
+import ray.data as rd
 
+from vertex_ray.pipelines.rollup_pipeline import (
+    ingest_in_driver,
+    input_bytes,
+    split_by_bucket,
+)
 from vertex_ray.schema import (
     DEFAULT_BUCKETS_ARR,
     KIND_GAUGE,
@@ -75,6 +96,7 @@ from vertex_ray.stages.kernel import (
     series_table,
     window_agg,
 )
+from vertex_ray.stages.executor import per_batch
 
 __all__ = [
     "scrape_counters_to_store",
@@ -283,11 +305,10 @@ def scrape_to_store(lines_ds, *, metric: str, kind: str = "counter",
     then nothing."""
     if kind not in _KIND_CODE:
         raise ValueError(f"unsupported scrape kind: {kind!r}")
-    return _scrape_routed(lines_ds, kinds={metric: kind},
+    fill = _fill_spec(fill_until_s, staleness_s, window_s)
+    return _scrape_routed(driver_lines(lines_ds), kinds={metric: kind},
                           window_s=window_s, tier=tier,
-                          n_buckets=n_buckets,
-                          fill_until_s=fill_until_s,
-                          staleness_s=staleness_s,
+                          n_buckets=n_buckets, fill=fill,
                           default_ts_ms=default_ts_ms)
 
 
@@ -310,28 +331,57 @@ def scrape_payload_to_store(lines_ds, *, kinds: dict | None = None,
 
     ``kinds`` maps family name → ``counter|gauge|histogram|summary``;
     when None it is derived from the payload's ``# TYPE`` lines (a tiny
-    filter + collect — TYPE lines are O(families), not O(samples)).
+    filter + collect — TYPE lines are O(families), not O(samples); in
+    the driver, a filter of the table it already holds).
     Names never typed fall back to gauge (the reference's untyped
     fallback, lib/prometheus/src/lib.rs). Summary families ingest as
     their Prometheus rendering explosion (metric/mod.rs:175-235):
     quantile streams land as KIND_SUMMARY series under the no-op-merge
     first-per-window rule, ``_sum``/``_count`` as counter series."""
+    fill = _fill_spec(fill_until_s, staleness_s, window_s)
+    lines = driver_lines(lines_ds)
     if kinds is None:
-        kinds = _collect_type_map(lines_ds)
+        kinds = _collect_type_map(lines)
     # families of a kind this engine does not model are skipped entirely
     # (incl. their suffix rows) — they must not hit the untyped fallback
     summary_fams = {m for m, k in kinds.items() if k not in _KIND_CODE}
     kinds = {m: k for m, k in kinds.items() if k in _KIND_CODE}
-    return _scrape_routed(lines_ds, kinds=kinds, window_s=window_s,
+    return _scrape_routed(lines, kinds=kinds, window_s=window_s,
                           tier=tier, n_buckets=n_buckets,
                           untyped_fallback=True,
-                          fallback_skip=summary_fams,
-                          fill_until_s=fill_until_s,
-                          staleness_s=staleness_s,
+                          fallback_skip=summary_fams, fill=fill,
                           default_ts_ms=default_ts_ms)
 
 
-def _collect_type_map(lines_ds) -> dict:
+def driver_lines(lines_ds):
+    """The executor of a scrape ingest: ``lines_ds`` read into one
+    driver table when the ingest gate (rollup_pipeline.ingest_in_driver)
+    sends its bytes to the driver, else the Dataset itself. The bytes
+    are those of the files ``Dataset.input_files`` names, which never
+    executes the plan: a transformed or in-memory Dataset names none, 0,
+    unknown. The table comes from the Dataset's own plan, so its read
+    options hold."""
+    if not ingest_in_driver(input_bytes(lines_ds.input_files()),
+                            scrape=True):
+        return lines_ds
+    blocks = [b for b in ray.get(lines_ds.to_arrow_refs()) if b.num_rows]
+    if not blocks:
+        return pa.table({"text": pa.array([], type=pa.string())})
+    return pa.concat_tables(blocks, promote_options="default")
+
+
+def _fill_spec(fill_until_s: int | None, staleness_s: int, window_s: int):
+    """The encode's exporter-TTL fill, None without ``fill_until_s``; a
+    bad staleness fails here, before any input is read."""
+    if fill_until_s is None:
+        return None
+    from vertex_ray.stages.kernel import fill_windows
+
+    fill_windows(staleness_s, window_s)
+    return (window_s, fill_until_s, staleness_s)
+
+
+def _collect_type_map(lines) -> dict:
     from vertex_ray.sources.prometheus_text import extract_type_map
 
     def type_lines(t: pa.Table) -> pa.Table:
@@ -339,18 +389,20 @@ def _collect_type_map(lines_ds) -> dict:
         m = pa.compute.starts_with(col, "# TYPE ")
         return pa.table({"text": col.filter(m)})
 
-    small = lines_ds.map_batches(type_lines, batch_format="pyarrow")
-    rows = [r["text"] for r in small.take_all()]
+    small = per_batch(lines, type_lines)
+    rows = (small["text"].to_pylist() if isinstance(small, pa.Table)
+            else [r["text"] for r in small.take_all()])
     return extract_type_map(pd.Series(rows, dtype=object))
 
 
-def _scrape_parse_ds(lines_ds, *, kinds: dict, n_buckets: int,
-                     default_ts_ms: int | None = None,
-                     untyped_fallback: bool = False,
-                     fallback_skip: set | None = None):
-    """Exposition lines Dataset → routed flat samples with bucket +
-    series_key + kind (the shared parse stage of the one-shot and
-    incremental scrape pipelines)."""
+def _scrape_parser(*, kinds: dict, n_buckets: int,
+                   default_ts_ms: int | None = None,
+                   untyped_fallback: bool = False,
+                   fallback_skip: set | None = None):
+    """The parse step of the one-shot and incremental scrape ingests:
+    a table of exposition lines → routed flat samples with bucket +
+    series_key + kind (the same function per batch on Ray Data and over
+    the whole input in the driver)."""
     from vertex_ray.sources.prometheus_text import decode_prometheus_samples
 
     hist_names = {m for m, k in kinds.items() if k == "histogram"}
@@ -440,33 +492,26 @@ def _scrape_parse_ds(lines_ds, *, kinds: dict, n_buckets: int,
         cols["value"] = s["value"]
         return pa.table(cols)
 
-    return lines_ds.map_batches(parse, batch_format="pyarrow")
+    return parse
 
 
-def _scrape_routed(lines_ds, *, kinds: dict, window_s: int, tier: str,
+def _scrape_routed(lines, *, kinds: dict, window_s: int, tier: str,
                    n_buckets: int, untyped_fallback: bool = False,
-                   fallback_skip: set | None = None,
-                   fill_until_s: int | None = None,
-                   staleness_s: int = 300,
+                   fallback_skip: set | None = None, fill=None,
                    default_ts_ms: int | None = None):
-    """Shared engine: parse → route families per ``kinds`` → ONE
-    groupby(bucket) exchange whose body runs the per-kind normalize +
-    rollup kernels vectorized across the bucket's series AND packs +
-    encodes the result (normalize output is already bucket-partitioned,
-    so no second exchange)."""
+    """Shared engine: parse → route families per ``kinds`` → split by
+    bucket → per bucket, the per-kind normalize + rollup kernels
+    vectorized across the bucket's series, then pack + encode
+    (normalize output is already bucket-partitioned, so no second
+    split). ``lines`` is a driver table (``driver_lines``), split by one
+    stable argsort and returned lifted, or a Dataset, split by ONE
+    ``groupby(bucket)`` exchange."""
     from vertex_ray.stages.encode import encode_agg_rows
 
-    fill = None
-    if fill_until_s is not None:
-        # a bad --staleness fails here, before any task runs
-        from vertex_ray.stages.kernel import fill_windows
-
-        fill_windows(staleness_s, window_s)
-        fill = (window_s, fill_until_s, staleness_s)
-    parsed = _scrape_parse_ds(lines_ds, kinds=kinds, n_buckets=n_buckets,
-                              default_ts_ms=default_ts_ms,
-                              untyped_fallback=untyped_fallback,
-                              fallback_skip=fallback_skip)
+    parse = _scrape_parser(kinds=kinds, n_buckets=n_buckets,
+                           default_ts_ms=default_ts_ms,
+                           untyped_fallback=untyped_fallback,
+                           fallback_skip=fallback_skip)
 
     def normalize_pack_encode(g: pa.Table) -> pa.Table:
         # exporter-TTL staleness (fill: LOCF run codes + one stale
@@ -475,5 +520,12 @@ def _scrape_routed(lines_ds, *, kinds: dict, window_s: int, tier: str,
         return encode_agg_rows(keyed_rows(*_normalize(g, window_s)),
                                tier=tier, fill=fill)
 
-    return (parsed.groupby("bucket")
+    if isinstance(lines, pa.Table):
+        parsed = parse(lines)
+        parts = [normalize_pack_encode(g)
+                 for _, g in split_by_bucket(parsed, n_buckets)]
+        return rd.from_arrow(pa.concat_tables(parts) if parts
+                             else normalize_pack_encode(parsed))
+    return (lines.map_batches(parse, batch_format="pyarrow")
+            .groupby("bucket")
             .map_groups(normalize_pack_encode, batch_format="pyarrow"))

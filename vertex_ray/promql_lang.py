@@ -849,8 +849,10 @@ def _eval_bin(node: Bin, ctx: _Ctx):
                              "identity columns")
         l = _materialize_labels(l, on)
         r = _materialize_labels(r, on)
-        if node.op == "or" and set(schema(l.ds).names) != \
-                set(schema(r.ds).names):
+        ls, rs = schema(l.ds), schema(r.ds)
+        # a schemaless side is Ray Data's empty vector (set_op)
+        if (node.op == "or" and ls is not None and rs is not None
+                and set(ls.names) != set(rs.names)):
             raise ValueError("promql: 'or' operands must share a schema")
         kind = {"and": "semi", "unless": "anti"}.get(node.op, "anti+union")
         ctx.note(f"set {node.op} on {on + wcols} — {kind}-join exchange "

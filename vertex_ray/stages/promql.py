@@ -35,7 +35,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from vertex_ray.stages.executor import exchange, lift, per_batch, union
+from vertex_ray.stages.executor import (
+    exchange,
+    lift,
+    per_batch,
+    schema,
+    union,
+)
 
 __all__ = ["extract_label", "label_aggregate", "group_sum", "over_time",
            "binary_op", "zscore_over_time", "lttb_downsample",
@@ -78,8 +84,13 @@ def label_aggregate(ds, label: str, value_col: str,
     column, grouped by (label value, window). Returns columns
     ``(label, window_col, out_col)``.
 
-    Exactness: sum/count/avg/stddev require an integer value column
-    (int64 partials commute; avg divides the exact sum once at the end —
+    Exactness: avg/stddev require an integer value column, and sum
+    merges int64 partials over one (int64 partials commute; a float sum
+    — ``rate``, or ``increase`` over more than one window, whose moving
+    sum ``over_time`` returns as float64 — ships its rows through the
+    exchange and adds each group in (label, window, series) order, the
+    same bits on either executor, exact while the values are integers
+    under 2**53; avg divides the exact sum once at the end —
     never averages partial averages; stddev carries exact int64
     (sum, sum-of-squares, count) partials and evaluates the population
     formula ``sqrt((ss - s*s/n)/n)`` once at the end, the same float
@@ -91,11 +102,12 @@ def label_aggregate(ds, label: str, value_col: str,
     Per-batch partial aggregation happens BEFORE the exchange, so the
     shuffle moves one row per distinct (label, window) per batch — at
     100 TB the exchange is proportional to the rollup cardinality of the
-    coarse key, never to input rows. Exception: ``quantile`` has no
-    mergeable partial, so its exchange carries one value per SERIES per
-    window (the cross-series vector being ranked) — still tier-read
-    volume, never raw turns; use the sketch stages for budget-bounded
-    percentiles over raw data."""
+    coarse key, never to input rows. Exceptions: ``quantile`` has no
+    mergeable partial, and a float ``sum`` keeps its rows for the fixed
+    summation order, so their exchange carries one value per SERIES per
+    window (for quantile, the cross-series vector being ranked) — still
+    tier-read volume, never raw turns; use the sketch stages for
+    budget-bounded percentiles over raw data."""
     if agg not in ("sum", "min", "max", "count", "avg", "stddev",
                    "quantile", "group"):
         raise ValueError(f"unsupported label_aggregate agg: {agg}")
@@ -113,7 +125,7 @@ def label_aggregate(ds, label: str, value_col: str,
         # group/count ignore value magnitudes (membership / non-null
         # tally), so they must accept the float vectors other operators
         # derive — no dtype guard
-        if (not emit_one and agg in ("sum", "avg", "stddev")
+        if (not emit_one and agg in ("avg", "stddev")
                 and v.dtype.kind not in "iu"):
             raise TypeError(
                 f"label_aggregate {agg} needs an integer column for exact "
@@ -123,6 +135,11 @@ def label_aggregate(ds, label: str, value_col: str,
             window_col: t[window_col].to_numpy(zero_copy_only=False),
             "__v": v,
         })
+        if agg == "sum" and v.dtype.kind not in "iu":
+            # float partials would round in merge order: ship the rows,
+            # keyed by series for the fixed summation order of ``final``
+            df["__k"] = t[key_col].to_numpy(zero_copy_only=False)
+            return pa.Table.from_pandas(df, preserve_index=False)
         if agg == "quantile":
             # no mergeable partial — ship (label, window, value) rows
             return pa.Table.from_pandas(df, preserve_index=False)
@@ -142,6 +159,10 @@ def label_aggregate(ds, label: str, value_col: str,
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
+        if "__k" in g.columns:
+            # float sum: each (label, window) group added in series
+            # order, so every executor and exchange gives the same bits
+            g = g.sort_values(keys + ["__k", "__v"], kind="stable")
         gb = g.groupby(keys, sort=False, dropna=False)
         if agg == "quantile":
             # vectorized per-group quantile_cont: one lexsort puts each
@@ -363,6 +384,12 @@ def binary_op(left, right, on_cols: list[str], left_val: str,
     if op not in ops and op not in cmps:
         raise ValueError(f"unsupported binary op: {op}")
     carry = [c for c in (carry_left or []) if c not in on_cols]
+    if schema(left) is None:
+        # a Ray Data selection with no rows has no schema: PromQL's
+        # empty-vector rule — no match, so no sample
+        return left
+    if schema(right) is None:
+        return _no_rows(left)
 
     def with_key(keep_val, extra=()):
         def fn(t: pa.Table) -> pa.Table:
@@ -400,6 +427,10 @@ def binary_op(left, right, on_cols: list[str], left_val: str,
     return per_batch(joined, finish)
 
 
+def _no_rows(x):
+    return per_batch(x, lambda t: t.slice(0, 0))
+
+
 def set_op(left, right, on_cols: list[str], op: str = "and",
            n_buckets: int = 64, sep: str = "\x1f"):
     """PromQL logical/set binary operators between instant vectors,
@@ -418,6 +449,17 @@ def set_op(left, right, on_cols: list[str], op: str = "and",
     if op not in ("and", "unless", "or"):
         raise ValueError(f"unsupported set op: {op}")
     from vertex_ray.stages.join import hash_join
+
+    ls, rs = schema(left), schema(right)
+    if ls is None or rs is None:
+        # a Ray Data selection with no rows has no schema: PromQL's
+        # empty-vector rule — ``or`` is the other side, ``and`` and
+        # ``unless`` keep what the left side has to keep
+        if op == "or":
+            return right if ls is None else left
+        if op == "unless" or ls is None:
+            return left
+        return _no_rows(left)
 
     def with_key(t: pa.Table) -> pa.Table:
         return t.append_column("__k", _composite_key(t, on_cols, sep))
