@@ -395,9 +395,10 @@ def fill_bucket_df(
 
 def pack_series(df: pd.DataFrame) -> pa.Table:
     """Filled agg rows (one bucket, sorted by series_key/window) → one row
-    per series with parallel dense list columns: the spec layout the
-    writers' run-coded packing (encode.pack_rows) is tested against;
-    no production path calls it."""
+    per series with parallel dense list columns (fills materialised; the
+    bucket lists on histogram series only): the spec layout the writers'
+    run-coded packing (encode.pack_rows) is tested against; no
+    production path calls it."""
     cols = {
         "bucket": pa.int32(),
         "series_key": pa.string(),
@@ -444,8 +445,15 @@ def pack_series(df: pd.DataFrame) -> pa.Table:
         if s != "count":
             vals = stamp_stale(vals)
         out[f"vals_{s}"] = lst(vals, pa.float64())
+    # bucket streams hold the histogram series' points only, the packed
+    # layout GorillaEncode reads (kernel.pack_arrays_virtual)
+    hist = df["kind"].to_numpy() == KIND_HISTOGRAM
+    counts_h = np.where(hist[change], np.diff(offsets), 0)
+    offs_h = np.concatenate([[0], np.cumsum(counts_h)]).astype(np.int32)
     for b in BUCKET_COLS:
-        out[f"vals_{b}"] = lst(df[b].to_numpy(np.float64), pa.float64())
+        out[f"vals_{b}"] = pa.ListArray.from_arrays(
+            offs_h, pa.array(df[b].to_numpy(np.float64)[hist],
+                             type=pa.float64()))
     out["flags"] = lst(flags, pa.uint8())
     return pa.table(out)
 

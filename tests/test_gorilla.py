@@ -6,14 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertex_ray.gorilla import (
-    decode_flags_multi,
+    decode_flags_multi_flat,
     decode_timestamps,
+    decode_timestamps_multi_flat,
     decode_values,
+    decode_values_multi_flat,
     encode_flags_multi,
     encode_timestamps,
+    encode_timestamps_multi,
     encode_values,
+    encode_values_multi_shared,
+    stream_buffer,
 )
 from vertex_ray.schema import STALE_NAN
+
+
+def _decode_multi(decode, blocks, n_points):
+    """A multi-series decoder over an encoder's binary array, read off
+    its Arrow buffers as decode_blocks_flat reads a block column."""
+    buf, off = stream_buffer(blocks)
+    return decode(buf, 8 * off[:-1], 8 * off[1:], np.asarray(n_points))
+
+
+def _split(flat, n_points):
+    return np.split(flat, np.cumsum(n_points)[:-1]) if len(n_points) else []
 
 
 def rt_ts(ts):
@@ -94,12 +110,10 @@ def test_val_roundtrip_clz_boundary_regression():
     a = np.frombuffer(np.uint64(0).tobytes(), dtype=np.float64)[0]
     b = np.frombuffer(np.uint64(0xFFFFFFFFFFFFFFFF).tobytes(), dtype=np.float64)[0]
     rt_vals([a, b, a, b])
-    from vertex_ray.gorilla import encode_values_multi, decode_values_multi
-
     arr = np.array([2.2250738585072014e-308, -1.7976931348623157e+308] * 3)
     offsets = np.array([0, 2, 4, 6])
-    blocks = encode_values_multi(arr, offsets)
-    dec = np.concatenate(decode_values_multi(blocks, np.diff(offsets)))
+    blocks = encode_values_multi_shared([arr], offsets)[0]
+    dec = _decode_multi(decode_values_multi_flat, blocks, np.diff(offsets))
     np.testing.assert_array_equal(arr.view(np.uint64), dec.view(np.uint64))
 
 
@@ -107,8 +121,8 @@ def test_val_roundtrip_clz_boundary_regression():
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=50))
 def test_flags_roundtrip(flags):
     f = np.asarray(flags, dtype=np.uint8)
-    got = decode_flags_multi(encode_flags_multi(f, [0, len(f)]),
-                             np.array([len(f)]))[0]
+    got = _decode_multi(decode_flags_multi_flat,
+                        encode_flags_multi(f, [0, len(f)]), [len(f)])
     np.testing.assert_array_equal(got, f)
 
 
@@ -122,13 +136,6 @@ def test_compression_ratio_regular_series():
 
 
 def _multi_roundtrip(ts_parts, val_parts):
-    from vertex_ray.gorilla import (
-        decode_timestamps_multi,
-        decode_values_multi,
-        encode_timestamps_multi,
-        encode_values_multi,
-    )
-
     offsets = np.concatenate([[0], np.cumsum([len(p) for p in ts_parts])]).astype(
         np.int64
     )
@@ -137,10 +144,13 @@ def _multi_roundtrip(ts_parts, val_parts):
     flat_vals = (
         np.concatenate(val_parts) if val_parts else np.zeros(0, dtype=np.float64)
     )
-    ts_blocks = encode_timestamps_multi(flat_ts, offsets)
-    val_blocks = encode_values_multi(flat_vals, offsets)
-    dec_ts = decode_timestamps_multi(ts_blocks, n_points)
-    dec_vals = decode_values_multi(val_blocks, n_points)
+    ts_arr = encode_timestamps_multi(flat_ts, offsets)
+    val_arr = encode_values_multi_shared([flat_vals], offsets)[0]
+    dec_ts = _split(_decode_multi(decode_timestamps_multi_flat, ts_arr,
+                                  n_points), n_points)
+    dec_vals = _split(_decode_multi(decode_values_multi_flat, val_arr,
+                                    n_points), n_points)
+    ts_blocks, val_blocks = ts_arr.to_pylist(), val_arr.to_pylist()
     for j in range(len(n_points)):
         np.testing.assert_array_equal(dec_ts[j], ts_parts[j])
         np.testing.assert_array_equal(

@@ -11,7 +11,12 @@ Two layouts live here:
    delta-of-delta / XOR-window information, transposed into per-section
    streams ("columnar Gorilla", see the section comment below) so decode
    is pure flat numpy — no per-point loop, throughput independent of
-   series count and length skew.
+   series count and length skew. It works on Arrow buffers, with no
+   per-series Python object: each encoder builds every section of all
+   series as one byte-aligned buffer plus per-series byte lengths and
+   joins the sections per series into one ``binary`` array; each
+   decoder reads a column's data as one padded uint8 buffer
+   (``stream_buffer``) at per-series bit offsets.
 
 Paper-format stream per series block (self-contained, little-endian raw
 headers):
@@ -32,13 +37,16 @@ stale marker 0x7ff0000000000002 survive bit-for-bit):
     ``11``); the decoder additionally accepts the paper's ``10``
     reuse-previous-window control, so any conforming stream decodes.
 
-This module is pure numpy — no Ray. The actor-pool encode stage lives in
-stages/encode.py.
+This module is numpy and Arrow buffers — no Ray. The block writer and
+reader (``GorillaEncode``, ``decode_blocks_flat``) that lay these
+streams out as block rows live in stages/encode.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 # ---------------------------------------------------------------------------
 # bit twiddling helpers (vectorized)
@@ -72,30 +80,31 @@ def _ctz64(x: np.ndarray) -> np.ndarray:
 
 def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
     """Concatenate variable-length MSB-first bit fields (each ≤ 64 bits).
-
-    Bit-LANE strategy: one scatter pass per bit position j (lane j writes
-    bit j of every field longer than j bits into a zeroed bit grid), then
-    one ``np.packbits``. Work per lane shrinks with the number of fields
-    that long, so total scatter work is exactly the output bit count —
-    with ~9 B/bit of memory traffic, vs ~40 B/bit for the repeat/gather
-    expansion this replaced (which materialized int64 field indices and
-    shifts per output bit). Zero-length fields are skipped; output is
-    zero-padded to a whole byte (same as packbits)."""
+    Zero-length fields are skipped; output is zero-padded to a whole
+    byte (same as packbits)."""
     lengths = np.asarray(lengths, dtype=np.int64)
     keep = lengths > 0
-    codes = np.asarray(codes)[keep].astype(np.uint64, copy=False)
     lengths = lengths[keep]
-    if len(codes) == 0:
-        return b""
-    # Word-aligned OR-reduce: each ≤64-bit field spans at most TWO 64-bit
-    # words of the output, so its write decomposes into a high-word and
-    # an (optional) spill-word contribution — a constant number of numpy
-    # passes over the FIELD count, independent of field widths (the
-    # per-bit-lane grid this replaces cost ~9 B per output BIT and a
-    # Python lane loop up to 64 deep; this is ~8 passes × 8 B per FIELD).
     ends = np.cumsum(lengths)
-    starts = ends - lengths
-    total_bits = int(ends[-1])
+    return _pack_fields(np.asarray(codes)[keep], lengths, ends - lengths,
+                        int(ends[-1]) if len(ends) else 0).tobytes()
+
+
+def _pack_fields(codes: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
+                 total_bits: int) -> np.ndarray:
+    """Fields of 1..64 bits, in start order, written MSB-first at bit
+    ``starts`` of a zeroed ``total_bits`` output → its bytes (uint8).
+
+    Word-aligned OR-reduce: each ≤64-bit field spans at most TWO 64-bit
+    words of the output, so its write decomposes into a high-word and an
+    (optional) spill-word contribution — a constant number of numpy
+    passes over the FIELD count, independent of field widths (the
+    per-bit-lane grid this replaced cost ~9 B per output BIT and a Python
+    lane loop up to 64 deep; this is ~8 passes × 8 B per FIELD)."""
+    n_bytes = (total_bits + 7) >> 3
+    if len(codes) == 0:
+        return np.zeros(n_bytes, dtype=np.uint8)
+    codes = codes.astype(np.uint64, copy=False)
     n_words = (total_bits + 63) >> 6
     word = starts >> 6
     end_bit = (starts & 63) + lengths            # in [1, 127]
@@ -114,7 +123,7 @@ def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
         f2 = np.flatnonzero(
             np.concatenate([[True], w2[1:] != w2[:-1]]))
         words[w2[f2]] |= np.bitwise_or.reduceat(lo, f2)
-    return words.byteswap().tobytes()[: (total_bits + 7) >> 3]
+    return words.byteswap().view(np.uint8)[:n_bytes]
 
 
 class BitReader:
@@ -299,39 +308,69 @@ def _bswap(x: np.ndarray) -> np.ndarray:
     return x.astype(np.uint64).byteswap()
 
 
-def _slices(buf: bytes, series_bits: np.ndarray, pad: np.ndarray) -> list[bytes]:
-    series_bytes = (series_bits + pad) >> 3
-    starts = np.zeros(len(series_bytes) + 1, dtype=np.int64)
-    np.cumsum(series_bytes, out=starts[1:])
-    return [buf[starts[i]: starts[i + 1]] for i in range(len(series_bytes))]
+# The block columns are Arrow ``binary`` / ``list<binary>`` with int32
+# offsets (schema.BLOCK_SCHEMA): one batch's column data stays below this.
+BINARY_MAX_BYTES = 2**31 - 1
+# zero bytes after a decode buffer: a fused 64-bit read issued at the
+# very last bit of the final block touches up to 9 bytes past it
+_PAD = 9
 
 
-def _pack_const_per_series(codes: np.ndarray, w: int,
-                           counts: np.ndarray) -> list[bytes]:
+def _addressable(nbytes: int) -> None:
+    if nbytes > BINARY_MAX_BYTES:
+        raise ValueError(
+            f"{nbytes} bytes of block data in one batch: more than the "
+            f"{BINARY_MAX_BYTES} a binary column's int32 offsets address")
+
+
+def binary_array(data, lens: np.ndarray) -> pa.BinaryArray:
+    """An Arrow binary array over ``data`` (bytes or a contiguous uint8
+    array) whose element i is the next ``lens[i]`` bytes — no copy.
+    Raises ValueError when the elements pass what int32 offsets address,
+    rather than letting the offsets wrap."""
+    offsets = _excl_cumsum(lens)
+    _addressable(int(offsets[-1]))
+    if memoryview(data).nbytes < offsets[-1]:
+        raise ValueError("binary_array: lengths pass the end of the data")
+    return pa.Array.from_buffers(
+        pa.binary(), len(offsets) - 1,
+        [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(data)])
+
+
+def join_sections(sections) -> pa.BinaryArray:
+    """Per-series blocks from per-section ``(data, lens)`` buffers: series
+    i's block is its bytes of each section, in section order."""
+    _addressable(sum(int(np.sum(lens)) for _, lens in sections))
+    return pc.binary_join_element_wise(
+        *(binary_array(data, lens) for data, lens in sections), b"")
+
+
+def _pad8(bits: np.ndarray) -> np.ndarray:
+    return (bits + 7) >> 3 << 3
+
+
+def _pack_const_per_series(codes: np.ndarray, w: int, counts: np.ndarray):
     """Pack CONSTANT-width (w ≤ 16) fields, grouped series-major, into
-    per-series byte-aligned sections. Scatters each bit lane straight into
-    a padded bit grid (w scatters + one packbits) — an order of magnitude
-    less memory traffic than the general pack_bits field expansion, and
-    the presence (w=1) sections cover every point of every stream."""
+    byte-aligned per-series sections: ``(data, per-series byte lengths)``.
+    Scatters each bit lane straight into a padded bit grid (w scatters +
+    one packbits) — an order of magnitude less memory traffic than the
+    general pack_bits field expansion, and the presence (w=1) sections
+    cover every point of every stream."""
     counts = np.asarray(counts, dtype=np.int64)
-    s = len(counts)
     n = len(codes)
-    bits_per = counts * w
-    padded = (bits_per + 7) >> 3 << 3
-    starts = _excl_cumsum(padded)[:-1]
-    total = int(padded.sum())
-    if n == 0 or total == 0:
-        return [b""] * s
+    padded = _pad8(counts * w)
+    if n == 0:
+        return b"", padded >> 3
     if w > 2:
         # wide constant fields (e.g. the 11-bit XOR headers): the
         # word-OR pack_bits path beats a w-deep lane loop
         return _pack_per_series(codes, np.full(n, w, dtype=np.int64),
                                 counts)
-    grid = np.zeros(total, dtype=np.uint8)
+    grid = np.zeros(int(padded.sum()), dtype=np.uint8)
     # base = w·(position within the concatenation) + per-series gap from
     # padding — one repeat of a per-series delta instead of materializing
     # sid + intra index arrays
-    delta = starts - w * _excl_cumsum(counts)[:-1]
+    delta = _excl_cumsum(padded)[:-1] - w * _excl_cumsum(counts)[:-1]
     base = w * np.arange(n, dtype=np.int64) + np.repeat(delta, counts)
     if w == 1:
         # presence bits (every point of every stream): direct scatter of
@@ -342,32 +381,24 @@ def _pack_const_per_series(codes: np.ndarray, w: int,
         for j in range(w):
             grid[base + j] = ((c >> np.uint64(w - 1 - j))
                               & np.uint64(1)).astype(np.uint8)
-    return _slices(np.packbits(grid).tobytes(), bits_per, padded - bits_per)
+    return np.packbits(grid), padded >> 3
 
 
 def _pack_per_series(codes: np.ndarray, lens: np.ndarray,
-                     counts: np.ndarray) -> list[bytes]:
-    """Pack variable-width fields, grouped series-major (counts[i] fields
-    belong to series i), into per-series byte-aligned sections."""
-    s = len(counts)
-    n = len(codes)
-    offsets = np.zeros(s + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+                     counts: np.ndarray):
+    """Pack variable-width fields (each ≥ 1 bit), grouped series-major
+    (counts[i] fields belong to series i), into byte-aligned per-series
+    sections: ``(data, per-series byte lengths)``."""
+    offsets = _excl_cumsum(counts)
     lens = np.asarray(lens, dtype=np.int64)
-    cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=cum[1:])
-    series_bits = cum[offsets[1:]] - cum[offsets[:-1]]
-    pad = (-series_bits) % 8
-    f = n + s
-    all_codes = np.zeros(f, dtype=np.uint64)
-    all_lens = np.zeros(f, dtype=np.int64)
-    sid = np.repeat(np.arange(s), counts)
-    pos = np.arange(n) + sid
-    all_codes[pos] = codes
-    all_lens[pos] = lens
-    all_lens[offsets[1:] + np.arange(s)] = pad
-    buf = pack_bits(all_codes, all_lens)
-    return _slices(buf, series_bits, pad)
+    cum = _excl_cumsum(lens)
+    series_bytes = (cum[offsets[1:]] - cum[offsets[:-1]] + 7) >> 3
+    # a field's bit: its bit within its series' fields plus the series'
+    # first (byte-aligned) bit in the section
+    shift = 8 * _excl_cumsum(series_bytes)[:-1] - cum[offsets[:-1]]
+    starts = cum[:-1] + np.repeat(shift, counts)
+    return (_pack_fields(codes, lens, starts, 8 * int(series_bytes.sum())),
+            series_bytes)
 
 
 def _excl_cumsum(x: np.ndarray) -> np.ndarray:
@@ -393,47 +424,42 @@ class _SharedGeom:
     traffic at 32-way)."""
 
     def __init__(self, offsets: np.ndarray):
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.counts = np.diff(self.offsets)
-        self.s = len(self.counts)
-        self.n = int(self.offsets[-1]) if self.s else 0
-        starts = self.offsets[:-1]
-        self.nonzero = self.counts > 0
-        is_start = np.zeros(self.n, dtype=bool)
-        is_start[starts[self.nonzero]] = True
-        self.is_start = is_start
-        self.nonstart = ~is_start
-        self.zn = np.maximum(self.counts - 1, 0)
-        self.z_padded = (self.zn + 7) >> 3 << 3
-        zstarts = _excl_cumsum(self.z_padded)[:-1]
-        delta = zstarts - _excl_cumsum(self.zn)[:-1]
+        offsets = np.asarray(offsets, dtype=np.int64)
+        counts = np.diff(offsets)
+        self.s = len(counts)
+        self.n = int(offsets[-1]) if self.s else 0
+        self.nonzero = counts > 0
+        self.head_rows = offsets[:-1][self.nonzero]
+        self.is_start = np.zeros(self.n, dtype=bool)
+        self.is_start[self.head_rows] = True
+        self.nonstart = ~self.is_start
+        zn = np.maximum(counts - 1, 0)
+        self.z_padded = _pad8(zn)
         self.z_total = int(self.z_padded.sum())
-        zn_sum = int(self.zn.sum())
-        self.z_base = (np.arange(zn_sum, dtype=np.int64)
-                       + np.repeat(delta, self.zn)) if zn_sum else \
-            np.zeros(0, dtype=np.int64)
-        self.sid = np.repeat(np.arange(self.s), self.counts)
-        self.head_rows = starts[self.nonzero]
+        delta = _excl_cumsum(self.z_padded)[:-1] - _excl_cumsum(zn)[:-1]
+        self.z_base = np.arange(int(zn.sum())) + np.repeat(delta, zn)
+        self.sid = np.repeat(np.arange(self.s), counts)
 
-    def z_sections(self, changed_nonstart: np.ndarray) -> list[bytes]:
+    def z_section(self, changed_nonstart: np.ndarray):
         if self.z_total == 0:
-            return [b""] * self.s
+            return b"", np.zeros(self.s, dtype=np.int64)
         grid = np.zeros(self.z_total, dtype=np.uint8)
         grid[self.z_base] = changed_nonstart
-        return _slices(np.packbits(grid).tobytes(), self.zn,
-                       self.z_padded - self.zn)
+        return np.packbits(grid), self.z_padded >> 3
 
 
-def encode_values_multi_shared(flats: list, offsets: np.ndarray,
-                               geom: "_SharedGeom | None" = None
-                               ) -> list[list[bytes]]:
-    """Value blocks for MULTIPLE parallel streams over the same series
-    layout — bit-identical per stream to encode_values_multi, with the
+def encode_values_multi_shared(flats: list,
+                               offsets: np.ndarray) -> list[pa.BinaryArray]:
+    """Value blocks of S series concatenated in each of ``flats``, MULTIPLE
+    parallel streams over the same series layout (offsets has S+1
+    entries; a zero-length series gets b""): one binary array per
+    stream, joined from its head, Z, H and P section buffers, with the
     segment/scatter geometry hoisted across streams."""
-    g = geom if geom is not None else _SharedGeom(offsets)
+    g = _SharedGeom(offsets)
     if g.n == 0:
-        return [[b""] * g.s for _ in flats]
-    out_all = []
+        return [binary_array(b"", np.zeros(g.s, dtype=np.int64))
+                for _ in flats]
+    out = []
     for flat in flats:
         bits = np.ascontiguousarray(
             np.asarray(flat, dtype=np.float64)).view(np.uint64)
@@ -444,55 +470,40 @@ def encode_values_multi_shared(flats: list, offsets: np.ndarray,
         lead = np.minimum(_clz64(xor[changed]), 31).astype(np.uint64)
         trail = _ctz64(xor[changed]).astype(np.uint64)
         mlen = np.uint64(64) - lead - trail
-        z_sections = g.z_sections(changed[g.nonstart])
         h_counts = np.bincount(g.sid[changed], minlength=g.s)
         h_codes = (lead << np.uint64(6)) | (mlen - np.uint64(1))
-        h_sections = _pack_const_per_series(h_codes, 11, h_counts)
-        p_sections = _pack_per_series(
-            xor[changed] >> trail, mlen.astype(np.int64), h_counts
-        )
-        heads = _np_heads(bits[g.head_rows])
-        out, hi = [], 0
-        for i in range(g.s):
-            if g.counts[i] == 0:
-                out.append(b"")
-            else:
-                out.append(heads[hi] + z_sections[i] + h_sections[i]
-                           + p_sections[i])
-                hi += 1
-        out_all.append(out)
-    return out_all
-
-
-def encode_values_multi(flat: np.ndarray, offsets: np.ndarray) -> list[bytes]:
-    """Value blocks for S series concatenated in ``flat`` (offsets has S+1
-    entries; zero-length series are allowed and yield b"")."""
-    return encode_values_multi_shared([flat], offsets)[0]
-
-
-def _np_heads(words: np.ndarray) -> list[bytes]:
-    """Raw little-endian 8-byte heads for each 64-bit word."""
-    raw = np.ascontiguousarray(words.astype(np.uint64)).tobytes()
-    return [raw[8 * i : 8 * i + 8] for i in range(len(words))]
+        out.append(join_sections([
+            (np.ascontiguousarray(bits[g.head_rows], dtype="<u8"),
+             8 * g.nonzero),
+            g.z_section(changed[g.nonstart]),
+            _pack_const_per_series(h_codes, 11, h_counts),
+            _pack_per_series(xor[changed] >> trail, mlen.astype(np.int64),
+                             h_counts),
+        ]))
+    return out
 
 
 _DOD_WIDTHS = np.array([7, 9, 12, 32], dtype=np.int64)
 _DOD_CLASS_BIAS = np.array([63, 255, 2047, 0], dtype=np.int64)
 
 
-def encode_timestamps_multi(flat: np.ndarray, offsets: np.ndarray) -> list[bytes]:
+def encode_timestamps_multi(flat: np.ndarray,
+                            offsets: np.ndarray) -> pa.BinaryArray:
+    """Timestamp blocks of S series concatenated in ``flat``: one binary
+    array joined from the t0, d0, Z, CL and P section buffers."""
     offsets = np.asarray(offsets, dtype=np.int64)
     s = len(offsets) - 1
     counts = np.diff(offsets)
     n = len(flat)
     if n == 0:
-        return [b""] * s
+        return binary_array(b"", np.zeros(s, dtype=np.int64))
     ts = np.asarray(flat, dtype=np.int64)
     starts = offsets[:-1]
+    nz, two = counts > 0, counts >= 2
     is_start = np.zeros(n, dtype=bool)
-    is_start[starts[counts > 0]] = True
+    is_start[starts[nz]] = True
     is_second = np.zeros(n, dtype=bool)
-    is_second[starts[counts >= 2] + 1] = True
+    is_second[starts[two] + 1] = True
 
     d = np.zeros(n, dtype=np.int64)
     d[1:] = ts[1:] - ts[:-1]
@@ -515,46 +526,69 @@ def encode_timestamps_multi(flat: np.ndarray, offsets: np.ndarray) -> list[bytes
     )
 
     zn = np.maximum(counts - 2, 0)
-    z_sections = _pack_const_per_series(changed[tail], 1, zn)
     sid = np.repeat(np.arange(s), counts)
     c_counts = np.bincount(sid[changed], minlength=s)
-    cl_sections = _pack_const_per_series(cls, 2, c_counts)
-    p_sections = _pack_per_series(payload, widths, c_counts)
-
-    heads0 = _np_heads(ts[starts[counts > 0]].view(np.uint64))
-    d0_map = {int(i): b"" for i in range(s)}
-    two = np.flatnonzero(counts >= 2)
-    heads1 = _np_heads(d[starts[two] + 1].view(np.uint64))
-    for j, i in enumerate(two):
-        d0_map[int(i)] = heads1[j]
-    out, hi = [], 0
-    for i in range(s):
-        if counts[i] == 0:
-            out.append(b"")
-        else:
-            out.append(
-                heads0[hi] + d0_map[i] + z_sections[i] + cl_sections[i] + p_sections[i]
-            )
-            hi += 1
-    return out
+    return join_sections([
+        # raw little-endian 8-byte heads
+        (np.ascontiguousarray(ts[starts[nz]], dtype="<i8"), 8 * nz),
+        (np.ascontiguousarray(d[starts[two] + 1], dtype="<i8"), 8 * two),
+        _pack_const_per_series(changed[tail], 1, zn),
+        _pack_const_per_series(cls, 2, c_counts),
+        _pack_per_series(payload, widths, c_counts),
+    ])
 
 
 # ---------------------------------------------------------------------------
 # vectorized multi-series decoders — no per-point loop anywhere. Throughput
 # is a constant number of numpy passes over Σ n_points regardless of how
-# many series there are or how skewed their lengths are.
+# many series there are or how skewed their lengths are. Each reads series
+# i's block as bits [bit0[i], bit1[i]) of one padded uint8 buffer
+# (``stream_buffer``), and raises ValueError when the sections that
+# n_points and the block's own bits describe do not fill the block
+# exactly, before any read past it.
 # ---------------------------------------------------------------------------
+
+
+def stream_buffer(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """A binary array's bytes, read off its Arrow buffers: one uint8 copy
+    of its data with zero padding after it (the decoders' fused reads),
+    and the byte offset of every element in it (len(arr) + 1 entries; a
+    null reads as empty)."""
+    n = len(arr)
+    if arr.null_count:
+        arr = pc.fill_null(arr, b"")
+    _, offsets, data = arr.buffers()
+    if n == 0:
+        return np.zeros(_PAD, dtype=np.uint8), np.zeros(1, dtype=np.int64)
+    odt = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    off = np.frombuffer(offsets, dtype=odt)[
+        arr.offset: arr.offset + n + 1].astype(np.int64)
+    lo, hi = int(off[0]), int(off[-1])
+    buf = np.zeros(hi - lo + _PAD, dtype=np.uint8)
+    if hi > lo:
+        buf[: hi - lo] = np.frombuffer(data, dtype=np.uint8)[lo:hi]
+    return buf, off - lo
+
+
+def _check_fits(end: np.ndarray, bit1: np.ndarray, exact: bool = False):
+    bad = (end != bit1) if exact else (end > bit1)
+    if bad.any():
+        raise ValueError(
+            f"corrupt Gorilla block: {int(bad.sum())} series' sections "
+            "do not match their block's length and n_points")
 
 
 def _gather_bits(buf: np.ndarray, pos: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Read k (≤64) bits starting at absolute bit position pos for each
     entry, MSB-first. k == 0 entries return 0. buf is uint8 (with ≥9
-    padding bytes at the end — _concat_blocks guarantees it)."""
+    padding bytes at the end — stream_buffer guarantees it)."""
     byte0 = (pos >> 3).astype(np.int64)
     off = (pos & 7).astype(np.uint64)
-    idx = byte0[:, None] + np.arange(8)
-    w = np.ascontiguousarray(buf[idx])
-    word = w.view(">u8")[:, 0].astype(np.uint64)
+    # every byte offset's big-endian 8-byte word, as one overlapping
+    # (stride 1) view of the buffer: one gather per read
+    words = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf,
+                       strides=(1,))
+    word = words[byte0].astype(np.uint64)
     ku = np.asarray(k).astype(np.uint64)
     need = off + ku
     ku_c = np.minimum(ku, np.uint64(63))  # avoid 1<<64 overflow in the dead branch
@@ -572,16 +606,6 @@ def _gather_bits(buf: np.ndarray, pos: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(ku > 0, val, np.uint64(0))
 
 
-def _concat_blocks(blocks: list[bytes]):
-    lens = np.fromiter((len(b) for b in blocks), dtype=np.int64, count=len(blocks))
-    starts = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum(lens, out=starts[1:])
-    # 9 zero bytes of tail padding: a fused 64-bit read issued at the very
-    # last bit of the final block may touch up to 9 bytes past it
-    buf = np.frombuffer(b"".join(blocks) + b"\0" * 9, dtype=np.uint8)
-    return buf, starts[:-1] * 8  # bit offset of each series block
-
-
 class _ZGeom:
     """Z-section decode geometry that depends ONLY on per-series point
     counts — shared across every value stream of a series batch (5
@@ -590,62 +614,64 @@ class _ZGeom:
 
     def __init__(self, counts: np.ndarray, zn: np.ndarray):
         self.s = len(zn)
-        self.zn = zn
-        total_z = int(zn.sum())
         self.el_sid = np.repeat(np.arange(self.s), zn)
-        self.intra = (np.arange(total_z)
+        self.intra = (np.arange(int(zn.sum()))
                       - np.repeat(_excl_cumsum(zn)[:-1], zn))
-        self.out_off = _excl_cumsum(counts)[:-1]
-        lead_pts = counts - zn  # points before the Z section (1 head / 2 ts)
-        self.zflat = (self.out_off[self.el_sid]
-                      + lead_pts[self.el_sid] + self.intra)
+        # points before the Z section: 1 head (values) / 2 (timestamps)
+        lead = _excl_cumsum(counts)[:-1] + counts - zn
+        self.zflat = lead[self.el_sid] + self.intra
 
 
 def _presence_layout(buf, z_start_bits, zn, counts, geom: "_ZGeom | None" = None):
     """Shared Z-section decode: per-point presence bits for every series,
-    plus the flat output index of each Z-covered point.
+    read in place (one byte gather per bit), plus the flat output index
+    of each Z-covered point.
 
     Returns (changed mask over Z points, el_sid, zflat point positions in
     the concatenated output, nnz per series)."""
     g = geom if geom is not None else _ZGeom(counts, zn)
-    unpacked = np.unpackbits(buf)
-    presence = unpacked[z_start_bits[g.el_sid] + g.intra]
-    changed = presence.astype(bool)
-    nnz = np.bincount(g.el_sid, weights=presence,
-                      minlength=g.s).astype(np.int64)
+    pos = z_start_bits[g.el_sid] + g.intra
+    changed = ((buf[pos >> 3] >> (7 - (pos & 7)).astype(np.uint8))
+               & 1).astype(bool)
+    nnz = np.bincount(g.el_sid[changed], minlength=g.s)
     return changed, g.el_sid, g.zflat, nnz
 
 
-def decode_values_multi_flat(blocks: list[bytes], n_points: np.ndarray,
+def decode_values_multi_flat(buf: np.ndarray, bit0: np.ndarray,
+                             bit1: np.ndarray, n_points: np.ndarray,
                              geom: "_ZGeom | None" = None) -> np.ndarray:
-    """Inverse of encode_values_multi for all series at once; returns ONE
-    float64 array with every series' points concatenated in input order.
-    Pass a shared ``_ZGeom`` when decoding several streams of the same
-    series batch (decode_blocks_batch does)."""
-    s = len(blocks)
+    """Inverse of encode_values_multi_shared for all series at once: the
+    value blocks at bits [bit0, bit1) of ``buf`` → ONE float64 array with
+    every series' points concatenated in input order. Pass a shared
+    ``_ZGeom`` when decoding several streams of the same series batch
+    (decode_blocks_flat does)."""
     counts = np.asarray(n_points, dtype=np.int64)
     total = int(counts.sum())
-    if s == 0 or total == 0:
+    if total == 0:
+        _check_fits(bit0, bit1, exact=True)
         return np.zeros(0, dtype=np.float64)
-    buf, bit0 = _concat_blocks(blocks)
     nz = counts > 0
-    heads = _bswap(_gather_bits(buf, bit0[nz], np.uint64(64)))
     zn = np.maximum(counts - 1, 0)
     z_start = bit0 + 64 * nz
+    h_start = z_start + _pad8(zn)
+    _check_fits(h_start, bit1)
+    heads = _bswap(_gather_bits(buf, bit0[nz], np.uint64(64)))
     changed, el_sid, zflat, nnz = _presence_layout(buf, z_start, zn,
                                                    counts, geom)
-
-    h_start = z_start + ((zn + 7) >> 3 << 3)
+    p_start = h_start + _pad8(11 * nnz)
+    _check_fits(p_start, bit1)
     ch = np.flatnonzero(changed)
     ch_sid = el_sid[ch]
-    # rank of each changed point within its series' changed set
-    rank = np.arange(len(ch)) - np.repeat(_excl_cumsum(nnz)[:-1][nnz > 0], nnz[nnz > 0])
+    first = _excl_cumsum(nnz)
+    rank = np.arange(len(ch)) - first[ch_sid]  # within the series' changes
     hdr = _gather_bits(buf, h_start[ch_sid] + 11 * rank, np.uint64(11))
     lead = (hdr >> np.uint64(6)) & np.uint64(0x1F)
     mlen = (hdr & np.uint64(0x3F)) + np.uint64(1)
 
-    p_start = h_start + ((11 * nnz + 7) >> 3 << 3)
-    p_off = _seg_cumsum(mlen.astype(np.int64), nnz) - mlen.astype(np.int64)
+    cm = _excl_cumsum(mlen.astype(np.int64))
+    _check_fits(p_start + _pad8(cm[first[1:]] - cm[first[:-1]]), bit1,
+                exact=True)
+    p_off = cm[:-1] - np.repeat(cm[first[:-1]], nnz)
     payload = _gather_bits(buf, p_start[ch_sid] + p_off, mlen)
     xor = payload << (np.uint64(64) - lead - mlen)
 
@@ -659,40 +685,40 @@ def decode_values_multi_flat(blocks: list[bytes], n_points: np.ndarray,
     return vals.view(np.float64)
 
 
-def decode_values_multi(blocks: list[bytes], n_points: np.ndarray) -> list[np.ndarray]:
-    """List-of-arrays wrapper over decode_values_multi_flat."""
-    n_points = np.asarray(n_points, dtype=np.int64)
-    flat = decode_values_multi_flat(blocks, n_points)
-    offs = _excl_cumsum(n_points)
-    return [flat[offs[j] : offs[j + 1]] for j in range(len(n_points))]
-
-
-def decode_timestamps_multi_flat(blocks: list[bytes], n_points: np.ndarray) -> np.ndarray:
-    """Inverse of encode_timestamps_multi for all series at once; returns
-    ONE int64 array, all series concatenated in input order."""
-    s = len(blocks)
+def decode_timestamps_multi_flat(buf: np.ndarray, bit0: np.ndarray,
+                                 bit1: np.ndarray,
+                                 n_points: np.ndarray) -> np.ndarray:
+    """Inverse of encode_timestamps_multi for all series at once: the
+    timestamp blocks at bits [bit0, bit1) of ``buf`` → ONE int64 array,
+    all series concatenated in input order."""
     counts = np.asarray(n_points, dtype=np.int64)
     total = int(counts.sum())
-    if s == 0 or total == 0:
+    if total == 0:
+        _check_fits(bit0, bit1, exact=True)
         return np.zeros(0, dtype=np.int64)
-    buf, bit0 = _concat_blocks(blocks)
-    nz = counts > 0
-    t0 = _bswap(_gather_bits(buf, bit0[nz], np.uint64(64))).view(np.int64)
-    two = counts >= 2
-    d0 = _bswap(_gather_bits(buf, (bit0 + 64)[two], np.uint64(64))).view(np.int64)
+    nz, two = counts > 0, counts >= 2
     zn = np.maximum(counts - 2, 0)
     z_start = bit0 + 64 * nz + 64 * two
+    cl_start = z_start + _pad8(zn)
+    _check_fits(cl_start, bit1)
+    t0 = _bswap(_gather_bits(buf, bit0[nz], np.uint64(64))).view(np.int64)
+    d0 = _bswap(_gather_bits(buf, (bit0 + 64)[two], np.uint64(64))).view(np.int64)
     changed, el_sid, zflat, nnz = _presence_layout(buf, z_start, zn, counts)
 
-    cl_start = z_start + ((zn + 7) >> 3 << 3)
+    p_start = cl_start + _pad8(2 * nnz)
+    _check_fits(p_start, bit1)
     ch = np.flatnonzero(changed)
     ch_sid = el_sid[ch]
-    rank = np.arange(len(ch)) - np.repeat(_excl_cumsum(nnz)[:-1][nnz > 0], nnz[nnz > 0])
-    cls = _gather_bits(buf, cl_start[ch_sid] + 2 * rank, np.uint64(2)).astype(np.int64)
+    first = _excl_cumsum(nnz)
+    rank = np.arange(len(ch)) - first[ch_sid]
+    cls = _gather_bits(buf, cl_start[ch_sid] + 2 * rank,
+                       np.uint64(2)).astype(np.int64)
     widths = _DOD_WIDTHS[cls]
 
-    p_start = cl_start + ((2 * nnz + 7) >> 3 << 3)
-    p_off = _seg_cumsum(widths, nnz) - widths
+    cw = _excl_cumsum(widths)
+    _check_fits(p_start + _pad8(cw[first[1:]] - cw[first[:-1]]), bit1,
+                exact=True)
+    p_off = cw[:-1] - np.repeat(cw[first[:-1]], nnz)
     payload = _gather_bits(buf, p_start[ch_sid] + p_off, widths)
     dod = np.where(
         cls == 3,
@@ -711,48 +737,29 @@ def decode_timestamps_multi_flat(blocks: list[bytes], n_points: np.ndarray) -> n
     return _seg_cumsum(d_abs, counts)
 
 
-def decode_timestamps_multi(blocks: list[bytes], n_points: np.ndarray) -> list[np.ndarray]:
-    """List-of-arrays wrapper over decode_timestamps_multi_flat."""
-    n_points = np.asarray(n_points, dtype=np.int64)
-    flat = decode_timestamps_multi_flat(blocks, n_points)
-    offs = _excl_cumsum(n_points)
-    return [flat[offs[j] : offs[j + 1]] for j in range(len(n_points))]
-
-
-def decode_flags_multi(blocks: list[bytes], n_points: np.ndarray) -> list[np.ndarray]:
-    """All series' 2-bit flag streams unpacked in ONE numpy pass (each
-    block is byte-padded, so expanded positions are 4 × byte offsets)."""
-    if not blocks:
-        return []
-    n_points = np.asarray(n_points, dtype=np.int64)
-    nbytes = np.fromiter((len(b) for b in blocks), dtype=np.int64, count=len(blocks))
-    buf = np.frombuffer(b"".join(blocks), dtype=np.uint8)
-    ex = np.empty(len(buf) * 4, dtype=np.uint8)
-    ex[0::4] = (buf >> 6) & 3
-    ex[1::4] = (buf >> 4) & 3
-    ex[2::4] = (buf >> 2) & 3
-    ex[3::4] = buf & 3
-    starts = np.zeros(len(blocks), dtype=np.int64)
-    np.cumsum(nbytes[:-1], out=starts[1:])
-    starts *= 4
-    return [ex[s : s + int(n)] for s, n in zip(starts, n_points)]
-
-
 # ---------------------------------------------------------------------------
 # flags stream: 2 bits per point (bit0 = filled, bit1 = stale), 4 per byte
 # ---------------------------------------------------------------------------
 
 
-def encode_flags_multi(flat: np.ndarray, offsets: np.ndarray) -> list[bytes]:
+def encode_flags_multi(flat: np.ndarray, offsets: np.ndarray) -> pa.BinaryArray:
     """Per-series flag blocks in one vectorized pass: 2-bit fields, four
     per byte with the first point in the high bits, padded with zero
     fields to a byte boundary at each series end."""
-    n = len(flat)
-    s = len(offsets) - 1
-    if n == 0:
-        return [b""] * s
     counts = np.diff(np.asarray(offsets, dtype=np.int64))
-    return _pack_const_per_series(
-        np.asarray(flat, dtype=np.uint64) & np.uint64(3), 2, counts
-    )
+    return binary_array(*_pack_const_per_series(
+        np.asarray(flat, dtype=np.uint64) & np.uint64(3), 2, counts))
 
+
+def decode_flags_multi_flat(buf: np.ndarray, bit0: np.ndarray,
+                            bit1: np.ndarray,
+                            n_points: np.ndarray) -> np.ndarray:
+    """All series' 2-bit flag blocks at bits [bit0, bit1) of ``buf`` (each
+    byte-aligned) → ONE uint8 array, series concatenated in input
+    order."""
+    counts = np.asarray(n_points, dtype=np.int64)
+    _check_fits(bit0 + _pad8(2 * counts), bit1, exact=True)
+    first = _excl_cumsum(counts)
+    # field index in the buffer: 4 fields per byte, blocks byte-aligned
+    q = np.repeat((bit0 >> 1) - first[:-1], counts) + np.arange(first[-1])
+    return (buf[q >> 2] >> (6 - 2 * (q & 3)).astype(np.uint8)) & np.uint8(3)

@@ -10,11 +10,15 @@ codes, stages/fill.fold_fills), packs with ``pack_rows`` and encodes with
 ``pack_rows`` (stages/kernel.pack_arrays_virtual) and encode with
 ``GorillaEncode``.
 
-``GorillaEncode`` is a stateful-actor-shaped stage (the geoip pattern,
-src/transforms/geoip.rs:85-91): pass the CLASS to
-``map_batches(GorillaEncode, batch_format="pyarrow", concurrency=N)``
-or call an instance on one packed table. Input rows are per-series
-arrays, so batches never split a series.
+``GorillaEncode()(packed)`` encodes one packed table (per-series array
+rows) into block rows; ``decode_blocks_flat`` / ``decode_blocks_batch``
+read them back. Both sides work on Arrow buffers with no per-series
+Python object: the writer encodes each stream of all rows at once
+(vertex_ray/gorilla) into one ``binary`` array, and lays ``val_blocks``
+out from the streams with one ``take``; the reader decodes each stream
+of a batch from one padded copy of its column's data, locating every
+row's block by the column's binary offsets. A block whose bytes
+disagree with its ``n_points`` raises ValueError.
 
 One block layout: a row's streams hold its STORED points, plus two
 optional sections.
@@ -39,18 +43,20 @@ so retention / tsdb_status point counts do not depend on the layout.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pyarrow as pa
 
 from vertex_ray.gorilla import (
-    decode_flags_multi,
+    _ZGeom,
+    binary_array,
+    decode_flags_multi_flat,
     decode_timestamps_multi_flat,
     decode_values_multi_flat,
     encode_flags_multi,
     encode_timestamps_multi,
     encode_values_multi_shared,
+    join_sections,
+    stream_buffer,
 )
 from vertex_ray.schema import (
     BLOCK_SCHEMA,
@@ -59,6 +65,14 @@ from vertex_ray.schema import (
     N_BUCKETS,
     SCALAR_STREAMS,
     STALE_NAN_BITS,
+)
+from vertex_ray.stages.fill import (
+    RUN_FILL_MASK,
+    RUN_STALE_SHIFT,
+    expand_runs_carry,
+    expand_runs_scalars,
+    expanded_counts,
+    fold_fills,
 )
 
 # The block layout's version, stamped into every ingest's lineage: a
@@ -72,8 +86,8 @@ _SCALARS = SCALAR_STREAMS
 
 
 class GorillaEncode:
-    """Actor-pool stage: per-series array rows (with a ``tier`` column)
-    → Gorilla block rows."""
+    """Per-series array rows (with a ``tier`` column) → Gorilla block
+    rows."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -82,9 +96,9 @@ class GorillaEncode:
         virtual = "runs" in batch.schema.names
 
         def flat(col_name):
-            col = batch[col_name].combine_chunks()
-            arr = col.chunk(0) if isinstance(col, pa.ChunkedArray) else col
-            return arr.offsets.to_numpy(), arr.values.to_numpy(zero_copy_only=False)
+            arr = _arr(batch, col_name)
+            off = arr.offsets.to_numpy().astype(np.int64)
+            return off - off[0], arr.flatten().to_numpy(zero_copy_only=False)
 
         ws_off, ws_val = flat("window_starts")
         counts = np.diff(ws_off)
@@ -103,17 +117,15 @@ class GorillaEncode:
             block_start = np.zeros(n, dtype=np.int64)
             block_end = np.zeros(n, dtype=np.int64)
 
-        runs_col = [b""] * n
+        empty = binary_array(b"", np.zeros(n, dtype=np.int64))
+        runs = empty
         n_points = counts.astype(np.int32)
         if virtual:
-            from vertex_ray.stages.fill import RUN_FILL_MASK, RUN_STALE_SHIFT
-
             _, codes = flat("runs")
             codes = codes.astype(np.uint16, copy=False)
             n_fill = (codes & RUN_FILL_MASK).astype(np.int64)
             extra = n_fill + (codes >> RUN_STALE_SHIFT).astype(np.int64)
-            ce = np.zeros(len(extra) + 1, dtype=np.int64)
-            np.cumsum(extra, out=ce[1:])
+            ce = np.concatenate([[0], np.cumsum(extra)])
             extra_per = ce[ws_off[1:]] - ce[ws_off[:-1]]
             ws_series = batch["window_seconds"].to_numpy().astype(np.int64)
             n_points = (counts + extra_per).astype(np.int32)
@@ -124,57 +136,46 @@ class GorillaEncode:
                 block_end + extra[last_ix] * ws_series,
                 0,
             )
-            raw = np.ascontiguousarray(codes.astype("<u2")).tobytes()
-            runs_col = [
-                (struct.pack("<I", int(ws_series[i]))
-                 + raw[2 * int(ws_off[i]): 2 * int(ws_off[i + 1])])
-                if counts[i] > 0 and ws_series[i] > 0 else b""
-                for i in range(n)
-            ]
-        flag_blocks = [b""] * n
+            # [window_seconds: u32 LE][u16 LE code per stored point]
+            has = (counts > 0) & (ws_series > 0)
+            runs = join_sections([
+                (ws_series[has].astype("<u4"), 4 * has),
+                (codes[np.repeat(has, counts)].astype("<u2"),
+                 2 * counts * has),
+            ])
+        flags = empty
         if "flags" in batch.schema.names:
             fl_off, fl_val = flat("flags")
+            fl_counts = np.diff(fl_off)
             # a flags section only on rows holding a flagged point
-            nz = np.zeros(len(fl_val) + 1, dtype=np.int64)
-            np.cumsum(fl_val != 0, out=nz[1:])
+            nz = np.concatenate([[0], np.cumsum(fl_val != 0)])
             flagged = nz[fl_off[1:]] > nz[fl_off[:-1]]
-            flag_blocks = [b if f else b""
-                           for b, f in zip(encode_flags_multi(fl_val, fl_off),
-                                           flagged)]
+            kept = np.where(flagged, fl_counts, 0)
+            flags = encode_flags_multi(
+                fl_val[np.repeat(flagged, fl_counts)],
+                np.concatenate([[0], np.cumsum(kept)]))
 
-        ts_blocks = encode_timestamps_multi(ws_val, ws_off)
-        scalar_blocks = encode_values_multi_shared(
+        streams = encode_values_multi_shared(
             [flat(f"vals_{s}")[1] for s in _SCALARS], ws_off)
-
+        # bucket streams hold the histogram rows' points only
+        # (kernel.pack_arrays_virtual, pack_rows)
         hist = kinds == KIND_HISTOGRAM
-        bucket_blocks: dict[int, list[bytes]] = {}
-        if hist.any():
-            hist_rows = np.flatnonzero(hist)
-            sub_off = np.zeros(int(hist.sum()) + 1, dtype=np.int64)
-            np.cumsum(counts[hist], out=sub_off[1:])
-            b0_off, b0_val = flat(f"vals_{BUCKET_COLS[0]}")
-            if len(b0_val) == int(sub_off[-1]) and len(b0_val) != len(ws_val):
-                # SPARSE bucket streams (kernel.pack_arrays_virtual): values are
-                # already the histogram series' points only — encode as-is
-                # (bit-identical: same values, same per-series geometry)
-                per_bucket = encode_values_multi_shared(
-                    [flat(f"vals_{b}")[1] for b in BUCKET_COLS], sub_off)
-            else:
-                # dense per-point layout (the test spec's packing /
-                # expand_packed output, which only tests feed in to build
-                # legacy-layout blocks): gather the histogram rows' points
-                el_mask = np.repeat(hist, counts)
-                per_bucket = encode_values_multi_shared(
-                    [flat(f"vals_{b}")[1][el_mask] for b in BUCKET_COLS],
-                    sub_off)
-            bucket_blocks = {
-                int(r): [pb[j] for pb in per_bucket] for j, r in enumerate(hist_rows)
-            }
-
-        val_blocks = [
-            [sb[i] for sb in scalar_blocks] + bucket_blocks.get(i, [])
-            for i in range(n)
-        ]
+        n_hist = int(hist.sum())
+        if n_hist:
+            sub_off = np.concatenate([[0], np.cumsum(counts[hist])])
+            streams += encode_values_multi_shared(
+                [flat(f"vals_{b}")[1] for b in BUCKET_COLS], sub_off)
+        # row r lists its scalar streams, then (a histogram row) its
+        # bucket streams: idx[r, k] is stream k's entry for row r
+        ns, nb = len(_SCALARS), len(streams) - len(_SCALARS)
+        idx = np.full((n, ns + nb), -1, dtype=np.int64)
+        idx[:, :ns] = np.arange(ns) * n + np.arange(n)[:, None]
+        idx[hist, ns:] = (ns * n + np.arange(nb) * n_hist
+                          + np.arange(n_hist)[:, None])
+        list_off = np.concatenate([[0], np.cumsum(ns + nb * hist)])
+        val_blocks = pa.ListArray.from_arrays(
+            pa.array(list_off.astype(np.int32)),
+            pa.concat_arrays(streams).take(pa.array(idx[idx >= 0])))
         return pa.table(
             {
                 "bucket": batch["bucket"],
@@ -185,13 +186,20 @@ class GorillaEncode:
                 "block_start": pa.array(block_start, type=pa.int64()),
                 "block_end": pa.array(block_end, type=pa.int64()),
                 "n_points": pa.array(n_points, type=pa.int32()),
-                "ts_block": pa.array(ts_blocks, type=pa.binary()),
-                "val_blocks": pa.array(val_blocks, type=pa.list_(pa.binary())),
-                "flags": pa.array(flag_blocks, type=pa.binary()),
-                "runs": pa.array(runs_col, type=pa.binary()),
+                "ts_block": encode_timestamps_multi(ws_val, ws_off),
+                "val_blocks": val_blocks,
+                "flags": flags,
+                "runs": runs,
             },
             schema=BLOCK_SCHEMA,
         )
+
+
+def _arr(table: pa.Table, name: str) -> pa.Array:
+    """A combined table's column as one array (no copy when it already
+    is one chunk)."""
+    col = table[name]
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
 
 
 def pack_rows(meta: dict, offsets: np.ndarray, pts: dict, codes: np.ndarray,
@@ -249,7 +257,6 @@ def pack_agg_rows(rows, *, tier: str | None = None,
     stale-stamped. A row gets a runs section exactly when its tier is
     gap-filled: ``fill`` is given or its source points carry a window
     size."""
-    from vertex_ray.stages.fill import fold_fills
     from vertex_ray.stages.kernel import fill_runs
 
     if not isinstance(rows, pa.Table):
@@ -334,52 +341,43 @@ def encode_agg_rows(rows, *, tier: str | None = None,
         rows, tier=tier, fill=fill, max_block_windows=max_block_windows))
 
 
-def _parse_runs(batch: pa.Table, n_points: np.ndarray):
-    """Split block rows into stored-point counts + run codes.
-
-    Returns ``(n_stored, codes, ws_row, v3_mask)`` — ``codes`` is the flat
-    uint16 run-code stream over all rows' STORED points (zeros for dense
-    rows), ``ws_row`` the per-row window seconds (0 for dense rows) — or
-    ``(n_points, None, None, None)`` when every row is dense."""
+def _stored_counts(batch: pa.Table, n_points: np.ndarray):
+    """Stored points per block row, from its runs section's length:
+    ``(n_stored, runs)``. ``runs`` is None when no row has a runs section
+    (every row dense: its n_points are all stored), else the runs
+    column's ``(buffer, offsets, has-runs mask)`` for ``_run_codes``."""
     if "runs" not in batch.schema.names:
-        return n_points, None, None, None
-    import pyarrow.compute as pc
-
-    col = batch["runs"].combine_chunks()
-    # vectorized dense-detect: no per-row Python objects when every row
-    # is b'' (the common all-dense store)
-    lens = pc.binary_length(pc.fill_null(col, b"")).to_numpy(
-        zero_copy_only=False).astype(np.int64)
+        return n_points, None
+    buf, off = stream_buffer(_arr(batch, "runs"))
+    lens = np.diff(off)
     v3 = lens >= 4
     if not v3.any():
-        return n_points, None, None, None
-    n_rows = len(col)
-    n_stored = np.where(v3, (lens - 4) // 2, n_points)
-    off = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(n_stored, out=off[1:])
-    codes = np.zeros(int(off[-1]), dtype=np.uint16)
-    ws_row = np.zeros(n_rows, dtype=np.int64)
-    # vectorized payload slicing straight off the Arrow binary buffers
-    # (offsets + values) — no to_pylist, no per-row Python loop even
-    # when only a few rows in the batch are virtual
-    odt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
-    starts = np.frombuffer(col.buffers()[1], dtype=odt)[
-        col.offset: col.offset + n_rows].astype(np.int64)
-    values = np.frombuffer(col.buffers()[2], dtype=np.uint8)
+        return n_points, None
+    return np.where(v3, (lens - 4) // 2, n_points), (buf, off, v3)
+
+
+def _run_codes(n_stored: np.ndarray, buf: np.ndarray, off: np.ndarray,
+               v3: np.ndarray):
+    """``(codes, ws_row)``: the flat uint16 run-code stream over all rows'
+    STORED points (zeros for dense rows) and the per-row window seconds
+    (0 for dense rows), read off the runs column's buffer."""
+    codes = np.zeros(int(n_stored.sum()), dtype=np.uint16)
+    ws_row = np.zeros(len(v3), dtype=np.int64)
     v3i = np.flatnonzero(v3)
-    st = starts[v3i]
-    ws_row[v3i] = (values[st].astype(np.int64)
-                   | values[st + 1].astype(np.int64) << 8
-                   | values[st + 2].astype(np.int64) << 16
-                   | values[st + 3].astype(np.int64) << 24)
+    st = off[v3i]
+    ws_row[v3i] = (buf[st].astype(np.int64)
+                   | buf[st + 1].astype(np.int64) << 8
+                   | buf[st + 2].astype(np.int64) << 16
+                   | buf[st + 3].astype(np.int64) << 24)
     c = n_stored[v3i]
     within = np.arange(int(c.sum()), dtype=np.int64) \
         - np.repeat(np.cumsum(c) - c, c)
-    dst = np.repeat(off[v3i], c) + within
+    dst = np.repeat(np.concatenate([[0], np.cumsum(n_stored)])[v3i], c) \
+        + within
     src = np.repeat(st + 4, c) + 2 * within
-    codes[dst] = (values[src].astype(np.uint16)
-                  | values[src + 1].astype(np.uint16) << np.uint16(8))
-    return n_stored, codes, ws_row, v3
+    codes[dst] = (buf[src].astype(np.uint16)
+                  | buf[src + 1].astype(np.uint16) << np.uint16(8))
+    return codes, ws_row
 
 
 def decode_blocks_flat(batch: pa.Table):
@@ -392,110 +390,97 @@ def decode_blocks_flat(batch: pa.Table):
     scalar streams as float64, ``flags`` (uint8), and ``buckets`` — a
     dict of DENSE float64 arrays (zeros on non-histogram points).
 
-    One flat vectorized decode per stream over the WHOLE batch (the
-    columnar-v2 decoders reconstruct every series with segmented scans —
-    no per-point loop, no length-skew sensitivity); index geometry is
-    shared across the 5 scalar (and 11 bucket) streams. Pure numpy/Arrow
-    — a pandas hop here would canonicalize the stale NaN payload and
-    break the bit-for-bit contract."""
-    from vertex_ray.gorilla import _ZGeom
-
+    One flat vectorized decode per stream over the WHOLE batch, read off
+    the columns' Arrow buffers: one padded copy of each column's data
+    (``val_blocks``' 5 scalar and 11 bucket streams share one), each
+    row's stream located by its binary offsets — no per-row Python
+    object. The columnar decoders reconstruct every series with
+    segmented scans (no per-point loop, no length-skew sensitivity);
+    index geometry is shared across the 5 scalar (and 11 bucket)
+    streams. A block whose bytes disagree with its ``n_points`` raises
+    ValueError. Pure numpy/Arrow — a pandas hop here would canonicalize
+    the stale NaN payload and break the bit-for-bit contract."""
     n_rows = batch.num_rows
     batch = batch.combine_chunks()
     n_points = batch["n_points"].to_numpy().astype(np.int64)
-    n_stored, codes, ws_row, v3 = _parse_runs(batch, n_points)
+    if (n_points < 0).any():
+        raise ValueError("decode_blocks_flat: negative n_points")
+    n_stored, runs = _stored_counts(batch, n_points)
     kinds = batch["kind"].to_numpy(zero_copy_only=False)
-    ts_blocks = batch["ts_block"].to_pylist()
-    val_blocks = batch["val_blocks"].to_pylist()
-    flag_blocks = batch["flags"].to_pylist() \
-        if "flags" in batch.schema.names else [b""] * n_rows
-
-    zn = np.maximum(n_stored - 1, 0)
-    geom = _ZGeom(n_stored, zn)
-    scalars = {
-        s: decode_values_multi_flat([vb[i] for vb in val_blocks],
-                                    n_stored, geom=geom)
-        for i, s in enumerate(_SCALARS)
-    }
-    ws = decode_timestamps_multi_flat(ts_blocks, n_stored)
     hist_rows = np.flatnonzero(kinds == KIND_HISTOGRAM)
-    hgeom = (_ZGeom(n_stored[hist_rows],
-                    np.maximum(n_stored[hist_rows] - 1, 0))
-             if len(hist_rows) else None)
+
+    # timestamps first: their blocks bound n_stored before anything
+    # per stored point is allocated
+    buf, off = stream_buffer(_arr(batch, "ts_block"))
+    ws = decode_timestamps_multi_flat(buf, 8 * off[:-1], 8 * off[1:],
+                                      n_stored)
+    if runs is not None:
+        codes, ws_row = _run_codes(n_stored, *runs)
+
+    vb = _arr(batch, "val_blocks")
+    first = vb.offsets.to_numpy().astype(np.int64)
+    per_row = len(_SCALARS) + len(BUCKET_COLS) * (kinds == KIND_HISTOGRAM)
+    if not np.array_equal(np.diff(first), per_row):
+        raise ValueError("decode_blocks_flat: a row's val_blocks count "
+                         "does not match its kind")
+    vbuf, voff = stream_buffer(vb.values)
+    vbits = 8 * voff
+
+    def values(elem, counts, geom):
+        return decode_values_multi_flat(vbuf, vbits[elem], vbits[elem + 1],
+                                        counts, geom=geom)
+
+    geom = _ZGeom(n_stored, np.maximum(n_stored - 1, 0))
+    scalars = {s: values(first[:-1] + i, n_stored, geom)
+               for i, s in enumerate(_SCALARS)}
+    n_hist = n_stored[hist_rows]
+    hgeom = _ZGeom(n_hist, np.maximum(n_hist - 1, 0))
     bucket_real = {
-        b_col: decode_values_multi_flat(
-            [val_blocks[i][len(_SCALARS) + b_i] for i in hist_rows],
-            n_stored[hist_rows], geom=hgeom,
-        ) if len(hist_rows) else np.zeros(0, dtype=np.float64)
+        b_col: values(first[hist_rows] + len(_SCALARS) + b_i, n_hist, hgeom)
         for b_i, b_col in enumerate(BUCKET_COLS)
     }
 
     # stored flags: a dense row flags every stored point, a v3 row only
     # when it holds fills stored as points (epoch carries); b"" = real
     flags = np.zeros(int(n_stored.sum()), dtype=np.uint8)
-    has_flags = np.fromiter((bool(b) for b in flag_blocks), dtype=bool,
-                            count=n_rows)
-    if has_flags.any():
-        flags[np.repeat(has_flags, n_stored)] = np.concatenate(
-            decode_flags_multi([flag_blocks[i] for i in np.flatnonzero(has_flags)],
-                               n_stored[has_flags]))
+    if "flags" in batch.schema.names:
+        buf, off = stream_buffer(_arr(batch, "flags"))
+        has = np.diff(off) > 0
+        if has.any():
+            flags[np.repeat(has, n_stored)] = decode_flags_multi_flat(
+                buf, 8 * off[:-1][has], 8 * off[1:][has], n_stored[has])
 
-    if v3 is None:
-        counts = n_stored
-        total = int(counts.sum())
-        el_hist = np.repeat(kinds == KIND_HISTOGRAM, counts)
-        buckets = {}
-        for b_col in BUCKET_COLS:
-            col = np.zeros(total, dtype=np.float64)
-            if len(hist_rows):
-                col[el_hist] = bucket_real[b_col]
-            buckets[b_col] = col
-        streams = {"window_start": ws, "flags": flags, "buckets": buckets,
+    hist_pt = np.repeat(kinds == KIND_HISTOGRAM, n_stored)
+    if runs is None:
+        counts, codes_h = n_stored, None
+        streams = {"window_start": ws, "flags": flags,
                    "window_seconds": np.zeros(n_rows, dtype=np.int64),
                    **scalars}
-        return counts, streams
-
-    from vertex_ray.stages.fill import (
-        expand_runs_carry,
-        expand_runs_scalars,
-        expanded_counts,
-    )
-
-    kind_pt = np.repeat(kinds, n_stored)
-    ws_pt = np.repeat(ws_row, n_stored)
-    exp = expand_runs_scalars(
-        ws, scalars["sum"], scalars["count"], scalars["min"],
-        scalars["max"], scalars["last"], kind_pt, codes, ws_pt, flags,
-    )
-    off_real = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(n_stored, out=off_real[1:])
-    counts = expanded_counts(n_stored, codes, off_real)
-    if not np.array_equal(counts, n_points):
-        raise ValueError(
-            "decode_blocks_flat: expanded point counts disagree with the "
-            "stored n_points metadata — corrupt runs payload"
+    else:
+        counts = expanded_counts(n_stored, codes,
+                                 np.concatenate([[0], np.cumsum(n_stored)]))
+        if not np.array_equal(counts, n_points):
+            raise ValueError(
+                "decode_blocks_flat: expanded point counts disagree with the "
+                "stored n_points metadata — corrupt runs payload"
+            )
+        exp = expand_runs_scalars(
+            ws, scalars["sum"], scalars["count"], scalars["min"],
+            scalars["max"], scalars["last"], np.repeat(kinds, n_stored),
+            codes, np.repeat(ws_row, n_stored), flags,
         )
-    total = int(counts.sum())
-    hist_pt = np.repeat(kinds == KIND_HISTOGRAM, n_stored)
-    codes_h = codes[hist_pt]
+        streams = {"window_start": exp.pop("window"), "window_seconds": ws_row,
+                   **exp}
+        codes_h = codes[hist_pt]
     el_hist = np.repeat(kinds == KIND_HISTOGRAM, counts)
-    buckets = {}
+    streams["buckets"] = {}
     for b_col in BUCKET_COLS:
-        col = np.zeros(total, dtype=np.float64)
+        col = np.zeros(int(counts.sum()), dtype=np.float64)
         if len(hist_rows):
-            col[el_hist] = expand_runs_carry(bucket_real[b_col], codes_h)
-        buckets[b_col] = col
-    streams = {
-        "window_start": exp["window"],
-        "sum": exp["sum"],
-        "count": exp["count"],
-        "min": exp["min"],
-        "max": exp["max"],
-        "last": exp["last"],
-        "flags": exp["flags"],
-        "buckets": buckets,
-        "window_seconds": ws_row,
-    }
+            real = bucket_real[b_col]
+            col[el_hist] = real if codes_h is None else expand_runs_carry(
+                real, codes_h)
+        streams["buckets"][b_col] = col
     return counts, streams
 
 

@@ -49,8 +49,8 @@ from vertex_ray.schema import (
 # ---------------------------------------------------------------------------
 
 
-# THE run-code layout (single source — kernel.fill_runs, encode.GorillaEncode,
-# encode._parse_runs and rollup_pipeline.agg_expanded_rows all import these):
+# THE run-code layout (single source — kernel.fill_runs, encode.GorillaEncode
+# and rollup_pipeline.agg_expanded_rows all import these):
 # uint16 code = n_fill | stale << RUN_STALE_SHIFT.
 RUN_FILL_MASK = np.uint16(0x7FFF)
 RUN_STALE_SHIFT = np.uint16(15)
