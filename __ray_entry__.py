@@ -258,8 +258,10 @@ def _q_stream_encode_roundtrip(sf_dir: str):
     operator — ingest deployments feed the actors from their source.)"""
     import pyarrow as pa
 
-    from vertex_ray.gorilla import decode_timestamps, decode_values
-    from vertex_ray.stages.stream_encode import stream_encode
+    from vertex_ray.stages.stream_encode import (
+        decode_stream_blocks,
+        stream_encode,
+    )
 
     tier = _metric_tier(sf_dir, "1m", "turns_total",
                         ["series_key", "window_start", "count"])
@@ -274,28 +276,8 @@ def _q_stream_encode_roundtrip(sf_dir: str):
     }).sort_by([("window_start", "ascending")])
     cuts = [0, t.num_rows // 3, 2 * t.num_rows // 3, t.num_rows]
     batches = [t.slice(a, b - a) for a, b in zip(cuts, cuts[1:]) if b > a]
-    blocks = stream_encode(batches, n_actors=4, max_points=240)
-
-    import ray.data as rd
-
-    def decode(bt: pa.Table) -> pa.Table:
-        keys, ws, vals = [], [], []
-        for r in bt.to_pylist():
-            n = r["n_points"]
-            keys.extend([r["series_key"]] * n)
-            ws.append(decode_timestamps(r["ts_block"], n))
-            vals.append(decode_values(r["val_block"], n))
-        import numpy as np
-
-        return pa.table({
-            "series_key": pa.array(keys, type=pa.string()),
-            "window_start": pa.array(np.concatenate(ws) if ws else
-                                     np.zeros(0, np.int64)),
-            "value": pa.array(np.concatenate(vals) if vals else
-                              np.zeros(0, np.float64)),
-        })
-
-    return rd.from_arrow(blocks).map_batches(decode, batch_format="pyarrow")
+    return decode_stream_blocks(
+        stream_encode(batches, n_actors=4, max_points=240))
 
 
 def _q_stream_encode_ooo(sf_dir: str):
@@ -311,10 +293,11 @@ def _q_stream_encode_ooo(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
-    from vertex_ray.gorilla import decode_timestamps, decode_values
-    from vertex_ray.stages.stream_encode import stream_encode
+    from vertex_ray.stages.stream_encode import (
+        decode_stream_blocks,
+        stream_encode,
+    )
 
     tier = _metric_tier(sf_dir, "1m", "turns_total",
                         ["series_key", "window_start", "count"])
@@ -332,25 +315,8 @@ def _q_stream_encode_ooo(sf_dir: str):
     batches = [main.slice(a, b - a) for a, b in zip(cuts, cuts[1:])
                if b > a] + [late]
     # horizon spans the whole stream: every held-back point qualifies
-    blocks = stream_encode(batches, n_actors=4, max_points=240,
-                           ooo_window_s=1 << 40)
-
-    def decode(bt: pa.Table) -> pa.Table:
-        keys, ws, vals = [], [], []
-        for r in bt.to_pylist():
-            n = r["n_points"]
-            keys.extend([r["series_key"]] * n)
-            ws.append(decode_timestamps(r["ts_block"], n))
-            vals.append(decode_values(r["val_block"], n))
-        return pa.table({
-            "series_key": pa.array(keys, type=pa.string()),
-            "window_start": pa.array(np.concatenate(ws) if ws else
-                                     np.zeros(0, np.int64)),
-            "value": pa.array(np.concatenate(vals) if vals else
-                              np.zeros(0, np.float64)),
-        })
-
-    return rd.from_arrow(blocks).map_batches(decode, batch_format="pyarrow")
+    return decode_stream_blocks(stream_encode(
+        batches, n_actors=4, max_points=240, ooo_window_s=1 << 40))
 
 
 def _q_quantile_by_role_1h(sf_dir: str):

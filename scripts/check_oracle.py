@@ -1,7 +1,13 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at sf0.01 and compare to oracle_sql() via DuckDB (row count, column
-names, order-insensitive value equality)."""
+names, order-insensitive value equality).
 
+Each ``PASS`` and ``OK(rows-only)`` line ends with ``sha256=`` over the
+query's canonical result (``canon``: its column names, dtypes and
+values), so two trees' sweeps can be compared line by line, rows-only
+queries included."""
+
+import hashlib
 import os
 import sys
 import time
@@ -40,6 +46,21 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
+def digest(df: pd.DataFrame) -> str:
+    """sha256 of a canonical frame: per column its name, dtype and values
+    (numeric and datetime values as raw bytes, so NaN payloads count;
+    the rest as their str joined by a unit separator)."""
+    h = hashlib.sha256()
+    for c in df.columns:
+        a = df[c].to_numpy()
+        h.update(f"{c}\0{a.dtype}\0".encode())
+        if a.dtype.kind in "biufcmM":
+            h.update(np.ascontiguousarray(a).tobytes())
+        else:
+            h.update("\x1f".join(map(str, a)).encode())
+    return h.hexdigest()
+
+
 def main(only=None):
     import ray
 
@@ -68,7 +89,8 @@ def main(only=None):
             continue
         dt = time.time() - t0
         if name not in oracles:
-            print(f"OK(rows-only) {name}: {len(mine)} rows in {dt:.1f}s")
+            print(f"OK(rows-only) {name}: {len(mine)} rows in {dt:.1f}s "
+                  f"sha256={digest(mine)}")
             continue
         ref = canon(con.execute(oracles[name]).df())
         status = []
@@ -91,7 +113,8 @@ def main(only=None):
             failures.append((name, "; ".join(status)))
             print(f"FAIL {name}: {'; '.join(status)}")
         else:
-            print(f"PASS {name}: {len(mine)} rows in {dt:.1f}s")
+            print(f"PASS {name}: {len(mine)} rows in {dt:.1f}s "
+                  f"sha256={digest(mine)}")
     ray.shutdown()
     if failures:
         sys.exit(1)

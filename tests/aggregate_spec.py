@@ -1,11 +1,9 @@
-"""Pure aggregation kernel — vertex's merge semantics, bit-for-bit.
+"""The scalar statement of vertex's observation and merge semantics,
+bit-for-bit — a test spec; no engine path calls it. The array kernel
+(vertex_ray/stages/kernel.py) is property-tested against it through
+the brute-force rollup oracle of tests/rollup_spec.py.
 
-This module has no Ray dependency; it is the scalar statement of
-observation and merge semantics. The array kernel (stages/kernel) is
-property-tested against it through the brute-force rollup oracle of the
-test spec (tests/rollup_spec.py).
-
-Contracts (from /root/reference):
+Contracts (from the reference implementation):
 
 - ``MetricValue::merge`` (lib/event/src/metric/mod.rs:42-64):
   Sum: ``s += f``; Gauge: ``g = f`` (last write wins); Histogram:

@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from vertex_ray.aggregate import AggState
+from aggregate_spec import AggState
 from vertex_ray.schema import (
     AGG_SCHEMA,
     BUCKET_COLS,

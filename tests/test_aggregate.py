@@ -5,7 +5,7 @@
 import numpy as np
 import pytest
 
-from vertex_ray.aggregate import AggState, observe_many
+from aggregate_spec import AggState, observe_many
 from vertex_ray.schema import (
     DEFAULT_BUCKETS,
     KIND_GAUGE,

@@ -6,12 +6,15 @@ in proportion to a corrupt length field.
 
 Gorilla block decode (``decode_blocks_batch``): the mutations hit one
 row's ``ts_block``, one element of its ``val_blocks``, its ``runs``
-section, or inflate its ``n_points``. Blocks carry no checksum, so a
-flipped payload bit can decode silently to other values; a section
-that no longer fits its block, or counts that disagree with it, raise.
+section, or inflate its ``n_points``. Stream block decode
+(``decode_stream_blocks``): one row's ``ts_block`` or ``val_block``, or
+its ``n_points``. Blocks carry no checksum, so a flipped payload bit can
+decode silently to other values; a section that no longer fits its
+block, or counts that disagree with it, raise.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pyarrow as pa
@@ -19,6 +22,10 @@ import pytest
 
 from vertex_ray.schema import KIND_HISTOGRAM, N_BUCKETS
 from vertex_ray.stages.encode import GorillaEncode, decode_blocks_batch, pack_rows
+from vertex_ray.stages.stream_encode import (
+    StreamGorillaEncoder,
+    decode_stream_blocks,
+)
 
 T0 = 1_767_225_600
 
@@ -136,3 +143,74 @@ def test_inflated_n_points_raises_before_allocating(blocks):
     n[dense] = 2**31 - 1
     with pytest.raises(ValueError):
         decode_blocks_batch(_replace(blocks, "n_points", n, pa.int32()))
+
+
+@pytest.fixture(scope="module")
+def stream_blocks():
+    """Stream blocks of 60 series (full 16-point blocks and flushed
+    tails), every timestamp delta-of-delta class."""
+    rng = np.random.default_rng(11)
+    counts = rng.integers(1, 50, 60)
+    n = int(counts.sum())
+    gaps = rng.choice([60, 60, 60, 120, 61, 400, 3000, 90_000], n)
+    keys = np.repeat([f"s{i}" for i in range(len(counts))], counts)
+    ts = T0 + np.cumsum(gaps)
+    vals = np.where(rng.random(n) < 0.5, np.floor(rng.random(n) * 8),
+                    rng.random(n) * 1e6)
+    enc = StreamGorillaEncoder(max_points=16)
+    closed = enc.append(pa.table({"series_key": keys, "window_start": ts,
+                                  "value": vals}))
+    return pa.concat_tables([closed, enc.flush()])
+
+
+def _stream_mutant(blocks: pa.Table, rng: random.Random) -> pa.Table:
+    row = rng.randrange(blocks.num_rows)
+    target = rng.choice(("ts_block", "val_block", "n_points"))
+    if target == "n_points":
+        n = blocks["n_points"].to_pylist()
+        n[row] += rng.choice((1, rng.randint(2, 1000), 2**31 - 1 - n[row]))
+        return _replace(blocks, "n_points", n, pa.int32())
+    col = blocks[target].to_pylist()
+    col[row] = mutate(col[row], rng)
+    return _replace(blocks, target, col, pa.binary())
+
+
+def test_stream_block_decode_fuzz(stream_blocks):
+    """300 seeded mutations of stream blocks: each decodes or raises
+    ValueError."""
+    rng = random.Random(20261021)
+    outcomes = {"decoded": 0, "ValueError": 0}
+    for _ in range(300):
+        mutant = _stream_mutant(stream_blocks, rng)
+        try:
+            decode_stream_blocks(mutant)
+        except ValueError:
+            outcomes["ValueError"] += 1
+        else:
+            outcomes["decoded"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.parametrize("column", ["ts_block", "val_block"])
+def test_truncated_last_stream_block_raises(stream_blocks, column):
+    col = stream_blocks[column].to_pylist()
+    col[-1] = col[-1][:3]
+    with pytest.raises(ValueError):
+        decode_stream_blocks(_replace(stream_blocks, column, col,
+                                      pa.binary()))
+
+
+def test_stream_inflated_n_points_raises_before_allocating(stream_blocks):
+    """n_points = 2**31 - 1 is refused from the blocks' lengths, with
+    nothing allocated in proportion to it."""
+    n = stream_blocks["n_points"].to_pylist()
+    n[len(n) // 2] = 2**31 - 1
+    mutant = _replace(stream_blocks, "n_points", n, pa.int32())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            decode_stream_blocks(mutant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak

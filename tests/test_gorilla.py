@@ -1,20 +1,24 @@
-"""Gorilla codec round-trip properties and directed vectors (FIXTURES.md §F6)."""
+"""Gorilla codec round-trip properties and directed vectors (FIXTURES.md
+§F6): the engine's columnar codec and the paper's interleaved stream
+(the spec, tests/gorilla_spec.py)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gorilla_spec import (
+    decode_timestamps,
+    decode_values,
+    encode_timestamps,
+    encode_values,
+)
 from vertex_ray.gorilla import (
     decode_flags_multi_flat,
-    decode_timestamps,
     decode_timestamps_multi_flat,
-    decode_values,
     decode_values_multi_flat,
     encode_flags_multi,
-    encode_timestamps,
     encode_timestamps_multi,
-    encode_values,
     encode_values_multi_shared,
     stream_buffer,
 )
@@ -32,17 +36,28 @@ def _split(flat, n_points):
     return np.split(flat, np.cumsum(n_points)[:-1]) if len(n_points) else []
 
 
+def _one_series(encode, decode, points):
+    """``points`` through a multi-series codec as a one-series batch."""
+    offsets = np.array([0, len(points)])
+    return _decode_multi(decode, encode(points, offsets), [len(points)])
+
+
 def rt_ts(ts):
     ts = np.asarray(ts, dtype=np.int64)
-    out = decode_timestamps(encode_timestamps(ts), len(ts))
-    np.testing.assert_array_equal(out, ts)
+    for out in (decode_timestamps(encode_timestamps(ts), len(ts)),
+                _one_series(encode_timestamps_multi,
+                            decode_timestamps_multi_flat, ts)):
+        np.testing.assert_array_equal(out, ts)
 
 
 def rt_vals(vals):
     vals = np.asarray(vals, dtype=np.float64)
-    out = decode_values(encode_values(vals), len(vals))
-    # bit-for-bit: compare raw uint64 patterns (NaN payloads included)
-    np.testing.assert_array_equal(out.view(np.uint64), vals.view(np.uint64))
+    for out in (decode_values(encode_values(vals), len(vals)),
+                _one_series(
+                    lambda v, off: encode_values_multi_shared([v], off)[0],
+                    decode_values_multi_flat, vals)):
+        # bit-for-bit: compare raw uint64 patterns (NaN payloads included)
+        np.testing.assert_array_equal(out.view(np.uint64), vals.view(np.uint64))
 
 
 def test_directed_timestamps():
@@ -239,7 +254,7 @@ def test_pack_bits_matches_bitstring_reference():
     1..64 including word-boundary straddles and zero-length fields."""
     import numpy as np
 
-    from vertex_ray.gorilla import pack_bits
+    from gorilla_spec import pack_bits
 
     rng = np.random.default_rng(123)
     for trial in range(25):

@@ -242,15 +242,20 @@ def test_keyed_merge_matches_pandas_spec(parts, window_seconds):
 
 
 def test_no_engine_module_defines_or_imports_the_spec():
-    """vertex_ray/ has one aggregation implementation: no module defines
-    or imports a name of the pandas spec (tests/rollup_spec.py)."""
+    """vertex_ray/ has one aggregation implementation and one Gorilla
+    codec: no module defines or imports a name of the test specs
+    (tests/rollup_spec.py, tests/aggregate_spec.py,
+    tests/gorilla_spec.py)."""
     import ast
     import pathlib
 
     import vertex_ray
 
     spec = {"merge_agg", "window_agg_points", "rollup_bucket",
-            "fill_bucket_df", "pack_series"}
+            "fill_bucket_df", "pack_series",
+            "AggState", "observe_many",
+            "BitReader", "pack_bits", "encode_timestamps",
+            "decode_timestamps", "encode_values", "decode_values"}
     root = pathlib.Path(vertex_ray.__file__).parent
     hits = []
     for path in sorted(root.rglob("*.py")):

@@ -8,8 +8,11 @@ batches the points arrived in."""
 import numpy as np
 import pyarrow as pa
 
-from vertex_ray.gorilla import decode_timestamps, decode_values
-from vertex_ray.stages.stream_encode import StreamGorillaEncoder, stream_encode
+from vertex_ray.stages.stream_encode import (
+    StreamGorillaEncoder,
+    decode_stream_blocks,
+    stream_encode,
+)
 
 
 def _mk(keys, ts, vals):
@@ -22,13 +25,12 @@ def _mk(keys, ts, vals):
 
 def _decode_all(blocks: pa.Table) -> dict[str, tuple[list, list]]:
     out: dict[str, tuple[list, list]] = {}
-    df = blocks.to_pandas().sort_values(["series_key", "block_start"])
-    for r in df.itertuples():
-        ts = decode_timestamps(r.ts_block, r.n_points)
-        vs = decode_values(r.val_block, r.n_points)
-        a = out.setdefault(r.series_key, ([], []))
-        a[0].extend(ts.tolist())
-        a[1].extend(vs.tolist())
+    pts = decode_stream_blocks(blocks.sort_by(
+        [("series_key", "ascending"), ("block_start", "ascending")]))
+    for k, w, v in zip(*(pts[c].to_pylist() for c in pts.column_names)):
+        a = out.setdefault(k, ([], []))
+        a[0].append(w)
+        a[1].append(v)
     return out
 
 

@@ -13,15 +13,11 @@ def _lines_tables(rows, n_chunks):
 
 
 def _decode_stream(blocks):
-    from vertex_ray.gorilla import decode_timestamps, decode_values
+    from vertex_ray.stages.stream_encode import decode_stream_blocks
 
-    out = {}
-    for r in blocks.to_pylist():
-        ws = decode_timestamps(r["ts_block"], r["n_points"])
-        vs = decode_values(r["val_block"], r["n_points"])
-        for w, v in zip(ws, vs):
-            out[(r["series_key"], int(w))] = float(v)
-    return out
+    pts = decode_stream_blocks(blocks)
+    return {(k, w): v for k, w, v in
+            zip(*(pts[c].to_pylist() for c in pts.column_names))}
 
 
 def test_stream_counter_equals_batch(ray_session):
@@ -129,6 +125,27 @@ def test_stream_scrape_summary_first_wins(ray_session):
     }
 
 
+def test_stream_scrape_missing_ts_checked_on_ingested_rows(ray_session):
+    """Without default_ts_ms, only the metric's own rows must carry
+    timestamps: a summary family's _sum/_count are not ingested, so
+    theirs may be missing; a quantile row without one is an error."""
+    import pytest
+
+    from vertex_ray.stages.stream_scrape import stream_scrape
+
+    def b(rows):
+        return pa.table({"text": pa.array(rows, type=pa.string())})
+
+    blocks = stream_scrape(
+        [b(['s{job="a",quantile="0.5"} 7.0 1000', 's_sum{job="a"} 40.0',
+            's_count{job="a"} 5'])],
+        metric="s", kind="summary", window_s=60, n_actors=2)
+    assert _decode_stream(blocks) == {("s{job=a,quantile=0.5}", 0): 7.0}
+    with pytest.raises(ValueError, match="default_ts_ms"):
+        stream_scrape([b(['s{job="a",quantile="0.5"} 7.0'])],
+                      metric="s", kind="summary", n_actors=2)
+
+
 def test_stream_summary_equals_batch(ray_session):
     from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
     from vertex_ray.pipelines.scrape_pipeline import scrape_to_store
@@ -156,3 +173,83 @@ def test_stream_summary_equals_batch(ray_session):
         _lines_tables(rows, 4), metric="lat", kind="summary",
         n_actors=2, max_points=8))
     assert got == want
+
+
+def _kind_lines(rng, kind, n_series, n):
+    """Exposition lines of one family: strictly increasing ms timestamps
+    per series; counters grow with occasional resets."""
+    rows = []
+    for j in range(n_series):
+        t, cum = 0, 0
+        for _ in range(n):
+            t += int(rng.integers(1_000, 45_000))
+            if kind == "counter":
+                cum = (0 if rng.random() < 0.05 else cum) + int(
+                    rng.integers(0, 5))
+                rows.append(f'c_total{{job="j{j}"}} {cum} {t}')
+            elif kind == "gauge":
+                rows.append(f'g{{host="h{j}"}} '
+                            f'{round(float(rng.normal()), 3)} {t}')
+            else:
+                rows.append(f's{{job="j{j // 2}",quantile="0.{5 + j % 2}"}}'
+                            f' {round(float(rng.normal()), 3)} {t}')
+    return rows
+
+
+def test_stream_equals_incremental(ray_session, tmp_path):
+    """The same lines, cut into K micro-batches, through stream_scrape
+    and through K scrape_append runs plus scrape_finalize: equal
+    (series, window) → value maps for counter, gauge and summary (the
+    two ingests run one carry step)."""
+    from vertex_ray.pipelines.rollup_pipeline import decode_tier_blocks
+    from vertex_ray.pipelines.scrape_incremental import (
+        read_scrape_epochs,
+        scrape_append,
+        scrape_finalize,
+    )
+    from vertex_ray.stages.stream_scrape import stream_scrape
+
+    rng = np.random.default_rng(20261020)
+    families = {"c_total": "counter", "g": "gauge", "s": "summary"}
+    rows = []
+    for kind in families.values():
+        rows += _kind_lines(rng, kind, int(rng.integers(1, 5)), 30)
+    rows.sort(key=lambda s: int(s.rsplit(" ", 1)[1]))
+    k = int(rng.integers(2, 5))
+    cuts = [0, *sorted(rng.choice(np.arange(1, len(rows)), k - 1,
+                                  replace=False)), len(rows)]
+    batches = [pa.table({"text": pa.array(rows[a:b], type=pa.string())})
+               for a, b in zip(cuts, cuts[1:])]
+
+    store = str(tmp_path / "inc")
+    for t in batches:
+        scrape_append(rd.from_arrow(t), store, kinds=families, n_buckets=2)
+    scrape_finalize(store, kinds=families, n_buckets=2)
+    for metric, kind in families.items():
+        df = decode_tier_blocks(read_scrape_epochs(store, metric)).to_pandas()
+        col = "sum" if kind == "counter" else "last"
+        want = {(r.series_key, int(r.window_start)): float(getattr(r, col))
+                for r in df.itertuples()}
+        got = _decode_stream(stream_scrape(
+            batches, metric=metric, kind=kind, n_actors=2, max_points=8))
+        assert want and got == want, kind
+
+
+def test_stream_equal_timestamp_dropped_and_counted():
+    """A later micro-batch's sample at exactly a series' last accepted
+    timestamp is dropped and counted, as scrape_append's replay absorb
+    and the encoder's high-water mark drop it."""
+    from vertex_ray.stages.stream_scrape import StreamScrapeNormalizer
+
+    def t(rows):
+        return pa.table({
+            "series_key": pa.array([r[0] for r in rows]),
+            "ts_ms": pa.array([r[1] for r in rows], type=pa.int64()),
+            "value": pa.array([r[2] for r in rows], type=pa.float64()),
+        })
+
+    n = StreamScrapeNormalizer(kind="counter", window_s=60)
+    n.append(t([("s", 0, 10.0), ("s", 10_000, 13.0)]))
+    n.append(t([("s", 10_000, 20.0), ("s", 70_000, 25.0)]))
+    assert _decode_stream(n.flush()) == {("s", 0): 3.0, ("s", 60): 12.0}
+    assert n.dropped_stale == 1

@@ -1,45 +1,27 @@
 """Gorilla time-series compression (Pelkonen et al., VLDB 2015) — from
 scratch, numpy-vectorized in BOTH directions.
 
-Two layouts live here:
+One layout lives here, the engine's only Gorilla codec (``*_multi``
+functions): the paper's delta-of-delta / XOR-window information,
+transposed into per-section streams ("columnar Gorilla", see the
+section comment below) so decode is pure flat numpy — no per-point
+loop, throughput independent of series count and length skew. It works
+on Arrow buffers, with no per-series Python object: each encoder builds
+every section of all series as one byte-aligned buffer plus per-series
+byte lengths and joins the sections per series into one ``binary``
+array; each decoder reads a column's data as one padded uint8 buffer
+(``stream_buffer``) at per-series bit offsets, and raises ValueError on
+a block whose sections do not fit it.
 
-1. The paper's interleaved per-point stream (single-series
-   ``encode_values``/``decode_values``/``encode_timestamps``/
-   ``decode_timestamps``) — kept as the spec-parity reference codec and
-   exercised by the property tests.
-2. The engine's on-disk block format (``*_multi`` functions): the SAME
-   delta-of-delta / XOR-window information, transposed into per-section
-   streams ("columnar Gorilla", see the section comment below) so decode
-   is pure flat numpy — no per-point loop, throughput independent of
-   series count and length skew. It works on Arrow buffers, with no
-   per-series Python object: each encoder builds every section of all
-   series as one byte-aligned buffer plus per-series byte lengths and
-   joins the sections per series into one ``binary`` array; each
-   decoder reads a column's data as one padded uint8 buffer
-   (``stream_buffer``) at per-series bit offsets.
+The paper's interleaved per-point stream is not an engine format; its
+readable single-series statement is the test spec (tests/gorilla_spec.py)
+the property tests compare this codec against.
 
-Paper-format stream per series block (self-contained, little-endian raw
-headers):
-
-Timestamp stream (epoch seconds, non-decreasing):
-    [t0: i64][d0: i64 (if n >= 2)][delta-of-delta bits for points 2..n-1]
-    dod codes (paper §4.1.1): ``0`` dod == 0; ``10`` + 7 bits for
-    [-63, 64]; ``110`` + 9 bits for [-255, 256]; ``1110`` + 12 bits for
-    [-2047, 2048]; ``1111`` + 32 bits otherwise. Bounded fields store
-    dod + bias; the 32-bit field stores two's-complement.
-
-Value stream (f64 bit patterns — NaN payloads such as the Prometheus
-stale marker 0x7ff0000000000002 survive bit-for-bit):
-    [v0: f64 raw][per point: ``0`` if XOR == 0 else ``11`` + 5-bit
-    leading-zero count (capped 31) + 6-bit (meaningful_len - 1) +
-    meaningful bits]
-    The encoder always refreshes the leading/length window (control
-    ``11``); the decoder additionally accepts the paper's ``10``
-    reuse-previous-window control, so any conforming stream decodes.
-
-This module is numpy and Arrow buffers — no Ray. The block writer and
-reader (``GorillaEncode``, ``decode_blocks_flat``) that lay these
-streams out as block rows live in stages/encode.py.
+This module is numpy and Arrow buffers — no Ray. Two writers lay these
+streams out as rows: the store's block writer and reader
+(``GorillaEncode``, ``decode_blocks_flat``, stages/encode.py) and the
+streaming encoder's one-stream blocks (``StreamGorillaEncoder``,
+``decode_stream_blocks``, stages/stream_encode.py).
 """
 
 from __future__ import annotations
@@ -78,18 +60,6 @@ def _ctz64(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0, 64, 63 - _clz64(low))
 
 
-def pack_bits(codes: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Concatenate variable-length MSB-first bit fields (each ≤ 64 bits).
-    Zero-length fields are skipped; output is zero-padded to a whole
-    byte (same as packbits)."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    keep = lengths > 0
-    lengths = lengths[keep]
-    ends = np.cumsum(lengths)
-    return _pack_fields(np.asarray(codes)[keep], lengths, ends - lengths,
-                        int(ends[-1]) if len(ends) else 0).tobytes()
-
-
 def _pack_fields(codes: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
                  total_bits: int) -> np.ndarray:
     """Fields of 1..64 bits, in start order, written MSB-first at bit
@@ -126,152 +96,6 @@ def _pack_fields(codes: np.ndarray, lengths: np.ndarray, starts: np.ndarray,
     return words.byteswap().view(np.uint8)[:n_bytes]
 
 
-class BitReader:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes, bit_pos: int = 0):
-        self.buf = buf
-        self.pos = bit_pos
-
-    def read(self, k: int) -> int:
-        if k == 0:
-            return 0
-        start, end = self.pos, self.pos + k
-        first, last = start >> 3, (end + 7) >> 3
-        chunk = int.from_bytes(self.buf[first:last], "big")
-        chunk >>= (last << 3) - end
-        self.pos = end
-        return chunk & ((1 << k) - 1)
-
-
-# ---------------------------------------------------------------------------
-# timestamp stream
-# ---------------------------------------------------------------------------
-
-_DOD_BIASES = (63, 255, 2047)
-_DOD_PREFIXES = ((0b10, 2, 7), (0b110, 3, 9), (0b1110, 4, 12))
-
-
-def encode_timestamps(ts: np.ndarray) -> bytes:
-    ts = np.asarray(ts, dtype=np.int64)
-    n = len(ts)
-    if n == 0:
-        return b""
-    head = ts[0].tobytes()
-    if n == 1:
-        return head
-    d = np.diff(ts)
-    head += d[0].tobytes()
-    if n == 2:
-        return head
-    dod = d[1:] - d[:-1]
-    codes = np.zeros(len(dod), dtype=np.uint64)
-    lens = np.zeros(len(dod), dtype=np.int64)
-    done = dod == 0
-    lens[done] = 1  # code 0
-    for (prefix, plen, vbits), bias in zip(_DOD_PREFIXES, _DOD_BIASES):
-        m = (~done) & (dod >= -bias) & (dod <= bias + 1)
-        codes[m] = (np.uint64(prefix) << np.uint64(vbits)) | (
-            (dod[m] + bias).astype(np.uint64)
-        )
-        lens[m] = plen + vbits
-        done |= m
-    m = ~done
-    codes[m] = (np.uint64(0b1111) << np.uint64(32)) | (
-        dod[m].astype(np.int32).view(np.uint32).astype(np.uint64)
-    )
-    lens[m] = 36
-    return head + pack_bits(codes, lens)
-
-
-def decode_timestamps(buf: bytes, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    out[0] = np.frombuffer(buf[:8], dtype=np.int64)[0]
-    if n == 1:
-        return out
-    d = int(np.frombuffer(buf[8:16], dtype=np.int64)[0])
-    out[1] = out[0] + d
-    r = BitReader(buf, 128)
-    for i in range(2, n):
-        if r.read(1) == 0:
-            dod = 0
-        elif r.read(1) == 0:
-            dod = r.read(7) - 63
-        elif r.read(1) == 0:
-            dod = r.read(9) - 255
-        elif r.read(1) == 0:
-            dod = r.read(12) - 2047
-        else:
-            v = r.read(32)
-            dod = v - (1 << 32) if v >= (1 << 31) else v
-        d += dod
-        out[i] = out[i - 1] + d
-    return out
-
-
-# ---------------------------------------------------------------------------
-# value stream
-# ---------------------------------------------------------------------------
-
-
-def encode_values(vals: np.ndarray) -> bytes:
-    bits = np.ascontiguousarray(np.asarray(vals, dtype=np.float64)).view(np.uint64)
-    n = len(bits)
-    if n == 0:
-        return b""
-    head = bits[0].tobytes()
-    if n == 1:
-        return head
-    x = bits[1:] ^ bits[:-1]
-    lead = np.minimum(_clz64(x), 31)
-    trail = _ctz64(x)
-    mlen = 64 - lead - trail  # >= 1 whenever x != 0
-    zero = x == 0
-    # two fields per point: A = control(+window), B = meaningful bits
-    a_codes = np.where(
-        zero,
-        np.uint64(0),
-        (np.uint64(0b11) << np.uint64(11))
-        | (lead.astype(np.uint64) << np.uint64(6))
-        | np.where(zero, 0, mlen - 1).astype(np.uint64),
-    )
-    a_lens = np.where(zero, 1, 13)
-    b_codes = np.where(zero, np.uint64(0), x >> trail.astype(np.uint64))
-    b_lens = np.where(zero, 0, mlen)
-    codes = np.empty(2 * (n - 1), dtype=np.uint64)
-    lens = np.empty(2 * (n - 1), dtype=np.int64)
-    codes[0::2], codes[1::2] = a_codes, b_codes
-    lens[0::2], lens[1::2] = a_lens, b_lens
-    return head + pack_bits(codes, lens)
-
-
-def decode_values(buf: bytes, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.uint64)
-    if n == 0:
-        return out.view(np.float64)
-    out[0] = np.frombuffer(buf[:8], dtype=np.uint64)[0]
-    if n == 1:
-        return out.view(np.float64)
-    r = BitReader(buf, 64)
-    prev = int(out[0])
-    lead = mlen = 0
-    for i in range(1, n):
-        c = r.read(1)
-        if c == 0:
-            out[i] = prev
-            continue
-        if r.read(1):  # '11' new window
-            lead = r.read(5)
-            mlen = r.read(6) + 1
-        # else '10': reuse previous window (paper path; we never emit it)
-        meaning = r.read(mlen)
-        prev ^= meaning << (64 - lead - mlen)
-        out[i] = prev
-    return out.view(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # multi-series batch codec — the engine's on-disk block format ("columnar
 # Gorilla"). Same information layout as the paper (delta-of-delta timestamp
@@ -302,9 +126,9 @@ def decode_values(buf: bytes, n: int) -> np.ndarray:
 
 
 def _bswap(x: np.ndarray) -> np.ndarray:
-    """uint64 byte swap: pack_bits writes fields MSB-first (big-endian), the
-    raw headers are little-endian — swapping makes the packed header bytes
-    identical to tobytes()."""
+    """uint64 byte swap: _pack_fields writes fields MSB-first
+    (big-endian), the raw headers are little-endian — swapping makes the
+    packed header bytes identical to tobytes()."""
     return x.astype(np.uint64).byteswap()
 
 
@@ -354,7 +178,7 @@ def _pack_const_per_series(codes: np.ndarray, w: int, counts: np.ndarray):
     byte-aligned per-series sections: ``(data, per-series byte lengths)``.
     Scatters each bit lane straight into a padded bit grid (w scatters +
     one packbits) — an order of magnitude less memory traffic than the
-    general pack_bits field expansion, and the presence (w=1) sections
+    general _pack_fields field expansion, and the presence (w=1) sections
     cover every point of every stream."""
     counts = np.asarray(counts, dtype=np.int64)
     n = len(codes)
@@ -363,7 +187,7 @@ def _pack_const_per_series(codes: np.ndarray, w: int, counts: np.ndarray):
         return b"", padded >> 3
     if w > 2:
         # wide constant fields (e.g. the 11-bit XOR headers): the
-        # word-OR pack_bits path beats a w-deep lane loop
+        # word-OR _pack_fields path beats a w-deep lane loop
         return _pack_per_series(codes, np.full(n, w, dtype=np.int64),
                                 counts)
     grid = np.zeros(int(padded.sum()), dtype=np.uint8)

@@ -5500,7 +5500,7 @@ def q_stream_scrape_events(sf_dir: str):
     runtime shape), blocks decoded back. The decoded windowed delta sums
     are hash-identical to the batch pipeline's SQL telescoping mirror —
     stream == batch, bit for bit."""
-    from vertex_ray.gorilla import decode_timestamps, decode_values
+    from vertex_ray.stages.stream_encode import decode_stream_blocks
     from vertex_ray.stages.stream_scrape import stream_scrape
 
     lines = _ev(sf_dir).groupby("event_type").map_groups(
@@ -5508,19 +5508,8 @@ def q_stream_scrape_events(sf_dir: str):
     blocks = stream_scrape(
         lines.iter_batches(batch_format="pyarrow", batch_size=65536),
         metric="events_total", kind="counter", n_actors=4, max_points=512)
-    keys, ws, vs = [], [], []
-    for r in blocks.to_pylist():
-        n = r["n_points"]
-        keys.extend([r["series_key"]] * n)
-        ws.append(decode_timestamps(r["ts_block"], n))
-        vs.append(decode_values(r["val_block"], n))
-    return pa.table({
-        "series_key": pa.array(keys, type=pa.string()),
-        "window_start": pa.array(
-            np.concatenate(ws) if ws else np.zeros(0, np.int64)),
-        "sum": pa.array(
-            np.concatenate(vs) if vs else np.zeros(0, np.float64)),
-    })
+    return decode_stream_blocks(blocks).rename_columns(
+        ["series_key", "window_start", "sum"])
 
 
 SQL_STREAM_SCRAPE_EVENTS = """

@@ -83,7 +83,8 @@ from vertex_ray.state.checkpoint import (
     write_part,
 )
 
-__all__ = ["scrape_append", "scrape_finalize", "read_scrape_epochs"]
+__all__ = ["carry_step", "scrape_append", "scrape_finalize",
+           "read_scrape_epochs"]
 
 _SENTINEL_KIND = 255
 
@@ -140,14 +141,21 @@ def _latest_per_series(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return mx[keys]
 
 
-def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
-                 state_in_dir: str | None, state_parts_dir: str,
-                 blocks_parts_dir: str, emit_all: bool) -> pa.Table:
-    """One bucket × one run: prepend carried reference rows, run the
-    batch normalize kernels, fold carried open partials, split open vs
-    emitted, side-write blocks + next state, return emitted agg rows."""
+def carry_step(samples: pa.Table, refs: pa.Table | None,
+               open_rows: pa.Table | None, window_s: int, emit_all: bool):
+    """The scrape carry step, shared by the incremental store and the
+    streaming normalizer: one batch of parsed samples (series_key, kind,
+    ts_ms, value; bucket, role and le as the parser gives them) folded
+    into the carried state → ``(emitted, open_rows, refs, n_dropped)``.
+
+    Prepend the carried reference rows, drop samples at or before each
+    series' last accepted timestamp (replay absorb; ``n_dropped`` counts
+    them), run the batch normalize kernels, fold the carried open
+    partials in, and split each series' last window off as still open
+    (none with ``emit_all``). ``emitted`` and ``open_rows`` are agg rows
+    with fill flags; ``refs`` are every sample of each series' latest
+    instant. No I/O."""
     from vertex_ray.schema import KIND_GAUGE
-    from vertex_ray.stages.encode import encode_agg_rows
     from vertex_ray.stages.kernel import (
         _UID_CODE_MASK,
         _UID_METRIC_SHIFT,
@@ -158,25 +166,21 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
         take_agg,
     )
 
-    bucket_id = int(g["bucket"][0].as_py())
-    kinds_col = g["kind"].to_numpy(zero_copy_only=False)
-    data = g.filter(pa.array(kinds_col != _SENTINEL_KIND))
-    refs = _read_state(state_in_dir, "refs", bucket_id)
-    open_rows = _read_state(state_in_dir, "open", bucket_id)
-
     # carried reference rows replay as each series' FIRST instant — the
     # kernels' first-sample/first-instant drop consumes them, so diffs
     # seed from the carried values with zero per-kind seeding code
-    combined = (data if refs is None else
-                pa.concat_tables([refs, data], promote_options="default"))
+    combined = (samples if refs is None else
+                pa.concat_tables([refs, samples], promote_options="default"))
     code, _ = factorize(combined["series_key"])
     ts = combined["ts_ms"].to_numpy()
+    n_dropped = 0
     if refs is not None:
         # replay absorb: drop samples at or before the series' last
         # accepted timestamp (the carried reference rows ARE that one)
         is_ref = np.arange(len(ts)) < refs.num_rows
         keep = is_ref | (ts > _latest_per_series(
             code, np.where(is_ref, ts, np.iinfo(np.int64).min)))
+        n_dropped = int(len(keep) - keep.sum())
         combined = combined.filter(pa.array(keep))
         code, ts = code[keep], ts[keep]
 
@@ -203,10 +207,25 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
         open_mask = w == _latest_per_series(agg["uid"] & _UID_CODE_MASK, w)
     emit = _with_flags(keyed_rows(take_agg(agg, ~open_mask), series))
     opens = _with_flags(keyed_rows(take_agg(agg, open_mask), series))
-
     # next references: every row of each series' latest instant
     new_refs = combined.filter(pa.array(ts == _latest_per_series(code, ts)))
+    return emit, opens, new_refs, n_dropped
 
+
+def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
+                 state_in_dir: str | None, state_parts_dir: str,
+                 blocks_parts_dir: str, emit_all: bool) -> pa.Table:
+    """One bucket × one run: read the bucket's carried state, run the
+    carry step, side-write blocks + next state, return emitted agg
+    rows."""
+    from vertex_ray.stages.encode import encode_agg_rows
+
+    bucket_id = int(g["bucket"][0].as_py())
+    kinds_col = g["kind"].to_numpy(zero_copy_only=False)
+    emit, opens, new_refs, _ = carry_step(
+        g.filter(pa.array(kinds_col != _SENTINEL_KIND)),
+        _read_state(state_in_dir, "refs", bucket_id),
+        _read_state(state_in_dir, "open", bucket_id), window_s, emit_all)
     if emit.num_rows:
         write_part(blocks_parts_dir, bucket_id,
                    lambda: encode_agg_rows(emit, tier=tier))

@@ -14,8 +14,9 @@ Reference semantics reproduced:
 Ray-first: per-batch partial aggregation (one row per (tags, window) per
 batch) followed by a tiny groupby merge — the partial/combine split that
 replaces the reference's per-process HashMap + interval flush. All
-arithmetic is the same exact-double AggState contract as the flagship
-rollup (vertex_ray.aggregate).
+arithmetic is the same exact-double FIXTURES §F4 contract as the
+flagship rollup (its scalar statement is the test spec
+tests/aggregate_spec.py).
 """
 
 from __future__ import annotations

@@ -23,13 +23,15 @@ order go through backfill_merge instead).
 
 Closed blocks are NOT store blocks. A stream block is one row per
 (series, block): ``series_key, block_start, block_end, n_points,
-ts_block, val_block``, its two streams written with the single-series
-codec (gorilla.encode_timestamps / encode_values) and read back with
-gorilla.decode_timestamps / decode_values. The store's layout is
-schema.BLOCK_SCHEMA with the columnar ``*_multi`` codec, written by
-stages/encode; a stream block has no ``kind``, ``tier`` or
-``val_blocks``, so decode_blocks_batch, compaction and retention cannot
-read it.
+ts_block, val_block``, its two streams written with the engine's one
+Gorilla codec (gorilla.encode_timestamps_multi /
+encode_values_multi_shared — every block one ``append`` or ``flush``
+closes in one call) and read back with ``decode_stream_blocks``, which
+raises ValueError on a block that does not fit its ``n_points``. The
+store's layout is schema.BLOCK_SCHEMA, written by stages/encode; a
+stream block has no ``kind``, ``tier``, ``val_blocks`` or ``flags``, so
+decode_blocks_batch, compaction and retention cannot read it, the OOO
+blocks included.
 """
 
 from __future__ import annotations
@@ -38,18 +40,68 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from vertex_ray.gorilla import encode_timestamps, encode_values
+from vertex_ray.gorilla import (
+    _excl_cumsum,
+    decode_timestamps_multi_flat,
+    decode_values_multi_flat,
+    encode_timestamps_multi,
+    encode_values_multi_shared,
+    stream_buffer,
+)
 
-__all__ = ["StreamGorillaEncoder", "stream_encode"]
+__all__ = ["StreamGorillaEncoder", "decode_stream_blocks", "stream_encode"]
 
-_EMPTY = pa.table({
-    "series_key": pa.array([], type=pa.string()),
-    "block_start": pa.array([], type=pa.int64()),
-    "block_end": pa.array([], type=pa.int64()),
-    "n_points": pa.array([], type=pa.int32()),
-    "ts_block": pa.array([], type=pa.binary()),
-    "val_block": pa.array([], type=pa.binary()),
-})
+_SCHEMA = pa.schema([
+    ("series_key", pa.string()),
+    ("block_start", pa.int64()),
+    ("block_end", pa.int64()),
+    ("n_points", pa.int32()),
+    ("ts_block", pa.binary()),
+    ("val_block", pa.binary()),
+])
+_EMPTY = _SCHEMA.empty_table()
+
+
+def _encode_blocks(keys: list, ts: list, vals: list) -> pa.Table:
+    """Block rows for the series point runs ``(keys[i], ts[i], vals[i])``,
+    every run one block, all encoded in one codec call per stream."""
+    if not keys:
+        return _EMPTY
+    offsets = _excl_cumsum([len(t) for t in ts])
+    flat_ts = np.concatenate(ts)
+    return pa.table({
+        "series_key": keys,
+        "block_start": flat_ts[offsets[:-1]],
+        "block_end": flat_ts[offsets[1:] - 1],
+        "n_points": np.diff(offsets),
+        "ts_block": encode_timestamps_multi(flat_ts, offsets),
+        "val_block": encode_values_multi_shared([np.concatenate(vals)],
+                                                offsets)[0],
+    }, schema=_SCHEMA)
+
+
+def decode_stream_blocks(blocks: pa.Table) -> pa.Table:
+    """Stream block rows → one ``(series_key, window_start, value)`` row
+    per point, blocks in row order. Raises ValueError when a block's
+    streams do not fit its ``n_points`` (truncated, inflated or corrupt),
+    before anything per point is sized from that count."""
+    n = blocks["n_points"].to_numpy(zero_copy_only=False)
+    if blocks["n_points"].null_count or (n < 0).any():
+        raise ValueError("stream blocks with a null or negative n_points")
+    n = n.astype(np.int64)
+
+    def decode(fn, col):
+        buf, off = stream_buffer(blocks[col].combine_chunks())
+        return fn(buf, 8 * off[:-1], 8 * off[1:], n)
+
+    # timestamps first: they bound n by the blocks' lengths
+    ts = decode(decode_timestamps_multi_flat, "ts_block")
+    return pa.table({
+        "series_key": blocks["series_key"].take(
+            np.repeat(np.arange(len(n)), n)),
+        "window_start": ts,
+        "value": decode(decode_values_multi_flat, "val_block"),
+    })
 
 
 class StreamGorillaEncoder:
@@ -58,7 +110,7 @@ class StreamGorillaEncoder:
     ``append`` folds a micro-batch into the buffers and returns the
     blocks it CLOSED (every full ``max_points`` run); ``flush`` closes
     whatever remains. Block rows carry footer stats (block_start/end,
-    n_points) so the store's pruning reads work on streamed blocks too.
+    n_points), so a reader can prune them by time before decoding.
 
     Effectively-once under at-least-once delivery: each series carries a
     high-water mark (last accepted timestamp, surviving flush); a
@@ -98,16 +150,6 @@ class StreamGorillaEncoder:
         self._recent: dict[str, np.ndarray] = {}
         self._ooo_ts: dict[str, list[np.ndarray]] = {}
         self._ooo_val: dict[str, list[np.ndarray]] = {}
-
-    def _close(self, key: str, ts: np.ndarray, val: np.ndarray) -> dict:
-        return {
-            "series_key": key,
-            "block_start": int(ts[0]),
-            "block_end": int(ts[-1]),
-            "n_points": len(ts),
-            "ts_block": encode_timestamps(ts),
-            "val_block": encode_values(val),
-        }
 
     def _ingest_ooo(self, key: str, accepted_ts: np.ndarray,
                     rej_ts: np.ndarray, rej_val: np.ndarray) -> None:
@@ -153,7 +195,7 @@ class StreamGorillaEncoder:
         new[1:] = k[1:] != k[:-1]
         starts = np.flatnonzero(new)
         ends = np.concatenate([starts[1:], [len(k)]])
-        closed: list[dict] = []
+        keys, cts, cvals = [], [], []  # the blocks this call closes
         for s, e in zip(starts, ends):
             key = k[s]
             seg_ts, seg_val = ts[s:e], val[s:e]
@@ -181,24 +223,23 @@ class StreamGorillaEncoder:
                 bval = np.concatenate(self._val[key])
                 i = 0
                 while len(bts) - i >= self.max_points:
-                    closed.append(self._close(
-                        key, bts[i:i + self.max_points],
-                        bval[i:i + self.max_points]))
+                    keys.append(key)
+                    cts.append(bts[i:i + self.max_points])
+                    cvals.append(bval[i:i + self.max_points])
                     i += self.max_points
                 self._ts[key] = [bts[i:]] if i < len(bts) else []
                 self._val[key] = [bval[i:]] if i < len(bval) else []
-        if not closed:
-            return _EMPTY
-        return pa.Table.from_pylist(closed, schema=_EMPTY.schema)
+        return _encode_blocks(keys, cts, cvals)
 
     def flush(self) -> pa.Table:
-        closed = []
+        keys, cts, cvals = [], [], []
         for key in sorted(self._ts):
             parts = self._ts[key]
             if not parts or not sum(len(x) for x in parts):
                 continue
-            closed.append(self._close(key, np.concatenate(parts),
-                                      np.concatenate(self._val[key])))
+            keys.append(key)
+            cts.append(np.concatenate(parts))
+            cvals.append(np.concatenate(self._val[key]))
         self._ts.clear()
         self._val.clear()
         # OOO buffers: sort each series' late points by time and close
@@ -214,14 +255,14 @@ class StreamGorillaEncoder:
             ots = np.concatenate(parts)
             ovl = np.concatenate(self._ooo_val[key])
             order = np.argsort(ots, kind="stable")
-            closed.append(self._close(key, ots[order], ovl[order]))
+            keys.append(key)
+            cts.append(ots[order])
+            cvals.append(ovl[order])
             rec = self._recent.get(key, np.zeros(0, dtype=np.int64))
             self._recent[key] = np.concatenate([rec, ots])
         self._ooo_ts.clear()
         self._ooo_val.clear()
-        if not closed:
-            return _EMPTY
-        return pa.Table.from_pylist(closed, schema=_EMPTY.schema)
+        return _encode_blocks(keys, cts, cvals)
 
 
 def stream_encode(batches, n_actors: int = 4, max_points: int = 256,

@@ -6,22 +6,33 @@ series' WHOLE sample history in one task to diff cumulative counters.
 A long-lived ingest deployment sees the stream as micro-batches
 (one scrape interval at a time) — the reference's runtime shape, where
 ``MetricNormalizer`` holds per-series reference state
-(/root/reference lib/framework/src/sink/buffer/metrics.rs:100-146) and
-``metricalize`` holds per-series window accumulators flushed on
-interval ticks (src/transforms/metricalize.rs:195-283).
+(lib/framework/src/sink/buffer/metrics.rs:100-146) and ``metricalize``
+holds per-series window accumulators flushed on interval ticks
+(src/transforms/metricalize.rs:195-283).
 
-``StreamScrapeNormalizer`` is that state, kept across micro-batches:
+``StreamScrapeNormalizer`` keeps that state in memory across
+micro-batches, in the incremental store's form: each series' last raw
+sample (the carried reference) and its still-open window's partial
+aggregate. Every micro-batch runs the incremental scrape's one carry
+step (pipelines/scrape_incremental.carry_step) on it, so the two
+ingests share their normalize and carry rules:
 
-- counter: per-series last cumulative value; a sample's delta is
-  ``cur - prev`` (``cur`` on decrease — counter reset); the stream's
-  FIRST sample per series only sets the reference and emits nothing.
+- counter: a sample's delta is ``cur - prev`` (``cur`` on decrease —
+  counter reset); the stream's FIRST sample per series only sets the
+  reference and emits nothing; a window's value is its delta sum.
 - gauge: replace-merge — last sample in the window wins.
+- summary (quantile streams, no-op merge): the window's FIRST sample
+  wins, across micro-batch boundaries too.
 - a window EMITS when a strictly later window for the same series
   arrives (watermark-by-series advance); ``flush`` emits open windows.
 
 Ingest contract: per-series timestamps non-decreasing across batches
-(same as StreamGorillaEncoder); a sample older than the series' last
-accepted timestamp is dropped (counted in ``dropped_stale``).
+(same as StreamGorillaEncoder). A sample AT or before the series' last
+accepted timestamp of an earlier micro-batch is dropped and counted in
+``dropped_stale`` — the replay absorb of ``scrape_append`` and the
+encoder's high-water mark; Prometheus likewise rejects a second sample
+for a timestamp it holds. (Before the two ingests shared the step, a
+later batch's sample at exactly that timestamp was kept.)
 
 Like stream_encode, this is the raw-actor case the Dataset API can't
 express (later micro-batches of a series must reach the SAME state):
@@ -34,12 +45,22 @@ block with no further exchange.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from vertex_ray.pipelines.scrape_incremental import carry_step
+from vertex_ray.pipelines.scrape_pipeline import _KIND_CODE, _scrape_parser
 from vertex_ray.stages.stream_encode import _EMPTY, StreamGorillaEncoder
 
 __all__ = ["StreamScrapeNormalizer", "stream_scrape"]
+
+_KINDS = ("counter", "gauge", "summary")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"streaming scrape supports counter|gauge|"
+                         f"summary, got {kind!r}")
 
 
 class StreamScrapeNormalizer:
@@ -47,142 +68,53 @@ class StreamScrapeNormalizer:
     (series_key, ts_ms, value), emitting closed (series, window) vector
     rows into an internal StreamGorillaEncoder.
 
-    Emitted value per kind: counter → windowed delta sum; gauge → last
-    observation of the window; summary (the quantile streams — no-op
-    merge, metric/mod.rs:33-39) → FIRST observation of the window (ties
-    within a micro-batch broken by value asc; across micro-batches the
-    earlier batch wins, exact vs the batch kernel whenever per-series
-    timestamps are strictly increasing, the fixture norm). A summary
+    Emitted value per kind: counter → windowed delta sum (``sum``);
+    gauge → last observation of the window, summary → first (``last``,
+    which the summary kernel sets to the first sample). A summary
     family's cumulative ``_sum``/``_count`` are their own counter
     streams — ingest them with kind="counter" runs.
     """
 
     def __init__(self, kind: str = "counter", window_s: int = 60,
                  max_points: int = 256):
-        if kind not in ("counter", "gauge", "summary"):
-            raise ValueError(f"streaming scrape supports counter|gauge|"
-                             f"summary, got {kind!r}")
-        self.kind = kind
+        _check_kind(kind)
+        self.code = _KIND_CODE[kind]
+        self.value_col = "sum" if kind == "counter" else "last"
         self.window_s = int(window_s)
-        # series → [last_ts_ms, last_cum, open_w, open_value, seeded]
-        self.state: dict = {}
+        self.refs = self.open_rows = None
         self.enc = StreamGorillaEncoder(max_points=max_points)
         self.dropped_stale = 0
-
-    # -- internals ---------------------------------------------------------
-
-    def _normalize(self, t: pa.Table, key_col: str, ts_col: str,
-                   val_col: str) -> pa.Table:
-        k = t[key_col].to_numpy(zero_copy_only=False)
-        ts = t[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        codes, uniq = pd.factorize(k)
-        order = np.lexsort((v, ts, codes))
-        codes, ts, v = codes[order], ts[order], v[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], codes[1:] != codes[:-1]]))
-        ends = np.concatenate([starts[1:], [len(codes)]])
-        out_keys: list = []
-        out_w: list = []
-        out_v: list = []
-        wms = self.window_s * 1000
-        for s, e in zip(starts, ends):
-            key = uniq[codes[s]]
-            st = self.state.get(key)
-            if st is None:
-                st = [np.int64(-1 << 62), 0.0, None, 0.0, False]
-                self.state[key] = st
-            seg_ts, seg_v = ts[s:e], v[s:e]
-            fresh = seg_ts >= st[0]
-            if not fresh.all():
-                self.dropped_stale += int((~fresh).sum())
-                seg_ts, seg_v = seg_ts[fresh], seg_v[fresh]
-            if len(seg_ts) == 0:
-                continue
-            st[0] = seg_ts[-1]
-            if self.kind == "counter":
-                if not st[4]:
-                    # stream-first sample: sets the reference only
-                    st[1] = seg_v[0]
-                    st[4] = True
-                    seg_ts, seg_v = seg_ts[1:], seg_v[1:]
-                    if len(seg_ts) == 0:
-                        continue
-                full = np.concatenate([[st[1]], seg_v])
-                st[1] = seg_v[-1]
-                prev, cur = full[:-1], full[1:]
-                vals = np.where(cur >= prev, cur - prev, cur)
-            else:
-                st[4] = True
-                vals = seg_v
-            ws = (seg_ts // wms) * self.window_s
-            b = np.flatnonzero(np.concatenate([[True], ws[1:] != ws[:-1]]))
-            eb = np.concatenate([b[1:], [len(ws)]])
-            if self.kind == "counter":
-                pv = np.add.reduceat(vals, b)
-            elif self.kind == "summary":
-                pv = vals[b]
-            else:
-                pv = vals[eb - 1]
-            pw = ws[b]
-            # fold the carried open window into the first partial:
-            # counter adds, gauge keeps the new last, summary keeps the
-            # carried FIRST
-            if st[2] is not None:
-                if pw[0] == st[2]:
-                    if self.kind == "counter":
-                        pv[0] = st[3] + pv[0]
-                    elif self.kind == "summary":
-                        pv[0] = st[3]
-                elif pw[0] > st[2]:
-                    out_keys.append(key)
-                    out_w.append(st[2])
-                    out_v.append(st[3])
-            # all but the last window are closed by the advance
-            for i in range(len(pw) - 1):
-                out_keys.append(key)
-                out_w.append(pw[i])
-                out_v.append(pv[i])
-            st[2], st[3] = int(pw[-1]), float(pv[-1])
-        if not out_keys:
-            return _EMPTY
-        return pa.table({
-            "series_key": pa.array(out_keys, type=pa.string()),
-            "window_start": pa.array(np.asarray(out_w, dtype=np.int64)),
-            "value": pa.array(np.asarray(out_v, dtype=np.float64)),
-        })
-
-    # -- public ------------------------------------------------------------
 
     def append(self, t: pa.Table, key_col: str = "series_key",
                ts_col: str = "ts_ms", val_col: str = "value") -> pa.Table:
         """Fold a micro-batch of flat samples; returns the block rows the
         internal encoder CLOSED as a result."""
-        vec = self._normalize(t, key_col, ts_col, val_col)
-        if vec.num_rows == 0:
-            return _EMPTY
-        return self.enc.append(vec, "series_key", "window_start", "value")
+        return self._step(t[key_col], t[ts_col], t[val_col], emit_all=False)
 
     def flush(self) -> pa.Table:
         """Close every open window and open block."""
-        keys = [k for k, st in self.state.items() if st[2] is not None]
-        if keys:
-            vec = pa.table({
-                "series_key": pa.array(keys, type=pa.string()),
-                "window_start": pa.array(np.asarray(
-                    [self.state[k][2] for k in keys], dtype=np.int64)),
-                "value": pa.array(np.asarray(
-                    [self.state[k][3] for k in keys], dtype=np.float64)),
-            })
-            for k in keys:
-                self.state[k][2] = None
-            closed = self.enc.append(vec, "series_key", "window_start",
-                                     "value")
-        else:
-            closed = _EMPTY
-        tail = self.enc.flush()
-        parts = [x for x in (closed, tail) if x.num_rows]
+        closed = self._step(pa.array([], pa.string()),
+                            pa.array([], pa.int64()),
+                            pa.array([], pa.float64()), emit_all=True)
+        parts = [x for x in (closed, self.enc.flush()) if x.num_rows]
         return pa.concat_tables(parts) if parts else _EMPTY
+
+    def _step(self, keys, ts, values, emit_all: bool) -> pa.Table:
+        n = len(keys)
+        samples = pa.table({
+            "bucket": pa.array(np.zeros(n, np.int32)),
+            "series_key": keys.cast(pa.string()),
+            "kind": pa.array(np.full(n, self.code, np.uint8)),
+            "ts_ms": ts.cast(pa.int64()),
+            "value": values.cast(pa.float64()),
+        })
+        emit, self.open_rows, refs, dropped = carry_step(
+            samples, self.refs, self.open_rows, self.window_s, emit_all)
+        # the step's refs keep the chunks of the carried refs + batch
+        self.refs = refs.combine_chunks()
+        self.dropped_stale += dropped
+        return self.enc.append(emit, "series_key", "window_start",
+                               self.value_col)
 
 
 def stream_scrape(batches, *, metric: str, kind: str = "counter",
@@ -191,59 +123,39 @@ def stream_scrape(batches, *, metric: str, kind: str = "counter",
                   default_ts_ms: int | None = None) -> pa.Table:
     """Drive a pool of StreamScrapeNormalizers over an iterable of
     exposition-LINE micro-batches (pa.Table with a ``text`` column).
-    Each batch is parsed vectorized on the driver loop, then samples are
-    routed by series-key hash so one actor owns each series' normalize +
-    encoder state for the stream's lifetime. Returns all closed block
-    rows (stream_encode schema)."""
+    Each batch is parsed on the driver loop by the scrape ingests'
+    parser, whose series-key hash bucket over ``n_actors`` picks the
+    actor, so one actor owns each series' normalize + encoder state for
+    the stream's lifetime. Returns all closed block rows
+    (stream_encode schema)."""
     import ray
 
-    from vertex_ray.sources.prometheus_text import decode_prometheus_samples
-
+    _check_kind(kind)
+    # the parser leaves a missing timestamp at -1 here; the check below
+    # runs after the kind filter, so it sees only ingested rows
+    parse = _scrape_parser(
+        kinds={metric: kind}, n_buckets=n_actors,
+        default_ts_ms=-1 if default_ts_ms is None else default_ts_ms)
     Actor = ray.remote(StreamScrapeNormalizer)
     pool = [Actor.remote(kind=kind, window_s=window_s,
                          max_points=max_points) for _ in range(n_actors)]
     out_refs = []
     for t in batches:
-        s = decode_prometheus_samples(t)
-        m = pa.compute.equal(s["name"], metric)
-        s = s.filter(m)
-        if s.num_rows == 0:
-            continue
-        miss = pa.compute.equal(s["ts_ms"], -1)
-        if pa.compute.any(miss).as_py():
-            if default_ts_ms is None:
-                raise ValueError(
-                    "exposition samples without timestamps: pass "
-                    "default_ts_ms (the scrape time)")
-            s = s.set_column(
-                s.schema.get_field_index("ts_ms"), "ts_ms",
-                pa.compute.if_else(
-                    miss, pa.scalar(int(default_ts_ms), pa.int64()),
-                    s["ts_ms"]))
-        tags = pd.Series(s["tags"].to_numpy(zero_copy_only=False),
-                         dtype=object).str.replace('"', "", regex=False)
-        if kind == "summary":
-            # each quantile stream is its own series — merge the label
-            # the parser routed to its own column back into the key
-            from vertex_ray.pipelines.scrape_pipeline import (
-                merge_quantile_into_tags,
-            )
-
-            qv = s["quantile"].to_numpy(zero_copy_only=False)
-            tags = merge_quantile_into_tags(tags, qv, ~np.isnan(qv))
-        key = (metric + "{" + tags + "}").to_numpy()
-        samples = pa.table({
-            "series_key": pa.array(key, type=pa.string()),
-            "ts_ms": s["ts_ms"],
-            "value": s["value"],
-        })
-        route = (pd.util.hash_array(np.ascontiguousarray(key))
-                 % np.uint64(n_actors)).astype(np.int64)
+        s = parse(t)
+        # the metric's own series only: a summary family's _sum/_count
+        # parse as counter series of their own
+        s = s.filter(pc.equal(s["kind"], _KIND_CODE[kind]))
+        if default_ts_ms is None and pc.any(
+                pc.equal(s["ts_ms"], -1)).as_py():
+            raise ValueError(
+                "exposition samples without timestamps: pass "
+                "default_ts_ms (the scrape time)")
+        route = s["bucket"].to_numpy()
         for a in range(n_actors):
             sel = route == a
             if sel.any():
-                out_refs.append(
-                    pool[a].append.remote(samples.filter(pa.array(sel))))
+                out_refs.append(pool[a].append.remote(
+                    s.filter(pa.array(sel))))
     out_refs.extend(a.flush.remote() for a in pool)
     tables = [t for t in ray.get(out_refs) if t.num_rows]
     return pa.concat_tables(tables) if tables else _EMPTY
