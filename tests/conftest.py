@@ -45,3 +45,28 @@ def force_ingest(monkeypatch):
                             (lambda: 1) if driver else real_cpus)
 
     return force
+
+
+@pytest.fixture
+def seal_dies(monkeypatch):
+    """``seal_dies()`` makes the next ``seal`` die inside the commit: its
+    ``finalize_stage`` renames the set's first stage into place, then
+    raises on the second stage's rename. Later renames run as usual."""
+    from vertex_ray.state import checkpoint, fsio
+
+    real = fsio.rename
+
+    def arm() -> None:
+        sealed = []
+
+        def rename(src: str, dst: str) -> None:
+            if src.endswith(checkpoint.PARTS):
+                if sealed:
+                    monkeypatch.setattr(fsio, "rename", real)
+                    raise RuntimeError("killed in seal")
+                sealed.append(dst)
+            real(src, dst)
+
+        monkeypatch.setattr(fsio, "rename", rename)
+
+    return arm

@@ -4,9 +4,12 @@ one runs as a Ray execution. Both commit through the same checkpoint
 steps and store the same blocks. Each test forces a path with the
 ``force_ingest`` fixture (conftest), which patches the gate."""
 
+import ast
 import os
+import pathlib
 import shutil
 import sys
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -14,9 +17,15 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
+import vertex_ray
 import vertex_ray.pipelines.epoch_pipeline as ep
 import vertex_ray.pipelines.rollup_pipeline as rp
-from vertex_ray.state.checkpoint import pipeline_counters, stage_files
+from vertex_ray.state.checkpoint import (
+    PARTS,
+    pipeline_counters,
+    stage_done,
+    stage_files,
+)
 from vertex_ray.synth import ensure_transcripts
 
 sys.path.insert(0, os.path.join(
@@ -213,3 +222,114 @@ def test_killed_driver_run_reuses_its_parts(ray_session, transcripts, tmp_path,
         assert _oneshot_parts(out) == _oneshot_parts(want)
     else:
         assert _epoch_digest(out) == _epoch_digest(want)
+
+
+def _part_mtimes(root: str, sealed: bool) -> dict[str, int]:
+    """mtime of every agg and blocks part of a one-shot store, keyed by
+    stage/name: in the sealed stage dirs, or in their parts dirs."""
+    out = {}
+    for stage in ("agg", "blocks"):
+        d = os.path.join(root, stage if sealed else stage + PARTS)
+        for f in stage_files(d):
+            out[f"{stage}/{os.path.basename(f)}"] = os.stat(f).st_mtime_ns
+    return out
+
+
+def _oneshot_digests(root: str) -> tuple[dict[str, str], str]:
+    """``scripts/store_digest.py``'s blocks part sha256s and row digest."""
+    return store_digest.store_digests(root, [os.path.join(root, "blocks")],
+                                      [], {})
+
+
+@pytest.mark.parametrize("killed_on", EXECUTORS)
+def test_ray_run_resumes_bucket_by_bucket(ray_session, transcripts, tmp_path,
+                                          force_ingest, monkeypatch,
+                                          killed_on):
+    """A one-shot run killed after two buckets (an exception in
+    ``bucket_group``), on either executor, then rerun on Ray: the
+    finished buckets' agg and blocks parts are reused as they are (same
+    mtimes), and the store equals an uninterrupted one."""
+    force_ingest("ray")
+    want = str(tmp_path / "clean")
+    _oneshot(transcripts, want)
+
+    out, slots = str(tmp_path / "killed"), str(tmp_path / "slots")
+    os.makedirs(slots)
+    agg_parts, kill_at, real = os.path.join(out, "agg" + PARTS), 2, rp.bucket_group
+
+    def killing(group, **kwargs):
+        # the first ``kill_at`` buckets to claim a slot run; any other
+        # dies once theirs have written their agg parts (a Ray run may
+        # run buckets side by side)
+        for i in range(kill_at):
+            try:
+                os.close(os.open(os.path.join(slots, str(i)),
+                                 os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                continue
+            return real(group, **kwargs)
+        deadline = time.time() + 120
+        while (len([f for f in os.listdir(agg_parts)
+                    if f.endswith(".parquet")]) < kill_at
+               and time.time() < deadline):
+            time.sleep(0.05)
+        raise RuntimeError("killed")
+
+    monkeypatch.setattr(rp, "bucket_group", killing)
+    force_ingest(killed_on)
+    with pytest.raises(Exception, match="killed"):
+        _oneshot(transcripts, out)
+    kept = _part_mtimes(out, sealed=False)
+    assert sum(k.startswith("agg/") for k in kept) == kill_at
+
+    monkeypatch.setattr(rp, "bucket_group", real)
+    force_ingest("ray")
+    m = _oneshot(transcripts, out)
+    assert {v["lineage"]["executor"] for v in m.values()} == {"ray"}
+    after = _part_mtimes(out, sealed=True)
+    assert {k: after.get(k) for k in kept} == kept
+    assert len(after) == len(_part_mtimes(want, sealed=True))
+    assert _oneshot_digests(out) == _oneshot_digests(want)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_run_killed_inside_seal_resumes(ray_session, transcripts, tmp_path,
+                                        force_ingest, seal_dies, executor):
+    """A one-shot run that dies in ``seal``, between sealing its first
+    stage and its second, leaves the set partial; a rerun commits
+    sha256-identical blocks parts and the rows of an uninterrupted
+    run."""
+    force_ingest(executor)
+    want = str(tmp_path / "clean")
+    _oneshot(transcripts, want)
+    out = str(tmp_path / "killed")
+    seal_dies()
+    with pytest.raises(RuntimeError, match="killed in seal"):
+        _oneshot(transcripts, out)
+    assert stage_done(os.path.join(out, "agg"))
+    assert not os.path.exists(os.path.join(out, "blocks"))
+    m = _oneshot(transcripts, out)
+    assert {v["lineage"]["executor"] for v in m.values()} == {executor}
+    assert _oneshot_digests(out) == _oneshot_digests(want)
+
+
+def test_ingests_split_work_only_through_the_seam():
+    """The ingest modules build their one exchange through
+    stages/executor.per_group, the one place where work is split across
+    executors: none calls ``.groupby(``, ``.map_groups(`` or
+    ``split_by_bucket(`` itself."""
+    root = pathlib.Path(vertex_ray.__file__).parent / "pipelines"
+    hits = []
+    for rel in ("rollup_pipeline.py", "epoch_pipeline.py",
+                "scrape_pipeline.py", "scrape_incremental.py"):
+        path = root / rel
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if (name == "split_by_bucket" or isinstance(f, ast.Attribute)
+                    and name in ("groupby", "map_groups")):
+                hits.append(f"{rel}:{node.lineno} {name}(")
+    assert not hits, hits

@@ -20,9 +20,10 @@ import ray.data as rd
 import vertex_ray.pipelines.rollup_pipeline as rp
 import vertex_ray.pipelines.scrape_incremental as si
 import vertex_ray.pipelines.scrape_pipeline as sp
+import vertex_ray.stages.executor as executor
 from vertex_ray.pipelines.epoch_pipeline import epoch_dirs
 from vertex_ray.schema import DEFAULT_BUCKETS
-from vertex_ray.state.checkpoint import read_manifest
+from vertex_ray.state.checkpoint import read_manifest, stage_done
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts"))
@@ -94,17 +95,16 @@ def _digest(ds) -> tuple[int, str]:
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Counts ``split_by_bucket`` calls in the scrape modules: the driver
+    """Counts ``split_by_bucket`` calls in the executor seam: the driver
     executor's exchange, which a Ray execution never calls."""
     calls = []
-    real = rp.split_by_bucket
+    real = executor.split_by_bucket
 
     def counting(t, n):
         calls.append(n)
         return real(t, n)
 
-    monkeypatch.setattr(sp, "split_by_bucket", counting)
-    monkeypatch.setattr(si, "split_by_bucket", counting)
+    monkeypatch.setattr(executor, "split_by_bucket", counting)
     return calls
 
 
@@ -364,3 +364,63 @@ def test_killed_driver_append_rebuilds_at_another_scrape_time(
                      kinds=KINDS, n_buckets=N_BUCKETS, default_ts_ms=times[2])
     si.scrape_finalize(out, kinds=KINDS, n_buckets=N_BUCKETS)
     assert _store(out) == _store(want)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_append_killed_inside_seal_resumes(ray_session, tmp_path,
+                                           force_ingest, seal_dies,
+                                           executor):
+    """An append that dies in ``seal``, between sealing its first stage
+    and its second, leaves its epoch partial; a rerun over the same
+    lines commits sha256-identical blocks parts and the rows of an
+    uninterrupted append."""
+    force_ingest(executor)
+    runs = _runs(_stream(19))
+    want, out = str(tmp_path / "clean"), str(tmp_path / "killed")
+    for i, run in enumerate(runs[:2]):
+        si.scrape_append(_read(tmp_path, run, f"run{i}"), want, kinds=KINDS,
+                         n_buckets=N_BUCKETS)
+    si.scrape_append(_read(tmp_path, runs[0], "run0"), out, kinds=KINDS,
+                     n_buckets=N_BUCKETS)
+    seal_dies()
+    with pytest.raises(RuntimeError, match="killed in seal"):
+        si.scrape_append(_read(tmp_path, runs[1], "run1"), out, kinds=KINDS,
+                         n_buckets=N_BUCKETS)
+    edir = epoch_dirs(out)[-1]
+    assert stage_done(os.path.join(edir, "agg"))
+    assert not os.path.exists(os.path.join(edir, "blocks"))
+    m = si.scrape_append(_read(tmp_path, runs[1], "run1"), out, kinds=KINDS,
+                         n_buckets=N_BUCKETS)
+    assert {v["lineage"]["executor"] for v in m.values()} == {executor}
+
+    def digests(root):
+        edirs = epoch_dirs(root)
+        return store_digest.store_digests(
+            root, [os.path.join(e, "blocks") for e in edirs],
+            [os.path.join(e, "state") for e in edirs],
+            {"refs": None, "open": None})
+
+    assert len(epoch_dirs(out)) == 2
+    assert digests(out) == digests(want)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_no_sample_of_the_metric_gives_no_rows(ray_session, tmp_path,
+                                               force_ingest, executor):
+    """Lines with no sample of the ingested family: ``scrape_to_store``
+    returns no block row (in the driver, with the block columns), and
+    ``scrape_append`` commits a 0-row agg and blocks set, on either
+    executor."""
+    force_ingest(executor)
+    lines = _read(tmp_path, _stream())
+    ds = sp.scrape_to_store(lines, metric="absent", kind="counter",
+                            n_buckets=N_BUCKETS)
+    assert ds.count() == 0
+    if executor == "driver":
+        full = sp.scrape_to_store(lines, metric="req_total",
+                                  n_buckets=N_BUCKETS)
+        assert ds.schema().names == full.schema().names
+    m = si.scrape_append(lines, str(tmp_path / "store"),
+                         kinds={"absent": "counter"}, n_buckets=N_BUCKETS)
+    assert {v["lineage"]["executor"] for v in m.values()} == {executor}
+    assert m["agg"]["rows"] == m["blocks"]["rows"] == 0

@@ -120,35 +120,43 @@ def cmd_top(args) -> int:
 def cmd_stats(args) -> int:
     """LIVE per-stage execution stats — the ``vertex top`` live-tap
     analogue (the reference's src/top.rs:42-55, per-component live
-    throughput via src/extensions/remote_tap): run the plan
-    ``run_pipeline`` runs (rollup_pipeline.rollup_dataset: read →
-    run-packed projection → bucket groupby → bucket kernel + Gorilla
-    encode + blocks side-write) end to end, its blocks into a temporary
-    directory, and print Ray Data's executed-operator stats —
-    per-operator wall time, rows in/out, object-store memory
-    (``ds.stats()``) — plus a one-line total. ``--out-dir`` appends the
+    throughput via src/extensions/remote_tap): run the one-shot chain
+    ``run_pipeline`` runs on Ray (rollup_pipeline.rollup_chain over
+    ``read_transcripts``: read → run-packed projection → bucket groupby
+    → bucket kernel + Gorilla encode + agg and blocks part writes) end
+    to end, its parts into a temporary directory, and print Ray Data's
+    executed-operator stats — per-operator wall time, rows in/out,
+    object-store memory (``ds.stats()``) — plus a one-line total whose
+    row counts come from the parts' footers. ``--out-dir`` appends the
     committed counters table (the static half the ``top`` verb already
     shows)."""
     _ray_up()
+    import os as _os
     import tempfile
 
     import pyarrow.parquet as pq
 
     from vertex_ray.pipelines.rollup_pipeline import (
-        rollup_dataset,
+        read_transcripts,
+        rollup_chain,
         transcripts_end_ts,
     )
     from vertex_ray.state.checkpoint import stage_files
 
     end = transcripts_end_ts(args.transcripts)
-    with tempfile.TemporaryDirectory() as parts:
-        mat = rollup_dataset(args.transcripts, end, args.buckets,
-                             parts).materialize()
-        files = stage_files(parts)
-        n_blocks = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    with tempfile.TemporaryDirectory() as tmp:
+        parts = {s: _os.path.join(tmp, s) for s in ("agg", "blocks")}
+        for d in parts.values():
+            _os.makedirs(d)
+        mat = rollup_chain(read_transcripts(args.transcripts), end,
+                           args.buckets, parts["agg"], parts["blocks"]
+                           ).materialize()
+        files = {s: stage_files(d) for s, d in parts.items()}
+        rows = {s: sum(pq.ParquetFile(f).metadata.num_rows for f in fs)
+                for s, fs in files.items()}
     print(mat.stats())
-    print(f"TOTAL: {n_blocks} block rows in {len(files)} bucket parts, "
-          f"{mat.count()} agg rows, "
+    print(f"TOTAL: {rows['blocks']} block rows in {len(files['blocks'])} "
+          f"bucket parts, {rows['agg']} agg rows, "
           f"{mat.size_bytes() / 1e6:.1f} MB materialized")
     if args.out_dir:
         from vertex_ray.state.checkpoint import pipeline_counters

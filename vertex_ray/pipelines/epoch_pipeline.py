@@ -5,16 +5,16 @@ streaming daemon carries per-series state in RAM across ticks
 (src/transforms/metricalize.rs:220-262, prometheus_exporter's TTL'd
 series map), this pipeline processes the transcript stream one EPOCH at
 a time and carries the cross-epoch state in per-bucket parquet parts.
-Each epoch run is the same plan as the one-shot flagship, on the same
-two executors (rollup_pipeline.ingest_in_driver picks one per epoch from
-the input's bytes and the session's CPUs): a ts-pruned scan → the
-run-packed projection (derive.project_for_rollup_packed, one exchange
-row per conversation run) plus one empty sentinel run per bucket → the
-bucket split → the one group body (rollup_pipeline.bucket_group, here
-over a bounded epoch) → agg rows + Gorilla blocks. On Ray that is one
-execution per epoch, a bucket groupby whose sink is the agg stage; in
-the driver it is rollup_pipeline.run_groups, bucket by bucket, with no
-Ray execution.
+Each epoch run is the one-shot flagship's chain over the executor seam
+(stages/executor), on the same two executors (rollup_pipeline.scan picks
+one per epoch from the input's bytes and the session's CPUs): a
+ts-pruned scan → the run-packed projection
+(derive.project_for_rollup_packed, one exchange row per conversation
+run) plus one empty sentinel run per bucket → per bucket, the one group
+body (rollup_pipeline.bucket_group, here over a bounded epoch), which
+writes the bucket's blocks, state and agg parts. In the driver that runs
+bucket by bucket with no Ray execution; on Ray it is one execution per
+epoch, a bucket groupby whose group tasks write the parts.
 Only the carry differs from the one-shot run: a per-bucket state read
 at group entry and a state part write at group exit. No group ever
 holds more than one epoch of one bucket — the unbounded-retention answer
@@ -48,12 +48,14 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from vertex_ray.schema import TIERS
-from vertex_ray.stages.derive import PROJECT_COLUMNS, project_for_rollup_packed
+from vertex_ray.stages.derive import project_for_rollup_packed
 from vertex_ray.stages.encode import BLOCK_FORMAT
+from vertex_ray.stages.executor import per_batch, per_group, union
 from vertex_ray.stages.kernel import METRIC_NAMES
 from vertex_ray.state import fsio
 from vertex_ray.state.checkpoint import (
     committed,
+    group_body,
     open_parts,
     read_manifest,
     seal,
@@ -64,11 +66,9 @@ from vertex_ray.pipelines.rollup_pipeline import (
     _target_blocks,
     auto_n_buckets,
     bucket_group,
-    ingest_in_driver,
-    input_bytes,
     read_block_table,
     read_stage_files,
-    run_groups,
+    scan,
     transcripts_span_s,
 )
 
@@ -107,47 +107,31 @@ def run_one_epoch(
     n_buckets: int,
     salt: int,
     tiers,
-    nbytes: int,
 ) -> dict[str, dict]:
-    """Commit (or reuse) one epoch's stage set; ``nbytes`` is the input's
-    size, which picks the executor (rollup_pipeline.ingest_in_driver)."""
+    """Commit (or reuse) one epoch's stage set."""
     paths = {s: posixpath.join(edir, s) for s in ("agg", "blocks", "state")}
     manifests = committed(paths, lineage)
     if manifests is not None:
         return manifests
     t0 = time.time()
-    body = functools.partial(
-        bucket_group,
-        tiers=tiers,
-        epoch_start_s=epoch_start_s,
-        epoch_end_s=epoch_end_s,
-        fill_end_s=fill_end_s,
-        salt=salt,
-        state_in_dir=state_in_dir,
-        state_parts_dir=open_parts(paths["state"], lineage),
-        blocks_parts_dir=open_parts(paths["blocks"], lineage),
-    )
     lo = pa.scalar(epoch_start_s * 1_000_000, type=pa.timestamp("us"))
     hi = pa.scalar(epoch_end_s * 1_000_000, type=pa.timestamp("us"))
     in_epoch = (pc.field("ts") >= lo) & (pc.field("ts") < hi)
-    if ingest_in_driver(nbytes):
-        run_groups(transcripts_path, n_buckets, body,
-                   open_parts(paths["agg"], lineage), in_epoch,
-                   _sentinels(n_buckets))
-        return seal(None, paths, lineage, t0)
-    raw = rd.read_parquet(
-        transcripts_path,
-        columns=PROJECT_COLUMNS,
-        filter=in_epoch,
-        override_num_blocks=_target_blocks(),
-    )
-    projected = raw.map_batches(
-        functools.partial(project_for_rollup_packed, n_buckets=n_buckets),
-        batch_format="pyarrow",
-    ).union(rd.from_arrow(_sentinels(n_buckets)))
-    agg_ds = projected.groupby("bucket").map_groups(body,
-                                                    batch_format="pyarrow")
-    return seal(agg_ds, paths, lineage, t0)
+    projected = per_batch(scan(transcripts_path, in_epoch), functools.partial(
+        project_for_rollup_packed, n_buckets=n_buckets))
+    out = per_group(union([projected, _sentinels(n_buckets)]), group_body(
+        open_parts(paths["agg"], lineage), functools.partial(
+            bucket_group,
+            tiers=tiers,
+            epoch_start_s=epoch_start_s,
+            epoch_end_s=epoch_end_s,
+            fill_end_s=fill_end_s,
+            salt=salt,
+            state_in_dir=state_in_dir,
+            state_parts_dir=open_parts(paths["state"], lineage),
+            blocks_parts_dir=open_parts(paths["blocks"], lineage),
+        )))
+    return seal(out, paths, lineage, t0)
 
 
 def epoch_dirs(out_dir: str) -> list[str]:
@@ -191,10 +175,9 @@ def run_pipeline_epochs(
                 f"epoch_seconds={epoch_seconds} must be a multiple of the "
                 f"{tier} tier width {seconds}s (windows may not straddle epochs)"
             )
-    nbytes = input_bytes(transcripts_path)
     if n_buckets is None:
         n_buckets = (committed_n_buckets(out_dir)
-                     or auto_n_buckets(transcripts_path, nbytes=nbytes))
+                     or auto_n_buckets(transcripts_path))
     start_s, end_s = transcripts_span_s(transcripts_path)
     first = start_s // epoch_seconds * epoch_seconds
     starts = list(range(first, end_s + 1, epoch_seconds))
@@ -218,7 +201,7 @@ def run_pipeline_epochs(
         }
         m = run_one_epoch(
             transcripts_path, edir, es, ee, fill_end, state_dir, lineage,
-            n_buckets, salt, tiers, nbytes,
+            n_buckets, salt, tiers,
         )
         for stage, manifest in m.items():
             manifests[f"epoch-{es}/{stage}"] = manifest

@@ -1,35 +1,30 @@
 """The flagship pipeline: transcripts → 1m/5m/1h/1d Gorilla-compressed
 retention tiers (SURVEY.md §3.3).
 
-ONE exchange and ONE group body for the whole run, on one of two
-executors that ``ingest_in_driver`` picks from the input's bytes and
-the session's CPUs:
+ONE chain for the whole run, built once over the executor seam
+(stages/executor), whose ``scan`` picks the executor from the input's
+bytes and the session's CPUs (``ingest_in_driver``):
 
     scan(transcripts)                             # PROJECT_COLUMNS only
-      → project_for_rollup_packed                 # one row per conv run;
+      → per_batch(project_for_rollup_packed)      # one row per conv run;
                                                   # int codes, text never moves
-      → split by bucket                           # THE exchange
-      → bucket_group per bucket: explode runs → bucket kernel over the
+      → per_group, THE exchange, the group body per bucket:
+            bucket_group: explode runs → bucket kernel over the
             unbounded epoch (kernel_epoch.epoch_kernel): rollup 1m →
             cascade 5m/1h/1d → gap-fill run codes → pack
             → Gorilla-encode + write this bucket's blocks part
-            → return the sparse tier agg rows
-      → agg stage, then both stages sealed (commit protocol)
+            → its sparse tier agg rows, written as its agg part
+      → seal both stages (commit protocol)
 
-- Ray: ONE Ray Data execution — ``read_parquet`` → ``map_batches`` →
-  ``groupby("bucket").map_groups(bucket_group)``, the agg rows written
-  by the Dataset sink. ``rollup_dataset`` builds this plan for
-  ``run_pipeline`` and for ``vertex stats``.
-- Driver (a small input in a 1-CPU session): ``run_groups`` —
-  ``read_slice`` (``pq.read_table`` with the same columns) → the same
-  projection over the whole slice → one stable argsort by bucket, then
-  ``bucket_group`` per bucket in the calling process, each bucket's agg
-  rows written as its own part. No Ray execution at all.
-
-The stored blocks are the same bytes on both. ``bucket_group`` is also
-the one group body of the epoch ingest (pipelines/epoch_pipeline): a
-one-shot run is the epoch with nothing carried — no epoch bounds, no
-state in, no state out.
+``scan`` returns a driver table for a small input in a 1-CPU session
+(``read_slice``: ``pq.read_table`` with the same columns), and the chain
+then runs bucket by bucket in the calling process with no Ray execution.
+Otherwise it returns a ``read_parquet`` Dataset, and the chain is ONE Ray
+Data execution whose ``groupby("bucket").map_groups`` tasks run the same
+group body. The stored blocks are the same bytes on both.
+``bucket_group`` is also the one group body of the epoch ingest
+(pipelines/epoch_pipeline): a one-shot run is the epoch with nothing
+carried — no epoch bounds, no state in, no state out.
 
 Everything after the bucket split is embarrassingly parallel because the
 conversation-hash bucket co-locates every series of a conversation: the
@@ -43,9 +38,10 @@ from the transcript parquet column statistics — footer metadata only, no
 data read.
 
 The agg and blocks stages commit as one set through state/checkpoint
-(``committed`` → ``open_parts`` → ``write_part`` per bucket → ``seal``):
-a rerun skips a set committed under the same lineage, on either
-executor, and a killed run resumes reusing its finished per-bucket parts.
+(``committed`` → ``open_parts`` → ``write_part`` per bucket in the group
+body → ``seal``): a rerun skips a set committed under the same lineage,
+on either executor, and a killed run resumes bucket by bucket, reusing
+its finished per-bucket parts, on either executor.
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
 from vertex_ray.schema import TIERS
@@ -68,11 +65,13 @@ from vertex_ray.stages.encode import (
     GorillaEncode,
     decode_blocks_batch,
 )
+from vertex_ray.stages.executor import per_batch, per_group
 from vertex_ray.stages.fill import unpack_series
 from vertex_ray.stages.kernel import METRIC_NAMES
 from vertex_ray.stages.kernel_epoch import epoch_kernel
 from vertex_ray.state.checkpoint import (
     committed,
+    group_body,
     open_parts,
     part_path,
     seal,
@@ -244,6 +243,31 @@ def read_slice(path: str, filters=None) -> pa.Table:
     return pa.concat_tables(tables)
 
 
+def scan(src, filters=None):
+    """The ingests' one scan, where the executor is picked: ``src`` as
+    one driver table when ``ingest_in_driver`` sends its bytes to the
+    driver, else as a Dataset. ``src`` is a transcripts path
+    (``read_slice`` with ``filters``, or ``read_parquet`` of the same
+    columns with ``filters`` pushed into the scan) or an exposition
+    lines Dataset, sized by the files ``Dataset.input_files`` names,
+    which never executes the plan: a transformed or in-memory Dataset
+    names none (0, unknown) and stays a Dataset. The lines table comes
+    from the Dataset's own plan, so its read options hold."""
+    if isinstance(src, str):
+        nbytes = input_bytes(src)
+        if ingest_in_driver(nbytes):
+            return read_slice(src, filters)
+        return rd.read_parquet(
+            src, columns=PROJECT_COLUMNS, filter=filters,
+            override_num_blocks=read_num_blocks(src, nbytes=nbytes))
+    if not ingest_in_driver(input_bytes(src.input_files()), scrape=True):
+        return src
+    blocks = [b for b in ray.get(src.to_arrow_refs()) if b.num_rows]
+    if not blocks:
+        return pa.table({"text": pa.array([], type=pa.string())})
+    return pa.concat_tables(blocks, promote_options="default")
+
+
 def transcripts_span_s(path: str) -> tuple[int, int]:
     """(min, max) transcript timestamp in epoch seconds, from parquet
     footer statistics only (no data read)."""
@@ -306,11 +330,12 @@ def bucket_group(
     blocks_parts_dir: str,
 ) -> pa.Table:
     """THE group body, one bucket × one epoch: read the bucket's carried
-    state, run the bucket kernel, side-write its blocks part and its
+    state, run the bucket kernel, write its blocks part and its
     next-epoch state part (state/checkpoint.write_part: skip-if-done,
     atomic, encoded only when missing) and return its sparse agg rows
     (one row per stored point + fill_runs/window_seconds, expanded back to
-    the dense tier rows by read_stage_files). A one-shot run is the
+    the dense tier rows by read_stage_files), which the ingest's
+    ``group_body`` writes as its agg part. A one-shot run is the
     unbounded epoch: no epoch bounds, no state in, no state parts dir."""
     bucket_id, cols = explode_runs(group)
     state_in = None
@@ -338,42 +363,18 @@ def bucket_kernel_group_packed(group: pa.Table, tiers, global_end_s: int,
                         bucket_id, salt)[0]
 
 
-def run_groups(transcripts_path: str, n_buckets: int, body,
-               agg_parts_dir: str, filters=None, extra: pa.Table | None = None
-               ) -> None:
-    """The driver executor: the scan (``read_slice`` with ``filters``),
-    the run-packed projection plus the ``extra`` runs, THE exchange
-    (``split_by_bucket``) and ``body`` (a
-    bound ``bucket_group``) called on each non-empty bucket, its agg rows
-    written as the bucket's part under ``agg_parts_dir``. A bucket whose
-    agg part a killed run left is skipped: its blocks and state parts
-    were written before it."""
-    projected = project_for_rollup_packed(
-        read_slice(transcripts_path, filters), n_buckets)
-    if extra is not None:
-        projected = pa.concat_tables([projected, extra])
-    for bucket_id, group in split_by_bucket(projected, n_buckets):
-        write_part(agg_parts_dir, bucket_id, functools.partial(body, group))
-
-
-def split_by_bucket(t: pa.Table, n_buckets: int):
-    """The driver executor's exchange: ``(bucket id, rows)`` for each
-    non-empty value of ``t``'s ``bucket`` column in ``range(n_buckets)``,
-    in bucket order — one stable argsort, one slice per bucket, rows in
-    input order within a bucket."""
-    b = t["bucket"].to_numpy()
-    order = np.argsort(b, kind="stable")
-    groups = t.take(order)
-    edges = np.searchsorted(b[order], np.arange(n_buckets + 1))
-    for bucket_id, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if hi > lo:
-            yield bucket_id, groups.slice(lo, hi - lo)
-
-
-def _oneshot_body(global_end_s: int, blocks_parts_dir: str, salt: int,
-                  tiers):
-    """``bucket_group`` over the unbounded epoch."""
-    return functools.partial(
+def rollup_chain(src, global_end_s: int, n_buckets: int,
+                 agg_parts_dir: str, blocks_parts_dir: str, salt: int = 1,
+                 tiers=TIERS):
+    """THE one-shot chain over ``src`` (``scan``'s table or Dataset):
+    the run-packed projection, then per bucket ``bucket_group`` over the
+    unbounded epoch, which writes the bucket's blocks part and returns
+    its agg rows, written as the bucket's agg part (``group_body``).
+    Returns the ``(bucket, rows)`` rows for ``seal``; ``vertex stats``
+    materializes it over a Dataset for Ray's operator stats."""
+    projected = per_batch(src, functools.partial(project_for_rollup_packed,
+                                                 n_buckets=n_buckets))
+    return per_group(projected, group_body(agg_parts_dir, functools.partial(
         bucket_group,
         tiers=tiers,
         epoch_start_s=None,
@@ -383,25 +384,7 @@ def _oneshot_body(global_end_s: int, blocks_parts_dir: str, salt: int,
         state_in_dir=None,
         state_parts_dir=None,
         blocks_parts_dir=blocks_parts_dir,
-    )
-
-
-def rollup_dataset(transcripts_path: str, global_end_s: int, n_buckets: int,
-                   blocks_parts_dir: str, salt: int = 1,
-                   tiers=TIERS) -> "rd.Dataset":
-    """THE flagship plan on Ray: scan → run-packed projection →
-    groupby(bucket) → ``bucket_group`` over the unbounded epoch, which
-    side-writes each bucket's blocks under ``blocks_parts_dir`` and
-    returns its sparse agg rows. ``run_pipeline`` writes it as the agg
-    stage; ``vertex stats`` materializes it for its operator stats."""
-    projected = read_transcripts(transcripts_path).map_batches(
-        functools.partial(project_for_rollup_packed, n_buckets=n_buckets),
-        batch_format="pyarrow",
-    )
-    return projected.groupby("bucket").map_groups(
-        _oneshot_body(global_end_s, blocks_parts_dir, salt, tiers),
-        batch_format="pyarrow",
-    )
+    )))
 
 
 # The vectorized columnar-v2 decoder is flat in batch size, so size
@@ -547,14 +530,12 @@ def run_pipeline(
     blocks), one part per bucket, committed as one set
     (state/checkpoint): a set committed under this run's lineage is
     returned as it is, and the per-bucket parts of a killed run are
-    reused on rerun. ``ingest_in_driver`` picks the executor: a small
-    input in a 1-CPU session runs bucket by bucket in the driver, any
-    other as ONE Ray execution whose group tasks write the blocks
-    parts and whose Dataset sink is the agg stage. Both store the same
-    blocks."""
-    nbytes = input_bytes(transcripts_path)
+    reused on rerun. ``scan`` picks the executor: a small input in a
+    1-CPU session runs bucket by bucket in the driver, any other as ONE
+    Ray execution whose group tasks write the parts. Both store the
+    same blocks."""
     if n_buckets is None:
-        n_buckets = auto_n_buckets(transcripts_path, nbytes=nbytes)
+        n_buckets = auto_n_buckets(transcripts_path)
     end = transcripts_end_ts(transcripts_path)
     lineage = {
         "input": transcripts_path,
@@ -573,12 +554,8 @@ def run_pipeline(
     if manifests is not None:
         return manifests
     t0 = time.time()
-    blocks_parts = open_parts(paths["blocks"], lineage)
-    if not ingest_in_driver(nbytes):
-        return seal(rollup_dataset(transcripts_path, end, n_buckets,
-                                   blocks_parts, salt, tiers),
-                    paths, lineage, t0)
-    run_groups(transcripts_path, n_buckets,
-               _oneshot_body(end, blocks_parts, salt, tiers),
-               open_parts(paths["agg"], lineage))
-    return seal(None, paths, lineage, t0)
+    return seal(rollup_chain(scan(transcripts_path), end, n_buckets,
+                             open_parts(paths["agg"], lineage),
+                             open_parts(paths["blocks"], lineage), salt,
+                             tiers),
+                paths, lineage, t0)

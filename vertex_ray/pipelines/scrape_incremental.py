@@ -4,16 +4,16 @@ runs — the resumable form of pipelines/scrape_pipeline, mirroring the
 flagship's epoch pipeline (pipelines/epoch_pipeline):
 
 - each run commits ``epoch-<seq>/{agg,blocks,state}`` as one stage set
-  through the flagship's commit protocol (state/checkpoint); blocks and
-  state are side-written per bucket (atomic rename, idempotent — a
-  retried task reuses finished buckets);
-- a run executes where the one-shot scrape would
-  (scrape_pipeline.driver_lines): a small sized input in a 1-CPU
-  session in the driver, bucket by bucket (rollup_pipeline
-  .split_by_bucket), every stage's part written with ``write_part``;
-  any other as one Ray execution whose sink is the agg stage. The
-  finalize run has no input to size and runs on Ray (the driver's
-  memory per byte of carried state is not priced);
+  through the flagship's commit protocol (state/checkpoint); the group
+  body writes every stage's part per bucket with ``write_part`` (atomic
+  rename, idempotent — a retried task reuses finished buckets);
+- a run is the one-shot scrape's chain over the executor seam
+  (stages/executor) with one sentinel row per bucket: the lines scan
+  (rollup_pipeline.scan) → the parse per batch → the body per bucket.
+  A small sized input in a 1-CPU session runs in the driver, bucket by
+  bucket; any other as one Ray execution whose group tasks write the
+  parts. The finalize run has no input to size and runs on Ray (the
+  driver's memory per byte of carried state is not priced);
 - a run killed before its set committed leaves an uncommitted epoch.
   A driver run names its input in the lineage (a digest of the lines,
   plus the ``default_ts_ms`` that stamps the lines without a
@@ -64,18 +64,19 @@ import pyarrow as pa
 import ray.data as rd
 
 from vertex_ray.pipelines.epoch_pipeline import epoch_dirs
-from vertex_ray.pipelines.rollup_pipeline import split_by_bucket
+from vertex_ray.pipelines.rollup_pipeline import scan
 from vertex_ray.pipelines.scrape_pipeline import (
     _KIND_CODE,
     _normalize,
     _scrape_parser,
-    driver_lines,
 )
 from vertex_ray.schema import AGG_FIELDS, BUCKET_COLS
 from vertex_ray.stages.encode import BLOCK_FORMAT
+from vertex_ray.stages.executor import per_batch, per_group, union
 from vertex_ray.state import fsio
 from vertex_ray.state.checkpoint import (
     committed,
+    group_body,
     open_parts,
     part_path,
     read_manifest,
@@ -216,7 +217,7 @@ def _bucket_body(g: pa.Table, *, window_s: int, tier: str, n_buckets: int,
                  state_in_dir: str | None, state_parts_dir: str,
                  blocks_parts_dir: str, emit_all: bool) -> pa.Table:
     """One bucket × one run: read the bucket's carried state, run the
-    carry step, side-write blocks + next state, return emitted agg
+    carry step, write its blocks + next state parts, return emitted agg
     rows."""
     from vertex_ray.stages.encode import encode_agg_rows
 
@@ -276,7 +277,7 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
             raise ValueError("window_s/n_buckets must stay identical "
                              "across a store's runs")
     state_in = posixpath.join(prev[-1], "state") if prev else None
-    lines = driver_lines(lines_ds)
+    lines = scan(lines_ds)
     # a driver run knows its input's content, so a rerun over the same
     # lines with the same default_ts_ms reuses the killed run's parts
     # (open_parts compares the lineage); a Dataset's content is unknown
@@ -291,31 +292,18 @@ def scrape_append(lines_ds, out_dir: str, *, kinds: dict,
                "finalize": _emit_all, "block_format": BLOCK_FORMAT,
                "input": digest, "default_ts_ms": default_ts_ms}
     t0 = time.time()
-    body = functools.partial(
-        _bucket_body, window_s=window_s, tier=tier, n_buckets=n_buckets,
-        state_in_dir=state_in,
-        state_parts_dir=open_parts(paths["state"], lineage),
-        blocks_parts_dir=open_parts(paths["blocks"], lineage),
-        emit_all=_emit_all)
     parse = _scrape_parser(kinds=kinds, n_buckets=n_buckets,
                            default_ts_ms=default_ts_ms)
     sentinels = _sentinels(n_buckets,
                            any(k == "histogram" for k in kinds.values()))
-    if isinstance(lines, pa.Table):
-        # the driver executor: every bucket's body in this process, its
-        # emitted agg rows written as the bucket's part, so a killed run
-        # resumes bucket by bucket
-        parsed = pa.concat_tables([parse(lines), sentinels],
-                                  promote_options="default")
-        agg_parts = open_parts(paths["agg"], lineage)
-        for bucket_id, group in split_by_bucket(parsed, n_buckets):
-            write_part(agg_parts, bucket_id, functools.partial(body, group))
-        return seal(None, paths, lineage, t0)
-    parsed = lines.map_batches(parse, batch_format="pyarrow").union(
-        rd.from_arrow(sentinels))
-    return seal(parsed.groupby("bucket").map_groups(body,
-                                                    batch_format="pyarrow"),
-                paths, lineage, t0)
+    out = per_group(union([per_batch(lines, parse), sentinels]), group_body(
+        open_parts(paths["agg"], lineage), functools.partial(
+            _bucket_body, window_s=window_s, tier=tier, n_buckets=n_buckets,
+            state_in_dir=state_in,
+            state_parts_dir=open_parts(paths["state"], lineage),
+            blocks_parts_dir=open_parts(paths["blocks"], lineage),
+            emit_all=_emit_all)))
+    return seal(out, paths, lineage, t0)
 
 
 def scrape_finalize(out_dir: str, *, kinds: dict, window_s: int = 60,

@@ -21,16 +21,17 @@ pandas) — packs, and Gorilla-encodes (as the flagship's group body,
 rollup_pipeline.bucket_group) — read → parse → split → block rows. The
 readable pandas spec of these merges lives in tests/rollup_spec.py.
 
-Two executors run those steps, picked by the flagship's ingest gate
-(rollup_pipeline.ingest_in_driver, ``scrape=True``) from the bytes of
-the files the lines Dataset reads (``Dataset.input_files``; a
+Those steps are one chain over the executor seam (stages/executor):
+the lines scan (rollup_pipeline.scan) → ``per_batch(parse)`` →
+``per_group(body)``. The scan picks the executor with the flagship's
+ingest gate (rollup_pipeline.ingest_in_driver, ``scrape=True``) from the
+bytes of the files the lines Dataset reads (``Dataset.input_files``; a
 transformed or in-memory Dataset is unknown, 0, and goes to Ray):
 
 - driver (a small input in a 1-CPU session, under
   ``DRIVER_SCRAPE_MAX_BYTES``): the lines read through the Dataset's
-  own plan into one table, the parse over it, one stable argsort by
-  bucket (rollup_pipeline.split_by_bucket), the body per bucket in the
-  calling process; the block rows come back as a one-block Dataset;
+  own plan into one table, the parse over it, the body per bucket in
+  the calling process; the block rows come back as a one-block Dataset;
 - Ray: the parse per batch (``map_batches``), then ONE
   ``groupby(bucket)`` exchange whose group tasks run the body.
 
@@ -69,14 +70,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
-import ray.data as rd
 
-from vertex_ray.pipelines.rollup_pipeline import (
-    ingest_in_driver,
-    input_bytes,
-    split_by_bucket,
-)
+from vertex_ray.pipelines.rollup_pipeline import scan
 from vertex_ray.schema import (
     DEFAULT_BUCKETS_ARR,
     KIND_GAUGE,
@@ -96,7 +91,7 @@ from vertex_ray.stages.kernel import (
     series_table,
     window_agg,
 )
-from vertex_ray.stages.executor import per_batch
+from vertex_ray.stages.executor import lift, per_batch, per_group
 
 __all__ = [
     "scrape_counters_to_store",
@@ -306,7 +301,7 @@ def scrape_to_store(lines_ds, *, metric: str, kind: str = "counter",
     if kind not in _KIND_CODE:
         raise ValueError(f"unsupported scrape kind: {kind!r}")
     fill = _fill_spec(fill_until_s, staleness_s, window_s)
-    return _scrape_routed(driver_lines(lines_ds), kinds={metric: kind},
+    return _scrape_routed(scan(lines_ds), kinds={metric: kind},
                           window_s=window_s, tier=tier,
                           n_buckets=n_buckets, fill=fill,
                           default_ts_ms=default_ts_ms)
@@ -339,7 +334,7 @@ def scrape_payload_to_store(lines_ds, *, kinds: dict | None = None,
     quantile streams land as KIND_SUMMARY series under the no-op-merge
     first-per-window rule, ``_sum``/``_count`` as counter series."""
     fill = _fill_spec(fill_until_s, staleness_s, window_s)
-    lines = driver_lines(lines_ds)
+    lines = scan(lines_ds)
     if kinds is None:
         kinds = _collect_type_map(lines)
     # families of a kind this engine does not model are skipped entirely
@@ -353,21 +348,8 @@ def scrape_payload_to_store(lines_ds, *, kinds: dict | None = None,
                           default_ts_ms=default_ts_ms)
 
 
-def driver_lines(lines_ds):
-    """The executor of a scrape ingest: ``lines_ds`` read into one
-    driver table when the ingest gate (rollup_pipeline.ingest_in_driver)
-    sends its bytes to the driver, else the Dataset itself. The bytes
-    are those of the files ``Dataset.input_files`` names, which never
-    executes the plan: a transformed or in-memory Dataset names none, 0,
-    unknown. The table comes from the Dataset's own plan, so its read
-    options hold."""
-    if not ingest_in_driver(input_bytes(lines_ds.input_files()),
-                            scrape=True):
-        return lines_ds
-    blocks = [b for b in ray.get(lines_ds.to_arrow_refs()) if b.num_rows]
-    if not blocks:
-        return pa.table({"text": pa.array([], type=pa.string())})
-    return pa.concat_tables(blocks, promote_options="default")
+# a lines Dataset's scan: one driver table, or the Dataset itself
+driver_lines = scan
 
 
 def _fill_spec(fill_until_s: int | None, staleness_s: int, window_s: int):
@@ -503,9 +485,9 @@ def _scrape_routed(lines, *, kinds: dict, window_s: int, tier: str,
     bucket → per bucket, the per-kind normalize + rollup kernels
     vectorized across the bucket's series, then pack + encode
     (normalize output is already bucket-partitioned, so no second
-    split). ``lines`` is a driver table (``driver_lines``), split by one
-    stable argsort and returned lifted, or a Dataset, split by ONE
-    ``groupby(bucket)`` exchange."""
+    split). ``lines`` is ``scan``'s driver table, whose block rows come
+    back lifted into a Dataset, or a Dataset, split by ONE
+    ``groupby(bucket)`` exchange (stages/executor.per_group)."""
     from vertex_ray.stages.encode import encode_agg_rows
 
     parse = _scrape_parser(kinds=kinds, n_buckets=n_buckets,
@@ -520,12 +502,4 @@ def _scrape_routed(lines, *, kinds: dict, window_s: int, tier: str,
         return encode_agg_rows(keyed_rows(*_normalize(g, window_s)),
                                tier=tier, fill=fill)
 
-    if isinstance(lines, pa.Table):
-        parsed = parse(lines)
-        parts = [normalize_pack_encode(g)
-                 for _, g in split_by_bucket(parsed, n_buckets)]
-        return rd.from_arrow(pa.concat_tables(parts) if parts
-                             else normalize_pack_encode(parsed))
-    return (lines.map_batches(parse, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(normalize_pack_encode, batch_format="pyarrow"))
+    return lift(per_group(per_batch(lines, parse), normalize_pack_encode))

@@ -1,19 +1,23 @@
-"""The read side's one executor seam: the ``read`` verbs, the
-``stages.promql`` operators, ``ops.topk_per_group``,
-``windows.series_delta``, ``join.hash_join`` and the ``promql_lang``
-evaluator build every step through these functions. Each step runs over
-one driver-side ``pa.Table`` or as Ray Data, following the type of its
-input: a table stays a table from step to step, so an expression whose
-selectors were read in the driver runs with no Ray Data execution, and a
-Dataset keeps the Ray plan it always had. Nothing here picks the
-executor; the read gate and memory guard (``read``) did that when they
-returned a table or a Dataset."""
+"""The engine's one executor seam. Every step of the ``read`` verbs,
+the ``stages.promql`` operators, ``ops.topk_per_group``,
+``windows.series_delta``, ``join.hash_join``, the ``promql_lang``
+evaluator and the ingests (one-shot, epoch, scrape and incremental
+scrape) is built through these functions. Each step runs over one
+driver-side ``pa.Table`` or as Ray Data, following the type of its
+input: a table stays a table from step to step, so a small read or
+ingest runs with no Ray Data execution, and a Dataset keeps the Ray plan
+it always had. Nothing here picks the executor; the read gate and memory
+guard (``read``) and the ingest gate (``rollup_pipeline.scan``) did that
+when they returned a table or a Dataset. Where work is split across
+workers is decided here alone: ``exchange`` for an operator's merge,
+``per_group`` for an ingest's bucket body."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 
@@ -79,6 +83,34 @@ def exchange(x, merge, key: str | None = None, n_buckets: int | None = None,
             batch_format="pyarrow")
         key = "__bucket"
     return x.groupby(key).map_groups(merge, batch_format=batch_format)
+
+
+def split_by_bucket(t: pa.Table, n_buckets: int):
+    """The driver's bucket split: ``(bucket id, rows)`` for each
+    non-empty value of ``t``'s ``bucket`` column in ``range(n_buckets)``,
+    in bucket order — one stable argsort, one slice per bucket, rows in
+    input order within a bucket."""
+    b = t["bucket"].to_numpy()
+    order = np.argsort(b, kind="stable")
+    groups = t.take(order)
+    edges = np.searchsorted(b[order], np.arange(n_buckets + 1))
+    for bucket_id, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if hi > lo:
+            yield bucket_id, groups.slice(lo, hi - lo)
+
+
+def per_group(x, body):
+    """An ingest's one exchange: ``body`` once per value of the
+    ``bucket`` column. In the driver that is ``split_by_bucket``, the
+    body called bucket by bucket in this process and its results
+    concatenated; a table with no row gets one call on itself, so an
+    empty result keeps the body's columns. Over a Dataset it is
+    ``groupby("bucket").map_groups``."""
+    if not isinstance(x, pa.Table):
+        return x.groupby("bucket").map_groups(body, batch_format="pyarrow")
+    n = pc.max(x["bucket"]).as_py() + 1 if x.num_rows else 0
+    parts = [body(g) for _, g in split_by_bucket(x, n)]
+    return pa.concat_tables(parts) if parts else body(x)
 
 
 def union(parts: list):

@@ -17,16 +17,17 @@ function here:
   the run's lineage; otherwise the set's stage dirs are removed;
 - ``open_parts``: a lineage-stamped parts dir per stage, whose parts
   survive a killed run of the same lineage;
-- ``write_part``: skip-if-done atomic write of one bucket's part;
+- ``write_part``: skip-if-done atomic write of one bucket's part, which
+  ``group_body`` wraps around an ingest's bucket body for the set's
+  first stage;
 - ``seal``: seal every parts dir into place.
 
-A set is written by one of two executors. On Ray, the first stage is a
-Dataset sink whose group tasks side-write the other stages' parts;
-``seal`` writes the sink, whole, before sealing. In the driver, the
-ingest calls the same group body bucket by bucket and writes every
-stage's part, the first stage's too, with ``write_part``, so a killed
-driver run resumes bucket by bucket; ``seal`` gets no Dataset. Either
-way every manifest records the run's ``wall_seconds`` and ``executor``
+The same group body runs on either executor (``stages/executor
+.per_group``): bucket by bucket in the driver, or as the group tasks of
+one Ray Data execution, which ``seal`` runs. It writes every stage's
+part itself, the first stage's last, and skips a bucket whose first
+part a killed run left, so a run resumes bucket by bucket on both.
+Every manifest records the run's ``wall_seconds`` and ``executor``
 (``RUN_KEYS``), which a resume does not compare: a set committed on one
 executor is reused by a run on the other.
 
@@ -37,9 +38,12 @@ cluster the driver's finalize sees the same store the workers wrote to.
 
 from __future__ import annotations
 
+import functools
 import os
 import posixpath
 import time
+
+import pyarrow as pa
 
 from vertex_ray.state import fsio
 
@@ -131,8 +135,6 @@ def pipeline_counters(out_dir: str):
     committed stage file plus a per-stage total row, with rows, bytes and
     the stage's recorded wall time. Reads only manifests (no data files),
     so it is free at any scale."""
-    import pyarrow as pa
-
     stages, files, rows, bytes_, wall = [], [], [], [], []
     names: list[str] = []
     for entry in sorted(fsio.listdir(out_dir)):
@@ -170,17 +172,6 @@ def pipeline_counters(out_dir: str):
     )
 
 
-def _write_sink(ds, dir_path: str) -> None:
-    """Write a Dataset whole into ``dir_path``, never onto a killed
-    run's files."""
-    fsio.rmtree(dir_path)
-    ds.write_parquet(dir_path)
-    # an EMPTY dataset writes zero files and never creates the dir —
-    # the stage must still commit (manifest with rows=0), e.g. a scrape
-    # of a payload with no matching family
-    fsio.makedirs(dir_path)
-
-
 def write_stage(ds, final_path: str, lineage: dict | None = None) -> dict:
     """Write a Dataset to a stage directory with commit semantics.
 
@@ -191,7 +182,11 @@ def write_stage(ds, final_path: str, lineage: dict | None = None) -> dict:
         return read_manifest(final_path)
     tmp = final_path.rstrip("/") + ".__tmp__"
     t0 = time.time()
-    _write_sink(ds, tmp)
+    fsio.rmtree(tmp)  # never write onto a killed run's files
+    ds.write_parquet(tmp)
+    # an EMPTY dataset writes zero files and never creates the dir —
+    # the stage must still commit (manifest with rows=0)
+    fsio.makedirs(tmp)
     lineage = dict(lineage or {})
     lineage["wall_seconds"] = round(time.time() - t0, 3)
     return finalize_stage(tmp, final_path, lineage)
@@ -240,31 +235,51 @@ def part_path(stage_dir: str, bucket_id: int, prefix: str = "part") -> str:
 
 
 def write_part(parts_dir: str, bucket_id: int, build, prefix: str = "part"
-               ) -> None:
-    """Write one bucket's part unless it is already there. ``build()``
-    makes the table only when the part is missing, so a part reused
-    after a killed run is never re-encoded. The write is atomic (a temp
-    name per writer, renamed to the deterministic final name), so a
-    retried or speculative task is idempotent."""
+               ) -> int | None:
+    """Write one bucket's part unless it is already there, and return its
+    rows (None when it was there). ``build()`` makes the table only when
+    the part is missing, so a part reused after a killed run is never
+    re-encoded. The write is atomic (a temp name per writer, renamed to
+    the deterministic final name), so a retried or speculative task is
+    idempotent."""
     final = part_path(parts_dir, bucket_id, prefix)
-    if not fsio.exists(final):
-        fsio.write_parquet_atomic(build(), final, str(os.getpid()))
+    if fsio.exists(final):
+        return None
+    table = build()
+    fsio.write_parquet_atomic(table, final, str(os.getpid()))
+    return table.num_rows
 
 
-def seal(ds, paths: dict[str, str], lineage: dict, t0: float
+def group_body(parts_dir: str, body):
+    """The group body of a stage set. ``body(group)`` writes the bucket's
+    parts of every later stage and returns its rows of the first stage,
+    which are written with ``write_part`` under ``parts_dir``; a bucket
+    whose first-stage part a killed run left runs nothing. Returns one
+    ``(bucket, rows)`` row, rows null for a reused part."""
+    return functools.partial(_write_group, parts_dir, body)
+
+
+def _write_group(parts_dir: str, body, group: pa.Table) -> pa.Table:
+    bucket_id = group["bucket"][0].as_py() if group.num_rows else 0
+    rows = write_part(parts_dir, bucket_id, functools.partial(body, group))
+    return pa.table({"bucket": pa.array([bucket_id], pa.int64()),
+                     "rows": pa.array([rows], pa.int64())})
+
+
+def seal(out, paths: dict[str, str], lineage: dict, t0: float
          ) -> dict[str, dict]:
     """Commit a stage set whose run started at ``t0`` (``time.time()``).
-    ``ds`` is the Ray executor's sink: it is written as the first
-    stage's parts, and its execution side-writes the other stages'
-    parts. The driver executor has written every stage's parts already
-    and passes None. Then each parts dir is sealed into place with
-    ``lineage`` plus the run's ``RUN_KEYS``. Returns the set's
-    manifests."""
-    executor = "driver"
-    if ds is not None:
-        _write_sink(ds, next(iter(paths.values())).rstrip("/") + PARTS)
-        executor = "ray"
+    ``out`` is the set's ``group_body`` rows: a Dataset is executed here
+    (its group tasks write the parts) and makes the run's executor
+    "ray"; a driver table, whose bodies have run, makes it "driver".
+    Then each parts dir is sealed into place with ``lineage`` plus the
+    run's ``RUN_KEYS``. Returns the set's manifests."""
+    import ray.data as rd
+
+    on_ray = isinstance(out, rd.Dataset)
+    if on_ray:
+        out.materialize()
     run = {**lineage, "wall_seconds": round(time.time() - t0, 3),
-           "executor": executor}
+           "executor": "ray" if on_ray else "driver"}
     return {s: finalize_stage(p.rstrip("/") + PARTS, p, run)
             for s, p in paths.items()}
